@@ -1,0 +1,183 @@
+"""Pinned cycle-model outputs: every timing statistic, compared exactly.
+
+Each case runs one cycle model on a small seeded graph and serializes the
+full result — cycles, counts, every ``PEStats`` field, per-unit finish
+times, the cache/DRAM/NoC/LLC sections, the scalars and (for the traced
+case) the event list — with floats as ``repr`` strings, so any change to
+the timing model's arithmetic, traversal order or memory-system state
+shows up as a diff.  ``tests/hw/data/golden_cycles.json`` holds the
+expected values.
+
+Regenerate (only when a timing change is intended, and say so in the
+change description)::
+
+    PYTHONPATH=src python tests/hw/test_golden_cycles.py --regen
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from dataclasses import asdict, is_dataclass
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+
+from repro.graph import builders
+from repro.graph import generators as gen
+from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig, simulate
+from repro.hw.area import iso_area_segment_length
+from repro.hw.trace import Tracer
+from repro.sw.config import SoftwareConfig
+from repro.sw.miner import simulate_software
+
+GOLDEN = Path(__file__).with_name("data") / "golden_cycles.json"
+
+#: A shared cache small enough that the test graph overflows it, so the
+#: DRAM and eviction paths carry traffic.
+SMALL_MEM = MemoryConfig(shared_cache_bytes=1024)
+
+
+@lru_cache(maxsize=None)
+def _graph(name: str):
+    if name == "ba":
+        # BA(140, 3) plus five planted 5-cliques, degree-relabelled: a
+        # skewed graph with hubs (multi-item ops) and clique-rich roots.
+        base = gen.barabasi_albert(140, 3, seed=11)
+        cliques = gen.planted_cliques(140, num_cliques=5, clique_size=5, seed=12)
+        edges = list(base.edges()) + list(cliques.edges())
+        return builders.relabel_by_degree(
+            builders.from_edges(edges, num_vertices=140)
+        )
+    if name == "tiny":
+        return builders.relabel_by_degree(gen.erdos_renyi(30, 0.3, seed=13))
+    raise KeyError(name)
+
+
+def _fingers(**kw):
+    return FingersConfig(**{"num_pes": 1, **kw})
+
+
+def _flex(**kw):
+    return FlexMinerConfig(**{"num_pes": 1, **kw})
+
+
+def _cases():
+    cases = {}
+    for p in ("tc", "4cl", "tt", "cyc", "3mc"):
+        cases[f"fingers-1pe-{p}"] = ("ba", p, _fingers(), {})
+        cases[f"flexminer-1pe-{p}"] = ("ba", p, _flex(), {})
+    for sched in ("dynamic", "static_interleave", "static_block"):
+        cases[f"fingers-4pe-{sched}-tt"] = (
+            "ba", "tt", _fingers(num_pes=4),
+            {"schedule": sched, "memory": SMALL_MEM},
+        )
+        cases[f"flexminer-4pe-{sched}-4cl"] = (
+            "ba", "4cl", _flex(num_pes=4),
+            {"schedule": sched, "memory": SMALL_MEM},
+        )
+    for n in (48, 2):
+        cases[f"fingers-isoarea-{n}ius-tt"] = (
+            "ba", "tt",
+            _fingers(num_ius=n, long_segment_len=iso_area_segment_length(n)),
+            {},
+        )
+    cases["fingers-spill-tt"] = ("ba", "tt", _fingers(private_cache_bytes=64), {})
+    cases["fingers-spill-3mc"] = (
+        "ba", "3mc", _fingers(num_pes=3, private_cache_bytes=64),
+        {"memory": SMALL_MEM},
+    )
+    cases["fingers-group3-4cl"] = ("ba", "4cl", _fingers(task_group_size=3), {})
+    cases["flexminer-refetch-tt"] = (
+        "ba", "tt", _flex(private_cache_bytes=64), {"memory": SMALL_MEM},
+    )
+    cases["flexminer-refetch-3mc"] = (
+        "ba", "3mc", _flex(num_pes=3, private_cache_bytes=64), {},
+    )
+    for gran in ("tree", "branch"):
+        for p in ("tt", "3mc"):
+            cases[f"software-{gran}-{p}"] = (
+                "ba", p, SoftwareConfig(num_cores=4, granularity=gran), {},
+            )
+    cases["software-branch-1core-4cl"] = (
+        "ba", "4cl", SoftwareConfig(num_cores=1, granularity="branch"), {},
+    )
+    # Three hub roots on four cores: idle cores steal most of the work.
+    cases["software-branch-hubroots-tt"] = (
+        "ba", "tt", SoftwareConfig(num_cores=4, granularity="branch"),
+        {"roots": [0, 1, 2]},
+    )
+    cases["fingers-sharded-jobs2-tc"] = (
+        "ba", "tc", _fingers(num_pes=2), {"jobs": 2, "shards": 3},
+    )
+    cases["fingers-traced-4cl"] = ("tiny", "4cl", _fingers(num_pes=2), {"trace": True})
+    cases["flexminer-traced-tt"] = ("tiny", "tt", _flex(num_pes=2), {"trace": True})
+    return cases
+
+
+CASES = _cases()
+
+
+def _plain(value):
+    """JSON-ready copy with every float as its exact ``repr``."""
+    if isinstance(value, float):
+        return repr(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return _plain(asdict(value))
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in sorted(value.items())}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def run_case(name: str) -> dict:
+    graph_name, workload, config, opts = CASES[name]
+    graph = _graph(graph_name)
+    opts = dict(opts)
+    tracer = Tracer() if opts.pop("trace", False) else None
+    if isinstance(config, SoftwareConfig):
+        res = simulate_software(graph, workload, config, **opts)
+    else:
+        res = simulate(graph, workload, config, tracer=tracer, **opts)
+    out = {
+        "cycles": res.cycles,
+        "counts": list(res.counts),
+        "units": list(res.units),
+        "unit_finish_times": list(res.unit_finish_times),
+        "sections": dict(res.sections),
+        "scalars": dict(res.scalars),
+    }
+    if tracer is not None:
+        out["events"] = [
+            [e.pe_id, e.start, e.end, e.kind, e.detail] for e in tracer.events
+        ]
+    return _plain(out)
+
+
+@lru_cache(maxsize=1)
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_cycles(name):
+    expected = _golden()[name]
+    got = run_case(name)
+    for key in expected:
+        assert got[key] == expected[key], f"{name}: {key} differs"
+    assert set(got) == set(expected)
+
+
+def test_golden_file_covers_every_case():
+    assert set(_golden()) == set(CASES)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--regen"]:
+        sys.exit("usage: test_golden_cycles.py --regen")
+    GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+    data = {name: run_case(name) for name in sorted(CASES)}
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(data)} cases to {GOLDEN}")
