@@ -5,7 +5,7 @@ map, and :class:`~repro.analysis.engine.ModuleContext` (source lines,
 ``noqa`` pragmas), plus three derived tables:
 
 * ``functions`` — every module-level function and class method, keyed
-  by dotted qualname (``repro.hw.pe.BasePE._execute_ops``);
+  by dotted qualname (``repro.hw.pe.BasePE._fetch_shared``);
 * ``classes`` — every class with its raw base names, method table,
   and (for dataclasses) declared field names;
 * ``calls`` — the call graph: caller qualname -> callee qualnames.

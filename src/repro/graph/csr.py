@@ -149,7 +149,6 @@ class CSRGraph:
         if np.any(vertex_of == indices):
             raise ValueError("self loops are not allowed")
         # Sorted-strictly-increasing within each row implies no duplicates.
-        interior = np.setdiff1d(indptr[1:-1], indptr[[0, -1]], assume_unique=False)
         diffs = np.diff(indices)
         if diffs.size:
             breaks = np.zeros(indices.size - 1, dtype=bool)
@@ -158,9 +157,7 @@ class CSRGraph:
             breaks[boundary - 1] = True
             if np.any((diffs <= 0) & ~breaks):
                 raise ValueError("neighbor lists must be strictly increasing")
-        del interior
         # Symmetry: every (u, v) edge must appear as (v, u) as well.
-        degrees = np.diff(indptr)
         if indices.size:
             fwd = vertex_of.astype(np.int64) * n + indices
             rev = indices.astype(np.int64) * n + vertex_of
@@ -168,7 +165,6 @@ class CSRGraph:
                 raise ValueError(
                     "adjacency is not symmetric (graph must be undirected)"
                 )
-        del degrees
 
     # ------------------------------------------------------------------
     # Core accessors

@@ -53,8 +53,13 @@ def save_npz(graph: CSRGraph, path: PathLike) -> None:
 
 
 def load_npz(path: PathLike) -> CSRGraph:
-    """Load a graph previously written by :func:`save_npz`."""
+    """Load a graph previously written by :func:`save_npz`.
+
+    The archive is validated like any other input (sorted, symmetric,
+    in-range neighbor lists without self loops, a consistent ``indptr``):
+    a corrupt file raises ``ValueError`` instead of yielding wrong counts.
+    """
     with np.load(path) as data:
         if "indptr" not in data or "indices" not in data:
             raise ValueError(f"{path} is not a repro graph archive")
-        return CSRGraph(data["indptr"], data["indices"], validate=False)
+        return CSRGraph(data["indptr"], data["indices"])

@@ -1,8 +1,8 @@
 """Cycle-approximate hardware timing models of FINGERS and FlexMiner.
 
-The models are *functionally exact* (they execute the same plan IR as the
-reference engine and must produce identical counts — enforced by tests)
-and *temporally approximate*: instead of simulating every wire, they
+The models are *functionally exact* (they replay a trace of the same plan
+IR the reference engine runs and must produce identical counts — enforced
+by tests) and *temporally approximate*: instead of simulating every wire, they
 charge cycle costs according to the microarchitectural contracts stated
 in the paper (see DESIGN.md section 5) and model the memory system with
 sectored LRU caches and a bandwidth/latency DRAM model.
@@ -12,10 +12,13 @@ Layout
 ``config``     configuration dataclasses for both designs
 ``memory``     DRAM model
 ``cache``      shared / private sectored caches, stream buffers
-``iu``         intersect-unit pool: work-item scheduling and costs
+``iu``         intersect-unit pool: per-task reference of the IU costs
 ``divider``    task-divider timing (head lists, chunking)
+``optrace``    set-op trace: every task's tree shape and op costs, built
+               batched once per run (vectorized IU/divider model)
 ``stats``      counters: cycles, active rate, balance rate, miss rates
-``pe``         the FINGERS processing element (pseudo-DFS, task groups)
+``pe``         trace replay and the FINGERS processing element
+               (pseudo-DFS, task groups)
 ``flexminer``  the baseline processing element (strict DFS, serial ops)
 ``chip``       multi-PE chip with dynamic root scheduling
 ``area``       area/power model (paper Table 2) and iso-area helpers

@@ -21,6 +21,7 @@ from repro.hw.config import FingersConfig, FlexMinerConfig, MemoryConfig
 from repro.hw.flexminer import FlexMinerPE
 from repro.hw.memory import DRAMModel
 from repro.hw.noc import NoCModel
+from repro.hw.optrace import TRACE_BUDGET_BYTES
 from repro.hw.pe import BasePE, FingersPE
 from repro.pattern.plan import ExecutionPlan
 
@@ -51,13 +52,11 @@ def _make_pes(
     shared_cache: SectoredLRUCache,
     dram: DRAMModel,
 ) -> list[BasePE]:
-    if isinstance(config, FingersConfig):
-        return [
-            FingersPE(i, graph, plans, config, memcfg, shared_cache, dram)
-            for i in range(config.num_pes)
-        ]
+    """One PE per configured unit, all replaying one shared trace."""
+    cls = FingersPE if isinstance(config, FingersConfig) else FlexMinerPE
+    trace = cls.new_trace(graph, plans, config, memcfg)
     return [
-        FlexMinerPE(i, graph, plans, config, memcfg, shared_cache, dram)
+        cls(i, graph, plans, config, memcfg, shared_cache, dram, trace)
         for i in range(config.num_pes)
     ]
 
@@ -111,13 +110,14 @@ def run_chip(
     finish = [0.0] * len(pes)
     heap: list[tuple[float, int]] = []
 
+    trace = pes[0].trace
     if schedule == "dynamic":
-        root_iter = iter(all_roots)
+        trees = trace.trees(all_roots)
         for pe in pes:
-            root = next(root_iter, None)
-            if root is None:
+            tree = next(trees, None)
+            if tree is None:
                 break
-            pe.assign_root(int(root), 0.0)
+            pe.assign_root(tree.root, 0.0, tree)
             heapq.heappush(heap, (pe.now, pe.pe_id))
         while heap:
             _, pid = heapq.heappop(heap)
@@ -126,11 +126,11 @@ def run_chip(
                 pe.step()
                 heapq.heappush(heap, (pe.now, pid))
                 continue
-            root = next(root_iter, None)
-            if root is None:
+            tree = next(trees, None)
+            if tree is None:
                 finish[pid] = pe.now
                 continue
-            pe.assign_root(int(root), pe.now)
+            pe.assign_root(tree.root, pe.now, tree)
             heapq.heappush(heap, (pe.now, pid))
     else:
         assigned: list[list[int]] = [[] for _ in pes]
@@ -141,12 +141,15 @@ def run_chip(
             per_pe = -(-len(all_roots) // len(pes)) if all_roots else 0
             for i in range(len(pes)):
                 assigned[i] = all_roots[i * per_pe : (i + 1) * per_pe]
-        queues = [iter(a) for a in assigned]
+        # Every PE walks its own root queue, so the trace budget is split
+        # between the queues' chunks in flight.
+        budget = TRACE_BUDGET_BYTES // len(pes)
+        queues = [trace.trees(a, budget_bytes=budget) for a in assigned]
         for pe, q in zip(pes, queues):
-            root = next(q, None)
-            if root is None:
+            tree = next(q, None)
+            if tree is None:
                 continue
-            pe.assign_root(int(root), 0.0)
+            pe.assign_root(tree.root, 0.0, tree)
             heapq.heappush(heap, (pe.now, pe.pe_id))
         while heap:
             _, pid = heapq.heappop(heap)
@@ -155,11 +158,11 @@ def run_chip(
                 pe.step()
                 heapq.heappush(heap, (pe.now, pid))
                 continue
-            root = next(queues[pid], None)
-            if root is None:
+            tree = next(queues[pid], None)
+            if tree is None:
                 finish[pid] = pe.now
                 continue
-            pe.assign_root(int(root), pe.now)
+            pe.assign_root(tree.root, pe.now, tree)
             heapq.heappush(heap, (pe.now, pid))
 
     cycles = max(finish) if finish else 0.0

@@ -23,15 +23,16 @@ quantities:
   duration equal to its largest item has balance
   ``sum(busy) / (duration x m)``.
 
-This is the hot path of the FINGERS model; everything is closed-form or
-vectorized.
+This is the per-task reference of the FINGERS compute model.  Simulation
+runs use :func:`repro.hw.optrace.iu_task_stats`, which computes the same
+quantities for a whole level of tasks at once; a property test pins the
+two to each other row by row.
 
 All timing here depends only on the op *input* arrays (kind, source,
-operand) captured by :meth:`repro.hw.pe.BasePE._execute_ops` — never on
-how the functional result was computed.  The adaptive kernel layer
-(:mod:`repro.setops.kernels`, docs/KERNELS.md) may therefore execute the
-op with any kernel: pairing/load tables and every cycle statistic are
-unchanged for every dispatch policy.
+operand) — never on how the functional result was computed.  The
+adaptive kernel layer (:mod:`repro.setops.kernels`, docs/KERNELS.md) may
+therefore execute the op with any kernel: pairing/load tables and every
+cycle statistic are unchanged for every dispatch policy.
 """
 
 from __future__ import annotations

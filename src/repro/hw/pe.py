@@ -1,17 +1,22 @@
-"""Processing-element models: shared traversal plus the FINGERS PE.
+"""Processing-element models: shared replay plus the FINGERS PE.
 
 A *task* is the paper's unit of work: extending the current partial
 embedding with one new vertex, which means executing the level's set
 operations and spawning children from the materialized candidate set
-(section 4).  Both PE models traverse the same task tree and execute the
-same plan IR functionally — they must produce identical embedding counts
-(a test invariant) — and differ only in *when* cycles elapse:
+(section 4).  Both PE models walk the same task tree — the set-op trace
+of :mod:`repro.hw.optrace`, built once per run — so they produce
+identical embedding counts (a test invariant) and differ only in *when*
+cycles elapse:
 
 * the FINGERS PE (here) pops *task groups* (pseudo-DFS, section 4.1),
   overlaps the group's neighbor-list fetches with compute, and runs each
   task's ops on a pool of IUs with segment pairing and load balancing;
 * the FlexMiner PE (:mod:`repro.hw.flexminer`) follows strict DFS with a
   single comparator and stalls on every shared-cache miss.
+
+The trace fixes the tree shape and every op's cost; replay keeps what
+depends on timing and order: the shared/private caches, DRAM, the NoC,
+the stacks and the tracer events.
 """
 
 from __future__ import annotations
@@ -19,44 +24,16 @@ from __future__ import annotations
 from math import ceil
 from typing import Sequence
 
-import numpy as np
-
 from repro.graph.csr import CSRGraph
 from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import FingersConfig, MemoryConfig
-from repro.hw.iu import time_task_ops
 from repro.hw.memory import DRAMModel
 from repro.hw.noc import NoCModel
+from repro.hw.optrace import OpTrace, RootTree, TraceChunk
 from repro.hw.stats import PEStats
-from repro.mining.engine import filtered_candidates
-from repro.pattern.plan import ExecutionPlan, OpKind
-from repro.setops.kernels import KernelContext
+from repro.pattern.plan import ExecutionPlan
 
-__all__ = ["Task", "BasePE", "FingersPE", "auto_group_size"]
-
-
-class Task:
-    """One pending tree-extension step.
-
-    ``plan_idx`` is ``None`` for a merged multi-pattern root task (the
-    shared trunk of section 4's multi-pattern support), in which case the
-    level-0 ops of *all* plans run deduplicated and children are spawned
-    per plan.
-    """
-
-    __slots__ = ("plan_idx", "level", "embedding", "states")
-
-    def __init__(
-        self,
-        plan_idx: int | None,
-        level: int,
-        embedding: tuple[int, ...],
-        states: dict[int, np.ndarray],
-    ) -> None:
-        self.plan_idx = plan_idx
-        self.level = level
-        self.embedding = embedding
-        self.states = states
+__all__ = ["BasePE", "FingersPE", "auto_group_size"]
 
 
 def auto_group_size(
@@ -88,7 +65,12 @@ def auto_group_size(
 
 
 class BasePE:
-    """Traversal and bookkeeping shared by both PE models."""
+    """Trace replay and bookkeeping shared by every PE model.
+
+    The stack holds task-group ids of the current root's trace chunk;
+    a PE takes a new root only once its stack is empty, so all queued
+    groups belong to one chunk.
+    """
 
     def __init__(
         self,
@@ -98,6 +80,7 @@ class BasePE:
         memcfg: MemoryConfig,
         shared_cache: SectoredLRUCache,
         dram: DRAMModel,
+        trace: OpTrace,
     ) -> None:
         self.pe_id = pe_id
         self.graph = graph
@@ -105,26 +88,33 @@ class BasePE:
         self.memcfg = memcfg
         self.shared_cache = shared_cache
         self.dram = dram
+        self.trace = trace
+        self._list_bytes = trace.list_bytes
         #: Shared interconnect; set by the chip (None = ideal wires).
         self.noc: NoCModel | None = None
-        #: Size-adaptive set-op dispatcher.  Kernel choice is functional
-        #: only (docs/KERNELS.md): timing below derives from the op
-        #: *inputs*, so every dispatch policy yields identical cycles.
-        self.kernels = KernelContext(graph)
         self.now = 0.0
         self.stats = PEStats()
         self.counts = [0] * len(self.plans)
-        self._stack: list[list[Task]] = []
+        self._chunk: TraceChunk | None = None
+        self._stack: list[int] = []
         #: Optional repro.hw.trace.Tracer; set by the chip when tracing.
         self.tracer = None
 
     # -- work management ------------------------------------------------
 
-    def assign_root(self, root: int, time: float) -> None:
-        """Schedule the search tree rooted at ``root`` on this PE."""
+    def assign_root(
+        self, root: int, time: float, tree: RootTree | None = None
+    ) -> None:
+        """Schedule the search tree rooted at ``root`` on this PE.
+
+        ``tree`` is the root's entry in a batched trace
+        (:meth:`OpTrace.trees`); without it the tree is built on its own.
+        """
         self.now = max(self.now, time)
-        plan_idx: int | None = 0 if len(self.plans) == 1 else None
-        self._stack.append([Task(plan_idx, 0, (root,), {})])
+        if tree is None:
+            tree = self.trace.tree(root)
+        self._chunk = tree.chunk
+        self._stack.append(tree.group)
         if self.tracer is not None:
             self.tracer.record(self.pe_id, self.now, self.now, "root", str(root))
 
@@ -137,16 +127,10 @@ class BasePE:
 
     # -- shared helpers --------------------------------------------------
 
-    def _list_bytes(self, v: int) -> int:
-        return max(
-            self.memcfg.bytes_per_vertex_id,
-            self.graph.degree(v) * self.memcfg.bytes_per_vertex_id,
-        )
-
     def _fetch_shared(self, v: int, now: float) -> float:
         """Fetch ``N(v)`` through the NoC and shared cache."""
         self.stats.neighbor_fetches += 1
-        num_bytes = self._list_bytes(v)
+        num_bytes = self._list_bytes[v]
         hit = self.shared_cache.access(v, num_bytes)
         if hit:
             done = now + self.memcfg.shared_cache_hit_latency
@@ -159,74 +143,20 @@ class BasePE:
             done = self.noc.transfer(done, num_bytes)
         return done
 
-    def _task_operand_vertices(self, task: Task) -> list[int]:
-        """Distinct vertices whose neighbor lists the task's ops consume."""
-        vertices: list[int] = []
-        seen: set[int] = set()
-        for plan_idx in self._active_plans(task):
-            plan = self.plans[plan_idx]
-            for op in plan.levels[task.level].ops:
-                v = task.embedding[op.operand_level]
-                if v not in seen:
-                    seen.add(v)
-                    vertices.append(v)
-        return vertices
-
-    def _active_plans(self, task: Task) -> list[int]:
-        if task.plan_idx is not None:
-            return [task.plan_idx]
-        return list(range(len(self.plans)))
-
-    def _execute_ops(
-        self, task: Task
-    ) -> list[tuple[OpKind, np.ndarray | None, np.ndarray]]:
-        """Run the task's deduplicated set ops functionally.
-
-        Returns the (kind, source, operand) inputs of each executed op for
-        the timing model.  Ops whose result state was already produced by
-        another plan in a merged root task are skipped (the multi-pattern
-        trunk sharing of section 4).
-        """
-        executed: list[tuple[OpKind, np.ndarray | None, np.ndarray]] = []
-        done: set[int] = set()
-        for plan_idx in self._active_plans(task):
-            plan = self.plans[plan_idx]
-            for op in plan.levels[task.level].ops:
-                if op.result_state in done:
-                    continue
-                done.add(op.result_state)
-                vertex = task.embedding[op.operand_level]
-                operand = self.graph.neighbors(vertex)
-                source = (
-                    task.states[op.source_state]
-                    if op.source_state is not None
-                    else None
-                )
-                task.states[op.result_state] = self.kernels.apply_op(
-                    op.kind, source, operand, vertex=vertex
-                )
-                executed.append((op.kind, source, operand))
-        return executed
-
-    def _spawn_children(self, task: Task, group_size: int) -> None:
-        """Filter candidates, count leaves, and push child task groups."""
-        nxt = task.level + 1
-        for plan_idx in self._active_plans(task):
-            plan = self.plans[plan_idx]
-            sched = plan.levels[task.level]
-            cand = filtered_candidates(
-                plan, nxt, task.states[sched.extend_state], task.embedding
-            )
-            if nxt == plan.num_levels - 1:
-                self.counts[plan_idx] += int(cand.size)
-                self.stats.embeddings_found += int(cand.size)
-                continue
-            children = [
-                Task(plan_idx, nxt, task.embedding + (int(v),), dict(task.states))
-                for v in cand
-            ]
-            for i in range(0, len(children), group_size):
-                self._stack.append(children[i : i + group_size])
+    def _spawn(self, chunk: TraceChunk, group: int) -> None:
+        """Count the group's leaves and push its child groups."""
+        plan = chunk.g_plan[group]
+        if plan >= 0:
+            outs = ((plan, chunk.g_leaf[group], chunk.g_push_lo[group],
+                     chunk.g_push_hi[group]),)
+        else:
+            outs = chunk.merged[group]
+        for plan, leaves, lo, hi in outs:
+            if leaves:
+                self.counts[plan] += leaves
+                self.stats.embeddings_found += leaves
+            if hi > lo:
+                self._stack.extend(range(lo, hi))
 
 
 class FingersPE(BasePE):
@@ -241,18 +171,29 @@ class FingersPE(BasePE):
         memcfg: MemoryConfig,
         shared_cache: SectoredLRUCache,
         dram: DRAMModel,
+        trace: OpTrace | None = None,
     ) -> None:
-        super().__init__(pe_id, graph, plans, memcfg, shared_cache, dram)
+        if trace is None:
+            trace = self.new_trace(graph, plans, config, memcfg)
+        super().__init__(pe_id, graph, plans, memcfg, shared_cache, dram, trace)
         self.config = config
-        self.group_size = (
+        self.group_size = trace.group_size
+
+    @staticmethod
+    def new_trace(
+        graph: CSRGraph,
+        plans: Sequence[ExecutionPlan],
+        config: FingersConfig,
+        memcfg: MemoryConfig,
+    ) -> OpTrace:
+        """The trace this design replays: IU/divider group aggregates
+        for task groups of the configured (or automatic) size."""
+        group = (
             config.task_group_size
             if config.task_group_size is not None
             else auto_group_size(graph, plans, config)
         )
-        self.private_cache = SectoredLRUCache(
-            config.private_cache_bytes, name=f"pe{pe_id}-private"
-        )
-        self._state_seq = 0
+        return OpTrace(graph, plans, memcfg, group_size=group, fingers=config)
 
     def step(self) -> float:
         """Process one task group through the 5-stage macro pipeline.
@@ -272,57 +213,44 @@ class FingersPE(BasePE):
         * issue stage — one task pops/pushes per cycle pair;
 
         plus a fixed pipeline-fill overhead, plus any residual memory
-        stall the group could not hide.
+        stall the group could not hide.  Candidate sets live in the
+        private cache; each task whose inherited footprint (times the
+        group size) overflows it pays a read-back from the shared cache
+        ("only spill to the shared cache if they overflow", section 4).
         """
-        group = self._stack.pop()
-        self.stats.task_groups += 1
+        g = self._stack.pop()
+        ch = self._chunk
+        stats = self.stats
+        stats.task_groups += 1
         t0 = self.now
         cfg = self.config
+        lo, hi = ch.g_lo[g], ch.g_hi[g]
+        fetch_ptr, fetch_v, iu_phase = ch.fetch_ptr, ch.fetch_v, ch.iu_phase
 
-        ready: list[float] = []
-        for task in group:
+        # IU phase of the latest-ready task (the last one, on ties).
+        latest_ready = -1.0
+        tail_after_ready = 0.0
+        for t in range(lo, hi):
             r = t0
-            for v in self._task_operand_vertices(task):
-                r = max(r, self._fetch_shared(v, t0))
-            ready.append(r)
-
-        sum_items_cycles = 0.0
-        sum_divider = 0.0
-        num_items = 0
-        max_item = 0.0
-        max_divider_chunk = 0.0
-        tail_after_ready = 0.0  # IU phase of the latest-ready task
-        latest_ready = max(ready) if ready else t0
-        spill_penalty = 0.0
-
-        for r, task in zip(ready, group):
-            spill_penalty += self._charge_private_cache(task)
-            executed = self._execute_ops(task)
-            timing = time_task_ops(
-                executed,
-                num_ius=cfg.num_ius,
-                num_dividers=cfg.num_dividers,
-                long_len=cfg.long_segment_len,
-                short_len=cfg.short_segment_len,
-                max_load=cfg.max_load,
-                divider_long_heads=cfg.divider_long_heads,
-                divider_short_heads=cfg.divider_short_heads,
-                io_cycles_per_item=cfg.io_cycles_per_item,
-                io_bus_ids_per_cycle=cfg.io_bus_ids_per_cycle,
-            )
-            sum_items_cycles += timing.total_item_cycles
-            sum_divider += timing.divider_phase_cycles
-            num_items += timing.num_items
-            max_item = max(max_item, timing.max_item_cycles)
-            max_divider_chunk = max(max_divider_chunk, timing.divider_phase_cycles)
+            for i in range(fetch_ptr[t], fetch_ptr[t + 1]):
+                r = max(r, self._fetch_shared(fetch_v[i], t0))
             if r >= latest_ready:
-                tail_after_ready = timing.iu_phase_cycles
-            self.stats.tasks += 1
-            self.stats.iu_busy_cycles += timing.total_item_cycles
-            self.stats.num_work_items += timing.num_items
-            self.stats.balance_busy_sum += timing.balance_busy_sum
-            self.stats.balance_capacity_sum += timing.balance_capacity_sum
-            self._spawn_children(task, self.group_size)
+                latest_ready = r
+                tail_after_ready = iu_phase[t]
+
+        num_tasks = hi - lo
+        sum_items_cycles = ch.g_total[g]
+        sum_divider = ch.g_divider[g]
+        num_items = ch.g_items[g]
+        spills = ch.g_spills[g]
+        spill_penalty = spills * float(self.memcfg.shared_cache_hit_latency)
+        stats.tasks += num_tasks
+        stats.iu_busy_cycles += sum_items_cycles
+        stats.num_work_items += num_items
+        stats.balance_busy_sum += ch.g_busy[g]
+        stats.balance_capacity_sum += ch.g_capacity[g]
+        stats.private_spills += spills
+        self._spawn(ch, g)
 
         # The serial I/O floor is pooled over the whole group: the
         # round-robin distributor/collector handles one work item per
@@ -332,44 +260,24 @@ class FingersPE(BasePE):
         io_floor = float(num_items * cfg.io_cycles_per_item)
         compute_bound = max(
             sum_items_cycles / cfg.num_ius,
-            max_item,
+            ch.g_max_item[g],
             sum_divider / cfg.num_dividers if cfg.num_dividers else 0.0,
-            max_divider_chunk,
+            ch.g_max_divider[g],
             io_floor,
-            len(group) * 2.0,  # issue stage: pop + push per task
+            num_tasks * 2.0,  # issue stage: pop + push per task
         )
         fill = cfg.task_overhead_cycles + spill_penalty
         end_compute = t0 + compute_bound + fill
         end_memory = latest_ready + tail_after_ready
         end = max(end_compute, end_memory)
-        self.stats.stall_cycles += max(0.0, end_memory - end_compute)
-        self.stats.compute_cycles += compute_bound
-        self.stats.overhead_cycles += fill
+        stats.stall_cycles += max(0.0, end_memory - end_compute)
+        stats.compute_cycles += compute_bound
+        stats.overhead_cycles += fill
         self.now = end
-        self.stats.busy_cycles += self.now - t0
+        stats.busy_cycles += self.now - t0
         if self.tracer is not None:
             self.tracer.record(self.pe_id, t0, end_compute, "group",
-                               f"{len(group)} tasks")
+                               f"{num_tasks} tasks")
             if end_memory > end_compute:
                 self.tracer.record(self.pe_id, end_compute, end, "stall")
         return self.now
-
-    def _charge_private_cache(self, task: Task) -> float:
-        """Model candidate-set residency in the PE private cache.
-
-        Candidate sets are "always associated with specific tasks" and
-        "only spill to the shared cache if they overflow" (section 4).
-        We account the live footprint — the task's inherited states plus
-        its siblings' share via the group — against the private capacity;
-        overflow charges a read-back from the shared cache for the
-        spilled source sets.
-        """
-        footprint = sum(
-            s.size * self.memcfg.bytes_per_vertex_id
-            for s in task.states.values()
-        )
-        footprint *= self.group_size
-        if footprint <= self.config.private_cache_bytes:
-            return 0.0
-        self.stats.private_spills += 1
-        return float(self.memcfg.shared_cache_hit_latency)

@@ -47,16 +47,24 @@ functions of sizes/policy so sanitized double runs trace identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, MutableMapping
+from typing import Iterable, MutableMapping, Sequence
 
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.pattern.plan import ExecutionPlan, OpKind
+from repro.pattern.plan import ExecutionPlan, OpKind, SetOp
 from repro.setops import segmented as sg
 from repro.setops.kernels import DEFAULT_POLICY, KernelPolicy, _tally
 
-__all__ = ["FrontierEngine", "frontier_per_root_counts"]
+__all__ = [
+    "FrontierEngine",
+    "carried_states",
+    "expand_rows",
+    "filter_candidates",
+    "frontier_per_root_counts",
+    "materialize",
+    "run_level_ops",
+]
 
 #: Working-set estimate per element of a fused terminal probe (value,
 #: owner, row id, membership keys and mask, slack).
@@ -99,6 +107,159 @@ def _chunk_ranges(weights: np.ndarray, budget: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def carried_states(plan: ExecutionPlan) -> list[tuple[int, ...]]:
+    """Per level, the state ids consumed strictly after it — the only
+    states an expansion past that level must carry forward."""
+    consumed: list[set[int]] = []
+    for sched in plan.levels:
+        used = {
+            op.source_state
+            for op in sched.ops
+            if op.source_state is not None
+        }
+        if sched.extend_state is not None:
+            used.add(sched.extend_state)
+        consumed.append(used)
+    carry: list[tuple[int, ...]] = []
+    for level in range(len(plan.levels)):
+        later: set[int] = set()
+        for upper in consumed[level + 1 :]:
+            later |= upper
+        carry.append(tuple(sorted(later)))
+    return carry
+
+
+def materialize(
+    states: MutableMapping[int, _State], sid: int
+) -> sg.SegmentedSet:
+    """A state's values at the current frontier's segmentation
+    (gathered through the lazy row map once, then memoized)."""
+    st = states[sid]
+    if st.sel is None:
+        return st.seg
+    seg = st.seg.take_rows(st.sel)
+    states[sid] = _State(seg, None)
+    return seg
+
+
+def _set_op(
+    kind: OpKind,
+    src: sg.SegmentedSet,
+    graph: CSRGraph,
+    verts: np.ndarray,
+    policy: KernelPolicy,
+) -> sg.SegmentedSet:
+    if kind is OpKind.INTERSECT:
+        return sg.intersect_neighbors(src, graph, verts, policy)
+    return sg.subtract_neighbors(src, graph, verts, policy)
+
+
+def run_level_ops(
+    graph: CSRGraph,
+    ops: Sequence[SetOp],
+    cols: list[np.ndarray],
+    states: MutableMapping[int, _State],
+    policy: KernelPolicy = DEFAULT_POLICY,
+    shared: MutableMapping[int, sg.SegmentedSet] | None = None,
+    *,
+    max_values: int | None = None,
+) -> list[tuple[SetOp, _State | None, sg.SegmentedSet]]:
+    """Run one level's schedule segmented over every frontier row.
+
+    Each op's result lands in ``states``.  ``shared`` is the
+    multi-pattern level-0 trunk: ops whose result id is present reuse
+    it instead of re-executing, and new results are published into it.
+    With ``max_values``, each op gathers its source rows in pieces of
+    about that many values instead of materializing the whole source
+    state, which bounds the working set on hub-heavy frontiers.
+
+    Returns ``(op, source, result)`` for every op actually executed, in
+    schedule order; ``source`` is the consumed state (``None`` for
+    ``INIT_COPY``), possibly still behind a lazy row map.
+    """
+    executed = []
+    for op in ops:
+        if shared is not None and op.result_state in shared:
+            states[op.result_state] = _State(shared[op.result_state], None)
+            continue
+        verts = cols[op.operand_level]
+        src = None
+        if op.kind is OpKind.INIT_COPY:
+            seg = sg.gather_neighbors(graph, verts)
+        elif max_values is None:
+            src = _State(materialize(states, op.source_state), None)
+            seg = _set_op(op.kind, src.seg, graph, verts, policy)
+        else:
+            src = states[op.source_state]
+            lens = src.seg.lengths if src.sel is None else src.seg.lengths[src.sel]
+            parts = []
+            for a, b in _chunk_ranges(lens, max_values):
+                rows = (
+                    src.seg.slice_rows(a, b) if src.sel is None
+                    else src.seg.take_rows(src.sel[a:b])
+                )
+                parts.append(_set_op(op.kind, rows, graph, verts[a:b], policy))
+            seg = sg.concat(parts)
+        states[op.result_state] = _State(seg, None)
+        if shared is not None:
+            shared[op.result_state] = seg
+        executed.append((op, src, seg))
+    return executed
+
+
+def filter_candidates(
+    plan: ExecutionPlan,
+    cand: sg.SegmentedSet,
+    nxt: int,
+    cols: list[np.ndarray],
+) -> sg.SegmentedSet:
+    """Symmetry-breaking and injectivity filters for level ``nxt``,
+    vectorized over the whole frontier (the segmented analog of
+    :func:`repro.mining.engine.filtered_candidates`)."""
+    lens = cand.lengths
+    keep: np.ndarray | None = None
+    bounds = plan.lower_bound_levels(nxt)
+    if bounds:
+        bound = cols[bounds[0]]
+        for b in bounds[1:]:
+            bound = np.maximum(bound, cols[b])
+        keep = cand.values > np.repeat(bound, lens)
+    for d in plan.exclude_levels(nxt):
+        mask = cand.values != np.repeat(cols[d], lens)
+        keep = mask if keep is None else keep & mask
+    if keep is None:
+        return cand
+    return sg.compress(cand, keep)
+
+
+def expand_rows(
+    part: sg.SegmentedSet,
+    first_row: int,
+    cols: list[np.ndarray],
+    states: MutableMapping[int, _State],
+    carried: Iterable[int],
+) -> tuple[np.ndarray, list[np.ndarray], dict[int, _State]]:
+    """Extend frontier rows ``first_row ..`` by their candidates.
+
+    ``part`` holds the candidates of consecutive rows starting at
+    ``first_row``.  Returns each child's parent row, the child
+    frontier's columns, and those ``carried`` states already produced,
+    re-pointed at the children through lazy row maps (no candidate set
+    is copied).
+    """
+    parent = part.row_ids() + first_row
+    new_cols = [col[parent] for col in cols]
+    new_cols.append(part.values)
+    new_states: dict[int, _State] = {}
+    for sid in carried:
+        st = states.get(sid)
+        if st is None:
+            continue
+        sel = parent if st.sel is None else st.sel[parent]
+        new_states[sid] = _State(st.seg, sel)
+    return parent, new_cols, new_states
+
+
 class FrontierEngine:
     """Breadth-batched counting executor for one (graph, plan, policy).
 
@@ -118,24 +279,7 @@ class FrontierEngine:
         self.policy = policy if policy is not None else DEFAULT_POLICY
         k = plan.num_levels
         self.k = k
-        # States consumed strictly after each level — the only ones an
-        # expansion must carry forward.
-        consumed: list[set[int]] = []
-        for sched in plan.levels:
-            used = {
-                op.source_state
-                for op in sched.ops
-                if op.source_state is not None
-            }
-            if sched.extend_state is not None:
-                used.add(sched.extend_state)
-            consumed.append(used)
-        self.carry_after: list[tuple[int, ...]] = []
-        for level in range(len(plan.levels)):
-            later: set[int] = set()
-            for upper in consumed[level + 1 :]:
-                later |= upper
-            self.carry_after.append(tuple(sorted(later)))
+        self.carry_after = carried_states(plan)
         # Fused terminal level: chain-shaped penultimate schedules count
         # all grandchildren in one probe pass, like the recursive
         # engine's batcher (same policy knob).
@@ -182,42 +326,6 @@ class FrontierEngine:
 
     # ------------------------------------------------------------------
 
-    def _materialize(
-        self, states: MutableMapping[int, _State], sid: int
-    ) -> sg.SegmentedSet:
-        """A state's values at the current frontier's segmentation
-        (gathered through the lazy row map once, then memoized)."""
-        st = states[sid]
-        if st.sel is None:
-            return st.seg
-        seg = st.seg.take_rows(st.sel)
-        states[sid] = _State(seg, None)
-        return seg
-
-    def _filtered(
-        self,
-        cand: sg.SegmentedSet,
-        nxt: int,
-        cols: list[np.ndarray],
-    ) -> sg.SegmentedSet:
-        """Symmetry-breaking and injectivity filters for level ``nxt``,
-        vectorized over the whole frontier (the segmented analog of
-        :func:`repro.mining.engine.filtered_candidates`)."""
-        lens = cand.lengths
-        keep: np.ndarray | None = None
-        bounds = self.plan.lower_bound_levels(nxt)
-        if bounds:
-            bound = cols[bounds[0]]
-            for b in bounds[1:]:
-                bound = np.maximum(bound, cols[b])
-            keep = cand.values > np.repeat(bound, lens)
-        for d in self.plan.exclude_levels(nxt):
-            mask = cand.values != np.repeat(cols[d], lens)
-            keep = mask if keep is None else keep & mask
-        if keep is None:
-            return cand
-        return sg.compress(cand, keep)
-
     def _advance(
         self,
         cols: list[np.ndarray],
@@ -225,28 +333,13 @@ class FrontierEngine:
         states: MutableMapping[int, _State],
         level: int,
     ) -> None:
-        graph, plan, policy = self.graph, self.plan, self.policy
+        plan = self.plan
         sched = plan.levels[level]
         shared = self._shared if level == 0 else None
-        for op in sched.ops:
-            if shared is not None and op.result_state in shared:
-                states[op.result_state] = _State(shared[op.result_state], None)
-                continue
-            verts = cols[op.operand_level]
-            if op.kind is OpKind.INIT_COPY:
-                seg = sg.gather_neighbors(graph, verts)
-            else:
-                src = self._materialize(states, op.source_state)
-                if op.kind is OpKind.INTERSECT:
-                    seg = sg.intersect_neighbors(src, graph, verts, policy)
-                else:
-                    seg = sg.subtract_neighbors(src, graph, verts, policy)
-            states[op.result_state] = _State(seg, None)
-            if shared is not None:
-                shared[op.result_state] = seg
+        run_level_ops(self.graph, sched.ops, cols, states, self.policy, shared)
         nxt = level + 1
-        cand = self._filtered(
-            self._materialize(states, sched.extend_state), nxt, cols
+        cand = filter_candidates(
+            plan, materialize(states, sched.extend_state), nxt, cols
         )
         if nxt == self.k - 1:
             # Last level: candidates are counted, never enumerated.
@@ -285,14 +378,9 @@ class FrontierEngine:
             part = cand.slice_rows(a, b)
             if part.total == 0:
                 continue
-            parent = part.row_ids() + a
-            new_cols = [col[parent] for col in cols]
-            new_cols.append(part.values)
-            new_states: dict[int, _State] = {}
-            for sid in carried:
-                st = states[sid]
-                sel = parent if st.sel is None else st.sel[parent]
-                new_states[sid] = _State(st.seg, sel)
+            parent, new_cols, new_states = expand_rows(
+                part, a, cols, states, carried
+            )
             self._advance(
                 new_cols, root_rows[parent], new_states, level + 1
             )
@@ -341,23 +429,17 @@ class FrontierEngine:
                 got = local.get(sid)
                 if got is not None:
                     return got
-                return self._materialize(states, sid)
+                return materialize(states, sid)
 
             for i, op in enumerate(ops):
                 if i == info.child_op_index:
                     if op.source_state is not None:
                         local[op.result_state] = resolve(op.source_state)
                     continue
-                src = resolve(op.source_state)
-                verts = cols[op.operand_level]
-                if op.kind is OpKind.INTERSECT:
-                    local[op.result_state] = sg.intersect_neighbors(
-                        src, graph, verts, policy
-                    )
-                else:
-                    local[op.result_state] = sg.subtract_neighbors(
-                        src, graph, verts, policy
-                    )
+                local[op.result_state] = _set_op(
+                    op.kind, resolve(op.source_state), graph,
+                    cols[op.operand_level], policy,
+                )
             s_prime = local[ops[-1].result_state]
 
         bounds = plan.lower_bound_levels(self.k - 1)

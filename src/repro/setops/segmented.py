@@ -61,6 +61,7 @@ __all__ = [
     "intersect_neighbors",
     "subtract_neighbors",
     "compress",
+    "concat",
     "pick_segment_kernel",
 ]
 
@@ -167,6 +168,18 @@ def compress(seg: SegmentedSet, keep: np.ndarray) -> SegmentedSet:
         ([0], np.cumsum(keep, dtype=np.int64))
     )
     return SegmentedSet(seg.values[keep], kept_before[seg.offsets])
+
+
+def concat(parts: list[SegmentedSet]) -> SegmentedSet:
+    """The rows of ``parts``, one after another, as one segmented set."""
+    if len(parts) == 1:
+        return parts[0]
+    bases = np.cumsum([0] + [p.total for p in parts[:-1]])
+    offsets = np.concatenate(
+        [parts[0].offsets[:1]]
+        + [p.offsets[1:] + base for p, base in zip(parts, bases)]
+    )
+    return SegmentedSet(np.concatenate([p.values for p in parts]), offsets)
 
 
 # ----------------------------------------------------------------------

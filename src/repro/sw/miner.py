@@ -1,9 +1,7 @@
 """Cycle-approximate multi-core software miner with work stealing.
 
-Each core executes the plan IR task by task, exactly like the hardware
-PEs (it reuses :class:`repro.hw.pe.BasePE`'s traversal, including its
-size-adaptive set-op dispatch — functional results only, the cost model
-below is untouched; see docs/KERNELS.md), but with
+Each core replays the same set-op trace as the hardware PEs
+(:mod:`repro.hw.optrace`, through :class:`repro.hw.pe.BasePE`), but with
 software costs: merges at ``elements_per_cycle``, a per-task scheduling
 overhead, and — under branch granularity — a steal latency whenever an
 idle core takes work from another core's deque.  Steals take the
@@ -27,7 +25,8 @@ from repro.graph.csr import CSRGraph
 from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import MemoryConfig
 from repro.hw.memory import DRAMModel
-from repro.hw.pe import BasePE, Task
+from repro.hw.optrace import OpTrace
+from repro.hw.pe import BasePE
 from repro.sw.config import SoftwareConfig
 
 __all__ = [
@@ -45,38 +44,43 @@ _LLC_HIT_LATENCY = 40
 class _Core(BasePE):
     """One CPU worker: strict DFS locally, stealable deque of tasks."""
 
-    def __init__(self, core_id, graph, plans, config, memcfg, llc, dram):
-        super().__init__(core_id, graph, plans, memcfg, llc, dram)
+    def __init__(self, core_id, graph, plans, config, memcfg, llc, dram, trace):
+        super().__init__(core_id, graph, plans, memcfg, llc, dram, trace)
         self.config = config
         self.steals = 0
 
+    @staticmethod
+    def new_trace(graph, plans, config, memcfg) -> OpTrace:
+        """One task per group; compute at the core's merge throughput."""
+        return OpTrace(
+            graph, plans, memcfg, elements_per_cycle=config.elements_per_cycle
+        )
+
     def _fetch_shared(self, v: int, now: float) -> float:  # override latency
         self.stats.neighbor_fetches += 1
-        hit = self.shared_cache.access(v, self._list_bytes(v))
+        hit = self.shared_cache.access(v, self._list_bytes[v])
         if hit:
             return now + _LLC_HIT_LATENCY
-        done = self.dram.access(now, self._list_bytes(v))
+        done = self.dram.access(now, self._list_bytes[v])
         return done + _LLC_HIT_LATENCY
 
     def step(self) -> float:
-        group = self._stack.pop()
+        # One task per group: the group id is also the task id.
+        t = self._stack.pop()
+        ch = self._chunk
         t0 = self.now
-        for task in group:
-            fetch_done = self.now
-            for v in self._task_operand_vertices(task):
-                fetch_done = max(fetch_done, self._fetch_shared(v, self.now))
-            self.stats.stall_cycles += max(0.0, fetch_done - self.now)
-            self.now = fetch_done
-            executed = self._execute_ops(task)
-            compute = 0.0
-            for _, source, operand in executed:
-                src_len = source.size if source is not None else 0
-                compute += (src_len + operand.size) / self.config.elements_per_cycle
-            self.now += compute + self.config.task_overhead_cycles
-            self.stats.tasks += 1
-            self.stats.compute_cycles += compute
-            self.stats.overhead_cycles += self.config.task_overhead_cycles
-            self._spawn_children(task, group_size=1)
+        fetch_done = self.now
+        fetch_v = ch.fetch_v
+        for i in range(ch.fetch_ptr[t], ch.fetch_ptr[t + 1]):
+            fetch_done = max(fetch_done, self._fetch_shared(fetch_v[i], self.now))
+        self.stats.stall_cycles += max(0.0, fetch_done - self.now)
+        self.now = fetch_done
+        compute = ch.compute[t]
+        self.now += compute + self.config.task_overhead_cycles
+        self.stats.tasks += 1
+        self.stats.compute_cycles += compute
+        self.stats.overhead_cycles += self.config.task_overhead_cycles
+        self._spawn(ch, t)
         self.stats.busy_cycles += self.now - t0
         return self.now
 
@@ -92,8 +96,8 @@ class _Core(BasePE):
         """
         if len(victim._stack) < 2:
             return False
-        group = victim._stack.pop(0)
-        self._stack.append(group)
+        self._stack.append(victim._stack.pop(0))
+        self._chunk = victim._chunk
         self.now = max(self.now, now) + self.config.steal_overhead_cycles
         self.steals += 1
         return True
@@ -140,19 +144,21 @@ class SoftwareMiner:
     def run(self, roots: Iterable[int] | None = None) -> SoftwareResult:
         llc = SectoredLRUCache(self.memcfg.shared_cache_bytes, name="llc")
         dram = DRAMModel(self.memcfg)
+        trace = _Core.new_trace(self.graph, self.plans, self.config, self.memcfg)
         cores = [
-            _Core(i, self.graph, self.plans, self.config, self.memcfg, llc, dram)
+            _Core(i, self.graph, self.plans, self.config, self.memcfg, llc,
+                  dram, trace)
             for i in range(self.config.num_cores)
         ]
-        root_iter = iter(
+        trees = trace.trees(
             range(self.graph.num_vertices) if roots is None else roots
         )
         heap: list[tuple[float, int]] = []
         for core in cores:
-            root = next(root_iter, None)
-            if root is None:
+            tree = next(trees, None)
+            if tree is None:
                 break
-            core.assign_root(int(root), 0.0)
+            core.assign_root(tree.root, 0.0, tree)
             heapq.heappush(heap, (core.now, core.pe_id))
 
         allow_steal = self.config.granularity == "branch"
@@ -164,9 +170,9 @@ class SoftwareMiner:
                 core.step()
                 heapq.heappush(heap, (core.now, cid))
                 continue
-            root = next(root_iter, None)
-            if root is not None:
-                core.assign_root(int(root), core.now)
+            tree = next(trees, None)
+            if tree is not None:
+                core.assign_root(tree.root, core.now, tree)
                 heapq.heappush(heap, (core.now, cid))
                 continue
             if allow_steal:

@@ -94,6 +94,29 @@ class TestIO:
         with pytest.raises(ValueError, match="not a repro graph"):
             load_npz(path)
 
+    # Triangle 0-1-2 plus the edge 2-3, with one defect each.
+    _INDPTR = [0, 2, 4, 7, 8]
+    _INDICES = [1, 2, 0, 2, 0, 1, 3, 2]
+
+    @pytest.mark.parametrize(
+        "indptr, indices, match",
+        [
+            (_INDPTR, [1, 2, 0, 2, 1, 0, 3, 2], "strictly increasing"),
+            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 1], "not symmetric"),
+            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 9], "out of range"),
+            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 3], "self loops"),
+            ([0, 4, 2, 7, 8], _INDICES, "non-decreasing"),
+            ([0, 2, 4, 7, 9], _INDICES, "must equal len"),
+        ],
+        ids=["unsorted", "asymmetric", "out-of-range", "self-loop",
+             "decreasing-indptr", "short-indices"],
+    )
+    def test_npz_corrupt_archive_rejected(self, tmp_path, indptr, indices, match):
+        path = tmp_path / "bad.npz"
+        np.savez(path, indptr=np.array(indptr), indices=np.array(indices))
+        with pytest.raises(ValueError, match=match):
+            load_npz(path)
+
 
 class TestStats:
     def test_table1_row(self, k5):

@@ -1,13 +1,13 @@
-"""Unit-level tests of FINGERS PE internals (group mechanics, spills)."""
+"""Unit-level tests of the FINGERS PE: trace replay, groups, spills."""
 
-import pytest
-
-from repro.graph import complete_graph, erdos_renyi, from_edges
+from repro.graph import complete_graph, erdos_renyi
 from repro.hw.api import FingersConfig, MemoryConfig, simulate
 from repro.hw.cache import SectoredLRUCache
-from repro.hw.config import FlexMinerConfig
+from repro.hw.chip import _make_pes, run_chip
 from repro.hw.memory import DRAMModel
-from repro.hw.pe import FingersPE, Task, auto_group_size
+from repro.hw.noc import NoCModel
+from repro.hw.pe import FingersPE, auto_group_size
+from repro.hw.trace import Tracer
 from repro.mining.api import plan_for
 
 
@@ -46,12 +46,16 @@ class TestPEBasics:
     def test_group_size_respected(self):
         g = complete_graph(12)
         pe = _make_pe(g, "tc", task_group_size=3)
+        pe.tracer = Tracer()
         pe.assign_root(0, 0.0)
-        max_group = 0
         while pe.has_work():
-            max_group = max(max_group, len(pe._stack[-1]))
             pe.step()
-        assert max_group <= 3
+        sizes = [
+            int(e.detail.split()[0])
+            for e in pe.tracer.events if e.kind == "group"
+        ]
+        # The root, then its 11 children in groups of 3, 3, 3, 2.
+        assert sorted(sizes) == [1, 2, 3, 3, 3]
 
     def test_clock_monotone(self):
         g = erdos_renyi(25, 0.4, seed=72)
@@ -64,16 +68,36 @@ class TestPEBasics:
             last = now
 
 
-class TestTaskObject:
-    def test_slots(self):
-        t = Task(0, 1, (3, 4), {})
-        with pytest.raises(AttributeError):
-            t.extra = 1  # type: ignore[attr-defined]
+class TestTraceReplay:
+    def test_standalone_pe_matches_chip(self):
+        # A PE driven root by root builds each tree on its own; the chip
+        # hands out trees from one batched trace.  Both replay the same
+        # tasks, so every statistic agrees.
+        g = erdos_renyi(40, 0.3, seed=78)
+        pe = _make_pe(g, "tt")
+        pe.noc = NoCModel(MemoryConfig().noc)
+        for root in range(g.num_vertices):
+            pe.assign_root(root, pe.now)
+            while pe.has_work():
+                pe.step()
+        chip = run_chip(g, [plan_for("tt")], FingersConfig(num_pes=1))
+        assert chip.cycles == pe.now
+        assert chip.counts == tuple(pe.counts)
+        assert chip.units == (pe.stats,)
 
-    def test_fields(self):
-        t = Task(None, 0, (7,), {})
-        assert t.plan_idx is None
-        assert t.embedding == (7,)
+    def test_chip_pes_share_one_trace(self):
+        mem = MemoryConfig()
+        pes = _make_pes(
+            complete_graph(6), [plan_for("tc")], FingersConfig(num_pes=3),
+            mem, SectoredLRUCache(mem.shared_cache_bytes), DRAMModel(mem),
+        )
+        assert len({id(pe.trace) for pe in pes}) == 1
+
+    def test_each_run_builds_a_fresh_trace(self):
+        g = complete_graph(6)
+        first = _make_pe(g)
+        second = _make_pe(g)
+        assert first.trace is not second.trace
 
 
 class TestAutoGroupSize:
