@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test bench bench-fast bench-kernels bench-sweep bench-engine bench-autotune tune-smoke examples clean loc lint lint-flow chaos check
+.PHONY: install test bench bench-fast bench-sweep bench-engine bench-autotune tune-smoke examples clean loc lint lint-flow chaos check
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -19,11 +19,6 @@ bench:
 
 bench-cli:
 	$(PYTHON) -m repro.bench
-
-# Set-op kernel microbenchmarks + end-to-end counting speedups; writes
-# benchmarks/results/BENCH_kernels.json (docs/KERNELS.md).
-bench-kernels:
-	$(PYTHON) -m pytest benchmarks/test_kernels.py --benchmark-only
 
 # Declarative sweep -> result store -> markdown/HTML report
 # (docs/BENCHMARKS.md).  Resumable: a warm re-run executes zero cells.

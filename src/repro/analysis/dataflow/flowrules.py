@@ -267,7 +267,7 @@ _RACE002 = register_flow_rule(
 # ----------------------------------------------------------------------
 
 _TAINT_SOURCE_NAMES = frozenset({"DEFAULT_POLICY"})
-_TAINT_SOURCE_CALLS = frozenset({"kernel_counters", "_pick"})
+_TAINT_SOURCE_CALLS = frozenset({"kernel_counters", "pick_segment_kernel"})
 _TAINT_SINK_PACKAGES = ("repro.hw", "repro.sw")
 
 

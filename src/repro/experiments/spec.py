@@ -21,9 +21,8 @@ TOML layout (see ``examples/sweeps/smoke.toml``)::
     num_pes = 1
 
     [[kernel_policies]]      # optional extra functional-only axis
-    name = "legacy"
-    force_kernel = "merge"
-    batch_penultimate = false
+    name = "recursive"
+    engine = "recursive"
 """
 
 from __future__ import annotations

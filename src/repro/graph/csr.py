@@ -16,59 +16,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = ["CSRGraph", "HubBitmapIndex"]
+__all__ = ["CSRGraph"]
 
 _INDPTR_DTYPE = np.int64
 _INDICES_DTYPE = np.int32
-
-
-class HubBitmapIndex:
-    """Packed-uint64 neighbor bitmaps for the top-degree (hub) vertices.
-
-    Each selected hub ``v`` stores its neighbor list as a bit array over
-    the vertex-id domain (``ceil(|V| / 64)`` uint64 words), so testing
-    ``x in N(v)`` is one shift/mask — the representation behind the
-    bitmap kernel of :mod:`repro.setops.kernels`.  Memory is bounded at
-    construction: ``len(index) * words_per_hub * 8`` bytes, with hubs
-    admitted in decreasing degree (ties broken by ascending id, so the
-    selection is deterministic).
-    """
-
-    __slots__ = ("_words", "_words_per_hub")
-
-    def __init__(self, graph: "CSRGraph", hub_ids: np.ndarray) -> None:
-        self._words_per_hub = (graph.num_vertices + 63) // 64
-        self._words: dict[int, np.ndarray] = {}
-        one = np.uint64(1)
-        for v in hub_ids:
-            v = int(v)
-            nbrs = graph.neighbors(v)
-            words = np.zeros(self._words_per_hub, dtype=np.uint64)
-            np.bitwise_or.at(
-                words, nbrs >> 6, one << (nbrs & 63).astype(np.uint64)
-            )
-            words.setflags(write=False)
-            self._words[v] = words
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __contains__(self, v: int) -> bool:
-        return int(v) in self._words
-
-    @property
-    def hub_ids(self) -> list[int]:
-        """The indexed vertex ids, in admission (degree-descending) order."""
-        return list(self._words)
-
-    def words_for(self, v: int) -> np.ndarray | None:
-        """The packed neighbor bitmap of ``v``, or None if not a hub."""
-        return self._words.get(int(v))
-
-    @property
-    def memory_bytes(self) -> int:
-        """Total bitmap storage (the quantity the memory bound caps)."""
-        return len(self._words) * self._words_per_hub * 8
 
 
 class CSRGraph:
@@ -96,7 +47,6 @@ class CSRGraph:
     __slots__ = (
         "_indptr",
         "_indices",
-        "_hub_cache",
         "_edge_key_cache",
         "_adj_bitmap_cache",
         "_signature_cache",
@@ -117,9 +67,6 @@ class CSRGraph:
         indices.setflags(write=False)
         self._indptr = indptr
         self._indices = indices
-        #: Memoized hub indexes keyed by sizing parameters (derived data
-        #: only — the graph itself stays immutable).
-        self._hub_cache: dict[tuple[int, int, int], HubBitmapIndex] = {}
         self._edge_key_cache: np.ndarray | None = None
         self._adj_bitmap_cache: np.ndarray | None = None
         #: Memoized tuning signature (repro.tuning.signature) — derived
@@ -234,43 +181,6 @@ class CSRGraph:
         return self._indices.size / self.num_vertices
 
     # ------------------------------------------------------------------
-    # Hub bitmaps (the bitmap-kernel substrate of repro.setops.kernels)
-    # ------------------------------------------------------------------
-
-    def hub_bitmap_index(
-        self,
-        *,
-        max_hubs: int = 64,
-        min_degree: int = 128,
-        memory_bytes: int = 8 << 20,
-    ) -> HubBitmapIndex:
-        """Build (and memoize) a :class:`HubBitmapIndex` for this graph.
-
-        Selects up to ``max_hubs`` vertices of degree ``>= min_degree``
-        in decreasing degree order (ties by ascending id), additionally
-        capped so total bitmap storage stays within ``memory_bytes``
-        (each hub costs ``ceil(|V| / 64) * 8`` bytes).  Repeated calls
-        with the same sizing return the same index object.
-        """
-        key = (int(max_hubs), int(min_degree), int(memory_bytes))
-        cached = self._hub_cache.get(key)
-        if cached is not None:
-            return cached
-        bytes_per_hub = ((self.num_vertices + 63) // 64) * 8
-        budget = memory_bytes // bytes_per_hub if bytes_per_hub else 0
-        limit = max(0, min(int(max_hubs), int(budget)))
-        degrees = self.degrees()
-        eligible = np.flatnonzero(degrees >= min_degree)
-        if limit and eligible.size:
-            order = np.lexsort((eligible, -degrees[eligible]))
-            hub_ids = eligible[order[:limit]]
-        else:
-            hub_ids = np.empty(0, dtype=np.int64)
-        index = HubBitmapIndex(self, hub_ids)
-        self._hub_cache[key] = index
-        return index
-
-    # ------------------------------------------------------------------
     # Segmented-kernel membership tables (repro.setops.segmented)
     # ------------------------------------------------------------------
 
@@ -341,8 +251,9 @@ class CSRGraph:
     # ------------------------------------------------------------------
 
     def __getstate__(self):
-        # The hub cache is derived data and can be large; rebuild it
-        # lazily on the receiving side instead of shipping it to workers.
+        # The memoized tables are derived data and can be large; rebuild
+        # them lazily on the receiving side instead of shipping them to
+        # workers.
         return (self._indptr, self._indices)
 
     def __setstate__(self, state) -> None:
@@ -351,7 +262,6 @@ class CSRGraph:
         indices.setflags(write=False)
         self._indptr = indptr
         self._indices = indices
-        self._hub_cache = {}
         self._edge_key_cache = None
         self._adj_bitmap_cache = None
         self._signature_cache = None

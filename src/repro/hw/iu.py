@@ -29,10 +29,9 @@ quantities for a whole level of tasks at once; a property test pins the
 two to each other row by row.
 
 All timing here depends only on the op *input* arrays (kind, source,
-operand) — never on how the functional result was computed.  The
-adaptive kernel layer (:mod:`repro.setops.kernels`, docs/KERNELS.md) may
-therefore execute the op with any kernel: pairing/load tables and every
-cycle statistic are unchanged for every dispatch policy.
+operand) — never on how the functional result was computed, so
+pairing/load tables and every cycle statistic are unchanged for every
+:class:`~repro.setops.kernels.KernelPolicy` (docs/KERNELS.md).
 """
 
 from __future__ import annotations

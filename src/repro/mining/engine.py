@@ -18,19 +18,11 @@ patterns × both semantics × every policy against each other.  Listing
 jobs always use the recursive enumerator (they materialize every
 embedding regardless, so breadth batching buys nothing).
 
-Two performance layers sit inside the recursive model, neither of which
-changes any count (docs/KERNELS.md):
-
-* every set op dispatches through the size-adaptive kernel layer
-  (:class:`repro.setops.kernels.KernelContext`) — merge, gallop, or
-  hub-bitmap kernels chosen per operand shape, all bit-identical;
-* counting jobs take a **vectorized penultimate-level path**: instead of
-  recursing once per child at level ``k - 2`` (the dominant loop for
-  triangle/clique plans), all children's final candidate counts are
-  computed in one pass over the CSR slices, with the symmetry-breaking
-  lower bounds applied through a single vectorized ``searchsorted``
-  (:class:`_PenultimateBatcher`).  ``KernelPolicy(batch_penultimate=
-  False)`` restores the per-child recursion for oracle comparisons.
+The recursive engine is deliberately plain: every set op goes through
+the merge primitives of :mod:`repro.setops.merge` (counted by
+:class:`repro.setops.kernels.KernelContext`) and every level recurses
+per child, so it shares no batching or eligibility analysis with the
+frontier engine it checks.
 """
 
 from __future__ import annotations
@@ -42,13 +34,8 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.mining.frontier import FrontierEngine
 from repro.pattern.multipattern import MultiPlan
-from repro.pattern.plan import ExecutionPlan, LevelChain, OpKind, SetOp
-from repro.setops.kernels import (
-    DEFAULT_POLICY,
-    KernelContext,
-    KernelPolicy,
-    _tally,
-)
+from repro.pattern.plan import ExecutionPlan, SetOp
+from repro.setops.kernels import DEFAULT_POLICY, KernelContext, KernelPolicy
 from repro.setops.merge import exclude_values, lower_bound_filter
 
 __all__ = [
@@ -92,212 +79,12 @@ def _iter_roots(graph: CSRGraph, roots: Iterable[int] | None) -> Iterable[int]:
     return roots
 
 
-def _member(values: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Boolean membership of ``values`` elements in sorted ``table``."""
-    if table.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    idx = np.searchsorted(table, values)
-    idx[idx == table.size] = 0
-    return table[idx] == values
-
-
-class _PenultimateBatcher:
-    """Vectorized counting of all level-``k-1`` candidates per subtree.
-
-    At level ``k - 2`` the plain recursion appends each child ``v``,
-    runs the level's schedule (whose only child-dependent operand is
-    ``N(v)``), filters, and adds the final candidate count.  Because
-    intersections and subtractions with *fixed* (ancestor) operands
-    commute with the single ``N(v)`` op, the child-independent part of
-    the schedule can be hoisted out of the loop and the per-child counts
-    reduce to one pass over the children's CSR slices:
-
-    * ``N(v)``-side predicates (membership in the hoisted source set,
-      fixed-operand masks, the per-child lower bound, injectivity
-      excludes) evaluate on the concatenated neighbor slices;
-    * for subtraction-shaped schedules the surviving-count per child is
-      ``|S'| - searchsorted(S', lb_v)`` — one vectorized
-      ``searchsorted`` over all children — minus the matching slice
-      probes.
-
-    Eligibility is the plan compiler's chain analysis
-    (:meth:`repro.pattern.plan.ExecutionPlan.chain_info`): ``build``
-    returns ``None`` unless the penultimate schedule is a linear chain
-    with exactly one child-dependent op, and the engine then falls back
-    to recursion.  The batcher produces exactly the counts the recursion
-    produces.
-    """
-
-    def __init__(
-        self,
-        graph: CSRGraph,
-        plan: ExecutionPlan,
-        ctx: KernelContext,
-        chain: LevelChain,
-    ) -> None:
-        self.graph = graph
-        self.plan = plan
-        self.ctx = ctx
-        k = plan.num_levels
-        self.ops = plan.levels[k - 2].ops
-        self.v_idx = chain.child_op_index
-        self.mode = chain.mode
-        bounds = plan.lower_bound_levels(k - 1)
-        self.fixed_bounds = tuple(b for b in bounds if b < k - 2)
-        self.self_bound = (k - 2) in bounds
-        excludes = plan.exclude_levels(k - 1)
-        self.fixed_excludes = tuple(d for d in excludes if d < k - 2)
-        self.self_exclude = (k - 2) in excludes
-
-    @staticmethod
-    def build(
-        graph: CSRGraph, plan: ExecutionPlan, ctx: KernelContext
-    ) -> "_PenultimateBatcher | None":
-        if not ctx.policy.batch_penultimate or plan.num_levels < 3:
-            return None
-        chain = plan.chain_info(plan.num_levels - 2)
-        if not chain.batchable:
-            return None
-        return _PenultimateBatcher(graph, plan, ctx, chain)
-
-    def count(
-        self,
-        cand: np.ndarray,
-        embedding: Sequence[int],
-        states: dict[int, np.ndarray],
-    ) -> int:
-        """Total level-``k-1`` candidates over all children in ``cand``."""
-        if cand.size == 0:
-            return 0
-        _tally("batch/invocations")
-        _tally("batch/children", int(cand.size))
-        graph = self.graph
-
-        # Hoist the child-independent ops: run the chain once with the
-        # N(v) op replaced by a pass-through (legal because fixed-operand
-        # intersections/subtractions commute with it).  ``mask_ops`` are
-        # the fixed ops downstream of an INIT_COPY N(v), which become
-        # per-element predicates instead.
-        local: dict[int, np.ndarray] = {}
-        mask_ops: list[tuple[OpKind, np.ndarray]] = []
-        for i, op in enumerate(self.ops):
-            operand_vertex = embedding[op.operand_level] if i != self.v_idx else None
-            if i == self.v_idx:
-                if op.source_state is not None:
-                    src = local.get(op.source_state)
-                    if src is None:
-                        src = states[op.source_state]
-                    local[op.result_state] = src
-                continue
-            operand = graph.neighbors(operand_vertex)
-            if self.mode == "copy":
-                mask_ops.append((op.kind, operand))
-                continue
-            src = None
-            if op.source_state is not None:
-                src = local.get(op.source_state)
-                if src is None:
-                    src = states[op.source_state]
-            local[op.result_state] = self.ctx.apply_op(
-                op.kind, src, operand, vertex=operand_vertex
-            )
-
-        # Per-child symmetry-breaking lower bound (exclusive).
-        lb_fixed = (
-            max(embedding[b] for b in self.fixed_bounds)
-            if self.fixed_bounds
-            else -1
-        )
-        lbs = np.maximum(cand, np.int32(lb_fixed)) if self.self_bound else None
-        excl_ids = [embedding[d] for d in self.fixed_excludes]
-
-        # Concatenate the children's neighbor slices (one gather).
-        indptr, indices = graph.indptr, graph.indices
-        starts = indptr[cand]
-        lens = indptr[cand + 1] - starts
-        total = int(lens.sum())
-        if total:
-            flat_ends = np.cumsum(lens)
-            flat_starts = flat_ends - lens
-            pos = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(flat_starts, lens)
-                + np.repeat(starts, lens)
-            )
-            flat = indices[pos]
-        else:
-            flat = indices[:0]
-
-        if self.mode in ("copy", "intersect"):
-            if total == 0:
-                return 0
-            if self.mode == "intersect":
-                s_prime = local[self.ops[-1].result_state]
-                keep = _member(flat, s_prime)
-            else:
-                keep = np.ones(total, dtype=bool)
-                for kind, operand in mask_ops:
-                    hit = _member(flat, operand)
-                    keep &= hit if kind is OpKind.INTERSECT else ~hit
-            if lbs is not None:
-                keep &= flat > np.repeat(lbs, lens)
-            elif lb_fixed >= 0:
-                keep &= flat > lb_fixed
-            for e in excl_ids:
-                keep &= flat != e
-            # ``flat == v`` for the slice's own child cannot happen (no
-            # self loops), so the k-2 injectivity exclude is free here.
-            return int(np.count_nonzero(keep))
-
-        # Subtraction-shaped schedule: extend = S' − N(v).  Count the
-        # bound-surviving suffix of S' per child (single vectorized
-        # searchsorted over all children), then remove the elements that
-        # the slice probes show are in N(v), plus the injectivity hits.
-        s_prime = local[self.ops[-1].result_state]
-        if s_prime.size == 0:
-            return 0
-        if lbs is not None:
-            le = np.searchsorted(s_prime, lbs, side="right")
-            first = int(cand.size) * int(s_prime.size) - int(le.sum())
-        elif lb_fixed >= 0:
-            le_scalar = int(np.searchsorted(s_prime, lb_fixed, side="right"))
-            first = int(cand.size) * (int(s_prime.size) - le_scalar)
-        else:
-            first = int(cand.size) * int(s_prime.size)
-        removed = 0
-        for e in excl_ids:
-            i = int(np.searchsorted(s_prime, e))
-            if i < s_prime.size and int(s_prime[i]) == e:
-                if lbs is not None:
-                    removed += int(np.count_nonzero(e > lbs))
-                elif e > lb_fixed:
-                    removed += int(cand.size)
-        if self.self_exclude:
-            hit_self = _member(cand, s_prime)
-            if lbs is not None:
-                hit_self &= cand > lbs  # never true; bounds dominate
-            elif lb_fixed >= 0:
-                hit_self &= cand > lb_fixed
-            removed += int(np.count_nonzero(hit_self))
-        if total:
-            probe = _member(flat, s_prime)
-            if lbs is not None:
-                probe &= flat > np.repeat(lbs, lens)
-            elif lb_fixed >= 0:
-                probe &= flat > lb_fixed
-            for e in excl_ids:
-                probe &= flat != e
-            removed += int(np.count_nonzero(probe))
-        return first - removed
-
-
 class _RecursiveRunner:
     """The per-embedding oracle executor, reusable across roots.
 
-    One instance holds the kernel context, the penultimate batcher, and
-    the mutable embedding/state scratch, so multi-pattern counting can
-    drive many roots (and inject precomputed level-0 trunk states)
-    without re-running eligibility analysis per root.
+    One instance holds the mutable embedding/state scratch, so
+    multi-pattern counting can drive many roots and inject precomputed
+    level-0 trunk states.
     """
 
     def __init__(
@@ -307,7 +94,6 @@ class _RecursiveRunner:
         self.plan = plan
         self.ctx = ctx
         self.k = plan.num_levels
-        self.batcher = _PenultimateBatcher.build(graph, plan, ctx)
         self.states: dict[int, np.ndarray] = {}
         self.embedding: list[int] = []
         self._preset: Mapping[int, np.ndarray] | None = None
@@ -345,22 +131,17 @@ class _RecursiveRunner:
             if preset is not None and op.result_state in preset:
                 states[op.result_state] = preset[op.result_state]
                 continue
-            vertex = embedding[op.operand_level]
-            operand = self.graph.neighbors(vertex)
+            operand = self.graph.neighbors(embedding[op.operand_level])
             source = (
                 states[op.source_state] if op.source_state is not None else None
             )
-            states[op.result_state] = self.ctx.apply_op(
-                op.kind, source, operand, vertex=vertex
-            )
+            states[op.result_state] = self.ctx.apply_op(op.kind, source, operand)
         nxt = level + 1
         cand = filtered_candidates(
             plan, nxt, states[sched.extend_state], embedding
         )
         if nxt == self.k - 1:
             return int(cand.size)
-        if nxt == self.k - 2 and self.batcher is not None:
-            return self.batcher.count(cand, embedding, states)
         subtotal = 0
         for v in cand:
             embedding.append(int(v))
@@ -390,9 +171,9 @@ def count_embeddings(
     (``repro.parallel``); the total is identical for every value since
     per-root counts merge by addition.
 
-    ``kernels`` selects the execution engine and tunes the set-operation
-    dispatch layer for this run (docs/KERNELS.md); every policy returns
-    the identical count.  The policy is forwarded to sharded workers.
+    ``kernels`` selects the execution engine and tunes the frontier
+    engine for this run (docs/KERNELS.md); every policy returns the
+    identical count.  The policy is forwarded to sharded workers.
     """
     total = 0
     for root, sub in per_root_counts(
@@ -451,7 +232,7 @@ def per_root_counts(
         for root, count in zip(root_list, counts):
             yield root, int(count)
         return
-    runner = _RecursiveRunner(graph, plan, KernelContext(graph, kernels))
+    runner = _RecursiveRunner(graph, plan, KernelContext())
     for root in root_list:
         yield root, runner.count_root(root)
 
@@ -474,11 +255,11 @@ def list_embeddings(
     contiguous in root order, so the merged list (and ``limit``
     truncation applied after the merge) equals the serial list exactly.
 
-    Listing materializes every embedding, so both the frontier engine
-    and the penultimate batch counter stand aside — enumeration always
-    recurses; the adaptive kernels still apply.  ``tuned=True`` policies
-    fall back to their base fields here: embeddings are level-ordered
-    tuples, so a tuned plan swap would reorder every tuple.
+    Listing materializes every embedding, so the frontier engine stands
+    aside — enumeration always recurses through the merge primitives,
+    whatever the policy.  ``tuned=True`` policies fall back to their
+    base fields here: embeddings are level-ordered tuples, so a tuned
+    plan swap would reorder every tuple.
     """
     if kernels is not None and kernels.tuned:
         from dataclasses import replace as _replace
@@ -498,21 +279,18 @@ def list_embeddings(
             if limit is not None and len(out) >= limit:
                 break
         return out
-    ctx = KernelContext(graph, kernels)
+    ctx = KernelContext()
     states: dict[int, np.ndarray] = {}
     embedding: list[int] = []
 
     def explore(level: int) -> bool:
         sched = plan.levels[level]
         for op in sched.ops:
-            vertex = embedding[op.operand_level]
-            operand = graph.neighbors(vertex)
+            operand = graph.neighbors(embedding[op.operand_level])
             source = (
                 states[op.source_state] if op.source_state is not None else None
             )
-            states[op.result_state] = ctx.apply_op(
-                op.kind, source, operand, vertex=vertex
-            )
+            states[op.result_state] = ctx.apply_op(op.kind, source, operand)
         nxt = level + 1
         cand = filtered_candidates(
             plan, nxt, states[sched.extend_state], embedding
@@ -575,7 +353,7 @@ def count_multi(
     per root frontier** (frontier engine) and reused by every plan that
     schedules it.  ``jobs`` shards the roots — each worker runs this
     shared-trunk path on its chunk; ``kernels`` selects the engine and
-    dispatch policy.  Totals are bit-identical to counting each plan
+    its frontier knobs.  Totals are bit-identical to counting each plan
     independently.
     """
     if kernels is not None and kernels.tuned:
@@ -602,7 +380,7 @@ def count_multi(
             counts = engine.per_root_counts(root_list, shared_level0=shared)
             totals[name] += int(counts.sum())
         return totals
-    ctx = KernelContext(graph, kernels)
+    ctx = KernelContext()
     runners = {
         name: _RecursiveRunner(graph, plan, ctx)
         for name, plan in zip(multi.names, multi.plans)
@@ -621,9 +399,7 @@ def count_multi(
                 if op.source_state is not None
                 else None
             )
-            preset[op.result_state] = ctx.apply_op(
-                op.kind, source, operand, vertex=root
-            )
+            preset[op.result_state] = ctx.apply_op(op.kind, source, operand)
         for name, runner in runners.items():
             totals[name] += runner.count_root(root, preset)
     return totals

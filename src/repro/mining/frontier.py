@@ -7,8 +7,7 @@ same :class:`~repro.pattern.plan.ExecutionPlan` IR *breadth-first*: all
 partial embeddings of one level live in a single struct-of-arrays
 **frontier**, and each level's schedule runs as segmented batch set
 operations over the whole frontier at once
-(:mod:`repro.setops.segmented`) — the generalization of the penultimate
-batcher to every interior level, following the GPU extension-strategy
+(:mod:`repro.setops.segmented`), following the GPU extension-strategy
 playbook (DuMato, G2Miner) cited in PAPERS.md.
 
 Frontier layout
@@ -31,8 +30,8 @@ Execution
 Per level: run the schedule's ops segmented, filter the extension set
 with vectorized symmetry-breaking lower bounds and injectivity excludes,
 then either count (last level: per-row lengths; penultimate level of a
-chain-shaped schedule: the fused terminal probe, the batcher's
-hoisted-op trick applied across the whole frontier) or expand to the
+chain-shaped schedule: the fused terminal probe, which hoists the
+child-independent ops out of the per-child work) or expand to the
 next level.  Expansion and the fused probe are **memory-bounded**: when
 the materialized result would exceed ``KernelPolicy.
 frontier_budget_bytes``, the frontier is processed in contiguous row
@@ -281,10 +280,9 @@ class FrontierEngine:
         self.k = k
         self.carry_after = carried_states(plan)
         # Fused terminal level: chain-shaped penultimate schedules count
-        # all grandchildren in one probe pass, like the recursive
-        # engine's batcher (same policy knob).
+        # all grandchildren in one probe pass.
         self.terminal = None
-        if k >= 3 and self.policy.batch_penultimate:
+        if k >= 3:
             info = plan.chain_info(k - 2)
             if info.batchable:
                 self.terminal = info
@@ -397,9 +395,9 @@ class FrontierEngine:
         """Count all level-``k-1`` candidates of every level-``k-2``
         child without materializing the child frontier.
 
-        The frontier generalization of the recursive batcher: the
-        chain's fixed (child-independent) ops run segmented over the
-        *parent* rows once, then one flat membership/bounds pass over
+        The chain's fixed (child-independent) ops commute with its one
+        ``N(child)`` op, so they run segmented over the *parent* rows
+        once, then one flat membership/bounds pass over
         each child's candidate slice yields the surviving counts.
         """
         graph, plan, policy = self.graph, self.plan, self.policy

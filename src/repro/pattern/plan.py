@@ -93,15 +93,15 @@ class SetOp:
 
 @dataclass(frozen=True)
 class LevelChain:
-    """Shape analysis of one level's schedule for the batched engines.
+    """Shape analysis of one level's schedule for the frontier engine.
 
     A level is *chain-shaped* when its ops form a single linear pipeline
     ending in the extension set, with exactly one op whose operand is the
     level's own vertex ``N(u_level)``.  Fixed-operand intersections and
     subtractions then commute with that one child-dependent op, which is
-    what lets :class:`repro.mining.engine._PenultimateBatcher` and the
-    frontier engine's fused terminal level hoist the fixed part out of
-    the per-child loop.
+    what lets the frontier engine's fused terminal level
+    (:class:`repro.mining.frontier.FrontierEngine`) hoist the fixed part
+    out of the per-child work.
 
     Attributes
     ----------
@@ -231,17 +231,17 @@ class ExecutionPlan:
         return "\n".join(lines)
 
     # ------------------------------------------------------------------
-    # Shape analysis consumed by the batched execution engines
+    # Shape analysis consumed by the frontier engine
     # ------------------------------------------------------------------
 
     def chain_info(self, level: int) -> LevelChain:
         """Classify one level's schedule for batched execution.
 
-        The batched engines (the penultimate batcher and the frontier
-        engine's fused terminal level) require the level to be a *linear
-        chain*: non-empty ops, the extension set produced by the last
-        op, every non-initial op consuming the previous op's result, and
-        exactly one op whose operand is the level's own vertex.  The
+        The frontier engine's fused terminal level requires the level
+        to be a *linear chain*: non-empty ops, the extension set
+        produced by the last op, every non-initial op consuming the
+        previous op's result, and exactly one op whose operand is the
+        level's own vertex.  The
         returned :class:`LevelChain` either marks the level batchable
         (with the child op's index and combine mode) or carries the
         reason it is not.

@@ -13,7 +13,8 @@ Probes live at the documented determinism seams and cost one module
 attribute read when the sanitizer is off:
 
 * set-op kernel dispatch (:func:`repro.setops.kernels._tally`) — the
-  adaptive kernel choice sequence;
+  sequence of recursive-engine ops, segmented-kernel choices and
+  frontier-engine events;
 * result merging (:func:`repro.core.result.merge_run_results`) — the
   section/scalar key orders that feed merged stats;
 * shard fan-out (:func:`repro.parallel.pool.run_shards`) — the shard

@@ -5,16 +5,16 @@ strictly increasing arrays of vertex ids, so intersection and subtraction
 are one-pass merges (paper section 2.1).  This package provides:
 
 * :mod:`repro.setops.merge` — the functional merge-based operations used
-  by the reference engine and (for result values) the timing models;
+  by the recursive reference engine;
 * :mod:`repro.setops.segments` — fixed-length segmentation, head lists,
   and segment pairing, the substrate of segment-level parallelism
   (paper sections 3.4 and 4.2);
 * :mod:`repro.setops.bitvector` — the intersect-unit datapath and the
   bitwise-OR result aggregation of paper section 4.3, validated against
   the merge primitives by the test suite;
-* :mod:`repro.setops.kernels` — the size-adaptive kernel dispatch layer
-  (merge / gallop / hub-bitmap) used by the engine and simulators for
-  functional results; bit-identical to the merge primitives
+* :mod:`repro.setops.kernels` — the functional execution policy
+  (:class:`~repro.setops.kernels.KernelPolicy`), the dispatch counters,
+  and the counted merge entry point the recursive oracle uses
   (docs/KERNELS.md);
 * :mod:`repro.setops.segmented` — segment-aware batch kernels
   (:class:`~repro.setops.segmented.SegmentedSet`, batched
@@ -45,14 +45,11 @@ from repro.setops.bitvector import (
     segmented_set_op,
 )
 from repro.setops.kernels import (
-    KERNEL_NAMES,
     SEGMENT_KERNEL_NAMES,
     ENGINE_NAMES,
     KernelContext,
     KernelPolicy,
     DEFAULT_POLICY,
-    intersect_adaptive,
-    subtract_adaptive,
     kernel_counters,
     reset_kernel_counters,
 )
@@ -81,14 +78,11 @@ __all__ = [
     "intersect_bitvector",
     "aggregate_or",
     "segmented_set_op",
-    "KERNEL_NAMES",
     "SEGMENT_KERNEL_NAMES",
     "ENGINE_NAMES",
     "KernelContext",
     "KernelPolicy",
     "DEFAULT_POLICY",
-    "intersect_adaptive",
-    "subtract_adaptive",
     "kernel_counters",
     "reset_kernel_counters",
     "SegmentedSet",

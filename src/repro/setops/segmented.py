@@ -1,7 +1,7 @@
 """Segment-aware set-operation kernels for the frontier engine.
 
 The recursive engine applies each plan op to *one* candidate set at a
-time (:mod:`repro.setops.kernels`).  The frontier engine instead carries
+time (:mod:`repro.setops.merge`).  The frontier engine instead carries
 thousands of per-embedding candidate sets as a single
 :class:`SegmentedSet` — one flat ``values`` array plus ``offsets``
 marking each row's slice, the struct-of-arrays layout of the paper's

@@ -13,17 +13,16 @@ grid"):
   necessary condition for per-root attribution to survive the reorder
   (trials verify the sufficient one).
 * **Policies** — a small grid seeded from the caller's base policy: the
-  base itself, the flipped engine, an eager-gallop variant, and
-  signature-gated variants (a raised segment-bitmap budget when the
-  dense adjacency bitmap *almost* fits, eager hub bitmaps when the
-  graph carries real hub mass).
+  base itself, the flipped engine, and a raised segment-bitmap budget
+  when the graph signature says the dense adjacency bitmap *almost*
+  fits.
 
 The reference candidate — the caller's own plan and base policy — is
 always first: trials compare everything against it, and the tuner can
 therefore never select a configuration worse than no tuning (modulo
 measurement noise, which the persistent store freezes fleet-wide).
 
-The full cross product stays small on purpose (≤ ~12): the best two
+The full cross product stays small on purpose (≤ 11): the best two
 orders cross the whole policy grid, the remaining orders ride the base
 policy only.
 """
@@ -87,12 +86,6 @@ def policy_grid(
     grid: list[tuple[str, KernelPolicy]] = [("base", base)]
     flipped = "recursive" if base.engine == "frontier" else "frontier"
     grid.append((flipped, replace(base, engine=flipped)))
-    if base.force_kernel is None:
-        grid.append((
-            "gallop-eager",
-            replace(base, gallop_ratio=max(2.0, base.gallop_ratio / 2.0),
-                    gallop_min_large=max(16, base.gallop_min_large // 2)),
-        ))
     if (
         base.force_segment_kernel is None
         and signature.bitmap_fit_bytes > base.segment_bitmap_bytes
@@ -101,12 +94,6 @@ def policy_grid(
         grid.append((
             "bitmap-budget",
             replace(base, segment_bitmap_bytes=signature.bitmap_fit_bytes),
-        ))
-    if base.use_hub_bitmaps and signature.hub_mass >= 0.05:
-        grid.append((
-            "hubs-eager",
-            replace(base, hub_min_degree=max(16, base.hub_min_degree // 4),
-                    hub_max_hubs=max(256, base.hub_max_hubs)),
         ))
     return grid
 

@@ -36,7 +36,7 @@ __all__ = ["TUNER_VERSION", "TunedChoice", "choice_key", "load_choice",
 
 #: Bump whenever the trial protocol, candidate grid, or choice schema
 #: changes meaning; every stored choice then misses and re-trials.
-TUNER_VERSION = 1
+TUNER_VERSION = 2
 
 
 @dataclass(frozen=True)

@@ -82,17 +82,18 @@ class TestValidation:
     def test_kernel_policy_needs_functional_backend(self):
         data = _minimal(
             sweep={"backends": ["fingers"]},
-            kernel_policies=[{"name": "legacy", "force_kernel": "merge"}],
+            kernel_policies=[{"name": "recursive", "engine": "recursive"}],
         )
         with pytest.raises(SpecError, match="functional"):
             load_spec(data)
 
     def test_kernel_policy_name_rules(self):
         for policies in (
-            [{"force_kernel": "merge"}],             # missing name
+            [{"engine": "recursive"}],               # missing name
             [{"name": "default"}],                   # reserved
             [{"name": "a"}, {"name": "a"}],          # repeated
             [{"name": "a", "not_a_field": 1}],       # unknown field
+            [{"name": "a", "force_kernel": "merge"}],  # retired field
         ):
             with pytest.raises(SpecError):
                 load_spec(_minimal(kernel_policies=policies))
@@ -128,15 +129,14 @@ class TestExpansion:
         data = _minimal(
             sweep={"backends": ["functional", "fingers"]},
             kernel_policies=[
-                {"name": "legacy", "force_kernel": "merge",
-                 "batch_penultimate": False},
+                {"name": "recursive", "engine": "recursive"},
             ],
         )
         cells = load_spec(data).expand()
         policies = {(c.backend, c.policy) for c in cells}
         assert policies == {
             ("functional", "default"),
-            ("functional", "legacy"),
+            ("functional", "recursive"),
             ("fingers", "default"),
         }
 
@@ -144,7 +144,8 @@ class TestExpansion:
         data = _minimal(
             sweep={"backends": ["functional", "fingers"]},
             configs={"fingers": {"num_pes": 2}},
-            kernel_policies=[{"name": "legacy", "force_kernel": "merge"}],
+            kernel_policies=[{"name": "bisect",
+                              "force_segment_kernel": "bisect"}],
         )
         spec = load_spec(data)
         fingers = spec.config_for(Cell("tc", "As", "fingers"))
@@ -152,9 +153,9 @@ class TestExpansion:
         assert fingers.num_pes == 2
         default = spec.config_for(Cell("tc", "As", "functional"))
         assert default.kernels is None
-        legacy = spec.config_for(Cell("tc", "As", "functional",
-                                      policy="legacy"))
-        assert legacy.kernels.force_kernel == "merge"
+        bisect = spec.config_for(Cell("tc", "As", "functional",
+                                      policy="bisect"))
+        assert bisect.kernels.force_segment_kernel == "bisect"
 
     def test_cell_label(self):
         assert Cell("tc", "As", "fingers").label == "tc/As/fingers"

@@ -8,7 +8,6 @@ shared level-0 trunk.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,7 @@ from repro.mining.engine import count_embeddings, count_multi, per_root_counts
 from repro.mining.frontier import FrontierEngine, _chunk_ranges
 from repro.pattern.compiler import compile_plan
 from repro.pattern.multipattern import compile_multi_plan, motif_patterns
-from repro.pattern.pattern import all_named_patterns, named_pattern
+from repro.pattern.pattern import named_pattern
 from repro.setops.kernels import (
     KernelPolicy,
     kernel_counters,
@@ -113,15 +112,6 @@ class TestEdgeCases:
         full = engine.per_root_counts(range(GRAPH.num_vertices))
         half = engine.per_root_counts(range(0, GRAPH.num_vertices, 2))
         assert np.array_equal(half, full[::2])
-
-    @pytest.mark.parametrize("pattern", sorted(all_named_patterns()))
-    def test_batch_penultimate_off_matches(self, pattern):
-        plan = compile_plan(named_pattern(pattern))
-        a = count_embeddings(
-            GRAPH, plan, kernels=_frontier(batch_penultimate=False)
-        )
-        b = count_embeddings(GRAPH, plan, kernels=RECURSIVE)
-        assert a == b
 
 
 class TestSharedTrunk:

@@ -1,12 +1,11 @@
 """Agreement sweep: every kernel policy and engine counts identically.
 
-The dispatch layer's contract (docs/KERNELS.md) is that the execution
-engine (frontier vs recursive), kernel choice, hub bitmaps, and the
-penultimate batch counter are *functional-only*: for all 11 built-in
-patterns, both induced semantics, and any policy (forced kernels,
-shifted thresholds, aggressive hubs, batching off, tiny spill budgets)
-the counts — and the per-root count sequences — are bit-identical to
-the legacy merge-and-recurse configuration.
+The policy contract (docs/KERNELS.md) is that the execution engine
+(frontier vs recursive) and every frontier knob (segment kernels, spill
+budget, bitmap budget) are *functional-only*: for all 11 built-in
+patterns, both induced semantics, and any policy the counts — and the
+per-root count sequences — are bit-identical to the recursive
+merge-based oracle.
 """
 
 import pytest
@@ -21,31 +20,14 @@ from repro.pattern.compiler import compile_plan
 from repro.pattern.pattern import all_named_patterns, named_pattern
 from repro.setops.kernels import KernelPolicy
 
-#: The pre-kernel-layer execution shape: sort-based merges, per-child
-#: recursion at every level.
-LEGACY = KernelPolicy(
-    force_kernel="merge", batch_penultimate=False, engine="recursive"
-)
+#: The plan-level oracle: sort-based merges, per-child recursion at
+#: every level (paper Figure 2).
+ORACLE = KernelPolicy(engine="recursive")
 
 POLICIES = {
     "default": None,
-    "recursive": KernelPolicy(engine="recursive"),
-    "force-merge": KernelPolicy(force_kernel="merge", engine="recursive"),
-    "force-gallop": KernelPolicy(force_kernel="gallop", engine="recursive"),
-    "force-bitmap": KernelPolicy(force_kernel="bitmap", engine="recursive"),
-    "batch-off": KernelPolicy(batch_penultimate=False, engine="recursive"),
-    "gallop-always": KernelPolicy(
-        gallop_ratio=1.0, gallop_min_large=1, engine="recursive"
-    ),
-    "hubs-aggressive": KernelPolicy(
-        hub_min_degree=1, hub_max_hubs=4096, hub_memory_bytes=32 << 20,
-        engine="recursive",
-    ),
-    "hubs-off": KernelPolicy(use_hub_bitmaps=False, engine="recursive"),
+    "recursive": ORACLE,
     "frontier": KernelPolicy(engine="frontier"),
-    "frontier-batch-off": KernelPolicy(
-        engine="frontier", batch_penultimate=False
-    ),
     "frontier-tiny-spill": KernelPolicy(
         engine="frontier", frontier_budget_bytes=1
     ),
@@ -77,12 +59,12 @@ def test_counts_identical_across_policies(pattern, vertex_induced, graph_name):
     plan = compile_plan(
         named_pattern(pattern), vertex_induced=vertex_induced
     )
-    reference = count_embeddings(graph, plan, kernels=LEGACY)
+    reference = count_embeddings(graph, plan, kernels=ORACLE)
     for name, policy in POLICIES.items():
         got = count_embeddings(graph, plan, kernels=policy)
         assert got == reference, (
             f"{pattern} vertex_induced={vertex_induced} on {graph_name}: "
-            f"policy {name} counted {got}, legacy counted {reference}"
+            f"policy {name} counted {got}, oracle counted {reference}"
         )
 
 
@@ -93,7 +75,7 @@ def test_per_root_sequences_identical_across_engines(pattern, graph_name):
     order — the sharded merge and the PE schedulers rely on this."""
     graph = GRAPHS[graph_name]
     plan = compile_plan(named_pattern(pattern))
-    reference = list(per_root_counts(graph, plan, kernels=LEGACY))
+    reference = list(per_root_counts(graph, plan, kernels=ORACLE))
     for name, policy in POLICIES.items():
         got = list(per_root_counts(graph, plan, kernels=policy))
         assert got == reference, f"policy {name} per-root sequence differs"
@@ -103,7 +85,7 @@ def test_per_root_sequences_identical_across_engines(pattern, graph_name):
 def test_listing_identical_across_policies(pattern):
     graph = GRAPHS["ba"]
     plan = compile_plan(named_pattern(pattern))
-    reference = list_embeddings(graph, plan, kernels=LEGACY)
+    reference = list_embeddings(graph, plan, kernels=ORACLE)
     for name, policy in POLICIES.items():
         got = list_embeddings(graph, plan, kernels=policy)
         assert got == reference, f"policy {name} listed differently"
@@ -122,9 +104,9 @@ def test_sharded_counts_match_kernel_policies():
     of every engine."""
     graph = GRAPHS["ba"]
     plan = compile_plan(named_pattern("4cl"))
-    serial = count_embeddings(graph, plan, kernels=LEGACY)
+    serial = count_embeddings(graph, plan, kernels=ORACLE)
     assert count_embeddings(graph, plan, jobs=2) == serial
-    assert count_embeddings(graph, plan, jobs=2, kernels=LEGACY) == serial
+    assert count_embeddings(graph, plan, jobs=2, kernels=ORACLE) == serial
     assert (
         count_embeddings(
             graph, plan, jobs=2, kernels=KernelPolicy(engine="frontier")
@@ -134,11 +116,12 @@ def test_sharded_counts_match_kernel_policies():
 
 
 def test_batcher_respects_roots_subset():
+    """The frontier's fused terminal level honours a roots subset."""
     graph = GRAPHS["er"]
     plan = compile_plan(named_pattern("tc"))
     roots = [0, 5, 9, 44]
     assert count_embeddings(graph, plan, roots=roots) == count_embeddings(
-        graph, plan, roots=roots, kernels=LEGACY
+        graph, plan, roots=roots, kernels=ORACLE
     )
 
 
@@ -153,7 +136,7 @@ def test_searched_order_counts_identical(pattern, vertex_induced):
     reference = count_embeddings(
         graph,
         compile_plan(named_pattern(pattern), vertex_induced=vertex_induced),
-        kernels=LEGACY,
+        kernels=ORACLE,
     )
     searched = compile_plan_searched(
         named_pattern(pattern), graph=graph, vertex_induced=vertex_induced
@@ -164,7 +147,7 @@ def test_searched_order_counts_identical(pattern, vertex_induced):
         )
         assert got == reference, (
             f"{pattern} searched order {searched.vertex_order} on "
-            f"{engine}: counted {got}, legacy counted {reference}"
+            f"{engine}: counted {got}, oracle counted {reference}"
         )
 
 
@@ -182,7 +165,7 @@ def test_every_tuner_candidate_counts_identical(pattern, graph_name):
 
     graph = GRAPHS[graph_name]
     plan = compile_plan(named_pattern(pattern))
-    reference = count_embeddings(graph, plan, kernels=LEGACY)
+    reference = count_embeddings(graph, plan, kernels=ORACLE)
     candidates = generate_candidates(graph, plan, KernelPolicy())
     assert candidates[0].label == "reference"
     for candidate in candidates:
@@ -194,7 +177,7 @@ def test_every_tuner_candidate_counts_identical(pattern, graph_name):
         got = count_embeddings(graph, cand_plan, kernels=candidate.policy)
         assert got == reference, (
             f"{pattern} on {graph_name}: candidate {candidate.label} "
-            f"(order {candidate.order}) counted {got}, legacy "
+            f"(order {candidate.order}) counted {got}, oracle "
             f"counted {reference}"
         )
 
@@ -207,10 +190,10 @@ def test_tuned_policy_counts_and_roots_identical(pattern, engine):
     graph = GRAPHS["er"]
     plan = compile_plan(named_pattern(pattern))
     tuned = KernelPolicy(engine=engine, tuned=True)
-    reference = count_embeddings(graph, plan, kernels=LEGACY)
+    reference = count_embeddings(graph, plan, kernels=ORACLE)
     assert count_embeddings(graph, plan, kernels=tuned) == reference
     assert list(per_root_counts(graph, plan, kernels=tuned)) == list(
-        per_root_counts(graph, plan, kernels=LEGACY)
+        per_root_counts(graph, plan, kernels=ORACLE)
     )
 
 
@@ -221,4 +204,4 @@ def test_tuned_listing_matches_untuned():
     plan = compile_plan(named_pattern("tt"))
     assert list_embeddings(
         graph, plan, kernels=KernelPolicy(tuned=True)
-    ) == list_embeddings(graph, plan, kernels=LEGACY)
+    ) == list_embeddings(graph, plan, kernels=ORACLE)

@@ -16,8 +16,9 @@ from repro.graph import erdos_renyi
 from repro.mining.api import plan_for
 from repro.parallel import pool
 from repro.parallel.pool import run_shards
+from repro.pattern.plan import OpKind
 from repro.setops.kernels import (
-    intersect_adaptive,
+    KernelContext,
     kernel_counters,
     reset_kernel_counters,
 )
@@ -90,7 +91,7 @@ class TestKernelCounters:
         reset_kernel_counters()
         a = np.array([1, 2, 3, 4], dtype=np.int32)
         b = np.array([2, 4, 6], dtype=np.int32)
-        intersect_adaptive(a, b)
+        KernelContext().apply_op(OpKind.INTERSECT, a, b)
         snap = kernel_counters()
         assert sum(snap.values()) == 1
         snap["intersect/merge"] = 999

@@ -106,12 +106,13 @@ class TestTraceMachinery:
 
 class TestProbes:
     def test_kernel_dispatch_probe(self):
-        from repro.setops.kernels import intersect_adaptive
+        from repro.pattern.plan import OpKind
+        from repro.setops.kernels import KernelContext
 
         a = np.array([1, 2, 3, 4], dtype=np.int32)
         b = np.array([2, 4, 6], dtype=np.int32)
         with sanitize.capture() as trace:
-            intersect_adaptive(a, b)
+            KernelContext().apply_op(OpKind.INTERSECT, a, b)
         kinds = [e.kind for e in trace.events]
         assert "kernel" in kinds
 
