@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test bench bench-fast bench-sweep bench-engine bench-autotune tune-smoke examples clean loc lint lint-flow chaos check
+.PHONY: install test test-fast bench bench-cli bench-sweep bench-engine bench-autotune tune-smoke examples clean loc lint lint-flow chaos check
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -18,7 +18,7 @@ bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 bench-cli:
-	$(PYTHON) -m repro.bench
+	$(PYTHON) -m repro bench
 
 # Declarative sweep -> result store -> markdown/HTML report
 # (docs/BENCHMARKS.md).  Resumable: a warm re-run executes zero cells.

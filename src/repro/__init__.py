@@ -63,7 +63,6 @@ def __getattr__(name):
         "FlexMinerConfig",
         "simulate",
         "speedup_grid",
-        "SimResult",
     ):
         from repro.hw import api as _hw_api
 

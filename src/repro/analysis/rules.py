@@ -49,8 +49,8 @@ HOT_PATH_PACKAGES = (
 )
 
 #: Packages where wall-clock reads would leak into modelled results
-#: (DET002).  ``repro.bench`` is included: its one intentional
-#: harness-timing read is carried in the reviewed baseline.
+#: (DET002).  ``repro.bench`` is included; ``repro bench`` times its
+#: experiments in :mod:`repro.cli`, outside this scope.
 SIMULATION_PACKAGES = HOT_PATH_PACKAGES + ("repro.pattern", "repro.bench")
 
 

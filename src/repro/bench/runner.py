@@ -10,7 +10,7 @@ processes, so simulation results are memoized twice:
    :meth:`repro.core.backend.Backend.cache_key` — backend name and
    version, full graph contents, workload, explicit configuration
    signature, schedule, root-array hash, and execution model — so a
-   warm ``python -m repro.bench`` sweep performs zero simulator calls.
+   warm ``repro bench`` sweep performs zero simulator calls.
 
 Every backend runs through the same :func:`run_backend_cached` path;
 ``run_cached`` (configuration-dispatched) and ``run_software_cached``
@@ -29,12 +29,7 @@ from repro.cache import default_cache
 from repro.core.backend import Backend, backend_for_config, get_backend
 from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
-from repro.hw.api import (
-    FingersConfig,
-    FlexMinerConfig,
-    MemoryConfig,
-    SimResult,
-)
+from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
 
 __all__ = [
     "PairResult",
@@ -58,7 +53,7 @@ _DISK_ENABLED: bool = True
 
 @dataclass(frozen=True)
 class RunnerStats:
-    """Cache accounting for one process (see ``python -m repro.bench``)."""
+    """Cache accounting for one process (see ``repro bench``)."""
 
     memo_hits: int = 0
     disk_hits: int = 0
@@ -102,8 +97,8 @@ class PairResult:
 
     workload: str
     graph: str
-    ours: SimResult
-    baseline: SimResult
+    ours: RunResult
+    baseline: RunResult
 
     @property
     def speedup(self) -> float:
@@ -193,7 +188,7 @@ def run_cached(
     schedule: str = "dynamic",
     jobs: int | None = None,
     disk: bool | None = None,
-) -> SimResult:
+) -> RunResult:
     """Memoized :func:`repro.hw.api.simulate`: the backend is selected by
     the configuration's type through the registry."""
     return run_backend_cached(

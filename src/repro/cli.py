@@ -10,8 +10,9 @@ Subcommands
 ``backends``   List registered execution backends and their config types.
 ``validate``   Cross-check every backend's count on one job.
 ``compare``    Both accelerator designs on one job, with the speedup.
-``bench``      Run one named experiment (table1 ... fig13, table3,
-               ablation-*) and print the paper-shaped output.
+``bench``      Run the named experiments (table1 ... fig13, table3,
+               ablation_*, software_*, sensitivity_*; all when none is
+               named) and print the paper-shaped output.
 ``cache``      Inspect or clear the persistent result cache.
 ``exp``        Experiment platform: run declarative sweeps into the
                result store, generate reports, diff runs against
@@ -32,7 +33,7 @@ Examples::
     python -m repro count tc --dataset Mi --jobs 8
     python -m repro plan tt
     python -m repro compare cyc --dataset As --pes 1 --jobs 4
-    python -m repro bench table2
+    python -m repro bench table1 table2
     python -m repro tune tt --dataset Mi
     python -m repro exp run examples/sweeps/smoke.toml
     python -m repro exp report smoke
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Sequence
 
 from repro.graph.datasets import (
@@ -98,6 +100,17 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="bypass the persistent result cache",
     )
+
+
+class _Selection(tuple):
+    """Registry names as ``choices`` of a ``nargs="*"`` positional.
+
+    argparse (through Python 3.11) validates an empty selection as the
+    single value ``[]``; admitting it lets zero names mean "all".
+    """
+
+    def __contains__(self, value) -> bool:
+        return value == [] or tuple.__contains__(self, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,16 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root-stride", type=int, default=1)
     _add_parallel_args(p)
 
-    p = sub.add_parser("bench", help="run one named experiment")
+    from repro.bench import EXPERIMENTS
+
+    p = sub.add_parser(
+        "bench", help="run paper experiments (all when none is named)"
+    )
     p.add_argument(
-        "experiment",
-        choices=[
-            "table1", "table2", "fig9", "fig10", "fig11", "fig12", "fig13",
-            "table3", "ablation-scheduling", "ablation-max-load",
-            "ablation-dividers", "ablation-group-size", "ablation-imbalance",
-            "software-scaling", "software-comparison",
-            "sensitivity-dram", "sensitivity-hit", "sensitivity-noc",
-        ],
+        "experiments", nargs="*", choices=_Selection(EXPERIMENTS),
+        help="experiments to run, in this order (default: all)",
     )
     _add_parallel_args(p)
 
@@ -308,8 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=["md", "html", "txt"], action="append",
         default=None,
         help="emit only this format (repeatable; default: md + html; "
-             "txt is the terminal-facing view that replaced the "
-             "retired 'repro.bench --out' text artifacts)",
+             "txt is the terminal-facing view)",
     )
 
     q = exp_sub.add_parser(
@@ -331,21 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = exp_sub.add_parser("list", help="list runs in the result store")
     q.add_argument("--store", default=None, metavar="DIR")
-
-    q = exp_sub.add_parser(
-        "migrate",
-        help="import legacy BENCH_kernels.json / fig10 / ablation files "
-             "as baseline runs",
-    )
-    q.add_argument(
-        "--results", default=None, metavar="DIR",
-        help="legacy results directory (default: benchmarks/results)",
-    )
-    q.add_argument("--store", default=None, metavar="DIR")
-    q.add_argument(
-        "--force", action="store_true",
-        help="replace baseline runs that already exist in the store",
-    )
 
     p = sub.add_parser(
         "lint",
@@ -770,46 +765,23 @@ def _cmd_lint_plan(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    from repro.bench import ablations, experiments
+    from repro.bench import EXPERIMENTS
     from repro.bench import runner as _runner
+    from repro.cache import cache_dir
 
     _runner.configure(jobs=args.jobs, disk_cache=not args.no_cache)
     _runner.reset_stats()
-
-    runners = {
-        "table1": experiments.table1,
-        "table2": experiments.table2,
-        "fig9": experiments.fig9,
-        "fig10": experiments.fig10,
-        "fig11": experiments.fig11,
-        "fig12": experiments.fig12,
-        "fig13": experiments.fig13,
-        "table3": experiments.table3,
-        "ablation-scheduling": ablations.ablation_scheduling,
-        "ablation-max-load": ablations.ablation_max_load,
-        "ablation-dividers": ablations.ablation_dividers,
-        "ablation-group-size": ablations.ablation_group_size,
-        "ablation-imbalance": ablations.ablation_imbalance,
-    }
-    from repro.bench.sensitivity import (
-        sensitivity_dram_latency,
-        sensitivity_hit_latency,
-        sensitivity_noc_bandwidth,
-    )
-    from repro.bench.software import software_comparison, software_scaling
-
-    runners.update({
-        "software-scaling": software_scaling,
-        "software-comparison": software_comparison,
-        "sensitivity-dram": sensitivity_dram_latency,
-        "sensitivity-hit": sensitivity_hit_latency,
-        "sensitivity-noc": sensitivity_noc_bandwidth,
-    })
-    print(runners[args.experiment]().render())
+    for name in args.experiments or EXPERIMENTS:
+        start = time.perf_counter()
+        text = EXPERIMENTS[name]().render()
+        elapsed = time.perf_counter() - start
+        print(f"\n=== {name} ({elapsed:.1f}s) ===")
+        print(text)
     stats = _runner.runner_stats()
     print(
-        f"run cache: {stats.memo_hits} memo hits, {stats.disk_hits} disk "
+        f"\nrun cache: {stats.memo_hits} memo hits, {stats.disk_hits} disk "
         f"hits, {stats.simulate_calls} simulator calls"
+        + ("" if args.no_cache else f" (disk: {cache_dir()})")
     )
     return 0
 
@@ -820,7 +792,6 @@ def _cmd_exp(args) -> int:
         SpecError,
         diff_runs,
         load_spec_file,
-        migrate_legacy_results,
         run_sweep,
         write_report,
     )
@@ -900,26 +871,14 @@ def _cmd_exp(args) -> int:
         print(report.render())
         return report.exit_code
 
-    if args.exp_command == "list":
-        runs = store.runs()
-        if not runs:
-            print(f"no runs in {store.root}")
-            return 0
-        for run in runs:
-            rows = store.load(run)
-            print(f"{run:24s} {len(rows):5d} rows")
+    # list
+    runs = store.runs()
+    if not runs:
+        print(f"no runs in {store.root}")
         return 0
-
-    # migrate
-    written = migrate_legacy_results(
-        args.results, store, force=args.force
-    )
-    if not written:
-        print("no legacy result files found")
-        return 0
-    for run, count in sorted(written.items()):
-        note = f"{count} rows" if count else "already present (use --force)"
-        print(f"{run:24s} {note}")
+    for run in runs:
+        rows = store.load(run)
+        print(f"{run:24s} {len(rows):5d} rows")
     return 0
 
 

@@ -19,11 +19,9 @@ identity, so shard merges are order-insensitive up to float rounding
 and an empty merge is a no-op (it returns ``cls()``) — the property
 tests in ``tests/core/test_merge_properties.py`` pin this down.
 
-This module subsumes the previously hand-written ``merge_pe_stats``,
-``merge_cache_stats``, ``merge_dram_stats``, ``merge_noc_stats``,
-``merge_chip_results``, and ``merge_software_results`` helpers; those
-names survive as thin wrappers around :func:`merge_stats` and
-:func:`repro.core.result.merge_run_results`.
+``merge_pe_stats``, ``merge_cache_stats``, ``merge_dram_stats`` and
+``merge_noc_stats`` are thin wrappers around :func:`merge_stats`;
+whole results merge through :func:`repro.core.result.merge_run_results`.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The one result type every backend produces.
 
-:class:`RunResult` replaces the former ``ChipResult`` /
-``SoftwareResult`` / ``SimResult`` triplication.  A result is
+A :class:`RunResult` — from a chip, the software miner or the
+functional engine — is
 
 * workload identity (``workload``, ``pattern_names``) — attached by the
   backend front door, empty for bare component-level runs;
@@ -15,7 +15,8 @@
   :func:`repro.core.merge.merge_stats`;
 * backend-specific ``scalars`` (``num_pes``, ``num_ius``,
   ``task_group_size``, ``total_steals``, ...) readable as plain
-  attributes (``result.num_pes``).
+  attributes (``result.num_pes``); sections read the same way
+  (``result.shared_cache``).
 
 Merging (:func:`merge_run_results`) is the single policy-driven shard
 merge of docs/PARALLELISM.md: counts and sum-policy scalars add,
@@ -107,31 +108,17 @@ class RunResult:
 
         return merge_stats(self.units, cls=PEStats)
 
-    # -- compatibility surface -------------------------------------------
-    # The pre-registry result types survive as views: ``pe_stats`` /
-    # ``core_stats`` alias ``units``, ``.chip`` strips workload identity
-    # (the old ``SimResult.chip`` held the bare chip-level record), and
-    # sections/scalars resolve as attributes (``.shared_cache``,
-    # ``.num_pes``, ``.total_steals``, ...).
+    # -- attribute surface -----------------------------------------------
+    # ``.chip`` strips workload identity, so a front-door result compares
+    # equal to a bare ``run_chip`` record; sections and scalars resolve
+    # as attributes (``.shared_cache``, ``.num_pes``, ``.total_steals``).
 
     @property
     def chip(self) -> "RunResult":
-        """This result without workload identity (old ``SimResult.chip``)."""
+        """This result without workload identity (a bare chip record)."""
         if not self.workload and not self.pattern_names:
             return self
         return replace(self, workload="", pattern_names=())
-
-    @property
-    def pe_stats(self) -> tuple:
-        return self.units
-
-    @property
-    def core_stats(self) -> tuple:
-        return self.units
-
-    @property
-    def pe_finish_times(self) -> tuple:
-        return self.unit_finish_times
 
     def __getattr__(self, name: str):
         if name == "retry_stats":

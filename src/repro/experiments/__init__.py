@@ -17,7 +17,7 @@ a closed loop (docs/BENCHMARKS.md):
    with :func:`diff_runs`, which compares a run against a named
    baseline and yields a nonzero exit code on regression.
 
-CLI surface: ``repro exp run/report/diff/list/migrate`` and
+CLI surface: ``repro exp run/report/diff/list`` and
 ``make bench-sweep``.  Typical library use::
 
     from repro.experiments import ResultStore, load_spec, run_sweep
@@ -30,7 +30,6 @@ CLI surface: ``repro exp run/report/diff/list/migrate`` and
 """
 
 from repro.experiments.executor import SweepOutcome, run_sweep
-from repro.experiments.migrate import migrate_legacy_results
 from repro.experiments.regress import DiffReport, Finding, diff_runs
 from repro.experiments.report import (
     render_html,
@@ -63,7 +62,6 @@ __all__ = [
     "diff_runs",
     "load_spec",
     "load_spec_file",
-    "migrate_legacy_results",
     "render_html",
     "render_markdown",
     "render_text",

@@ -2,7 +2,7 @@
 
 Drives every cell of an expanded sweep through the registry's cached
 runner (:func:`repro.bench.runner.run_backend_cached`) — the exact same
-code path as ``python -m repro.bench`` and the single-run CLI — and
+code path as ``repro bench`` and the single-run CLI — and
 appends one :class:`~repro.experiments.store.ResultRow` per executed
 cell.  Resumption is keyed on :meth:`Backend.cache_key`: a cell whose
 full cache identity (graph contents, config signature, schedule, roots,

@@ -202,6 +202,47 @@ _PROVENANCE_HEADER = ["cell", "git hash", "config signature", "host",
                       "versions", "timestamp"]
 
 
+def _layout(rows: Iterable[ResultRow]) -> tuple[str, list[tuple]]:
+    """``(summary, sections)`` shared by every format.
+
+    Each section is ``(title, header, body)``; the optional ones
+    (failures, the two wall-clock speedup tables, cycles) are left out
+    when empty, so every format shows the same sections in one order.
+    """
+    rows, failures = _partition(rows)
+    summary = f"{len(rows)} result rows."
+    if failures:
+        summary = (
+            f"{len(rows)} result rows; "
+            f"{len(failures)} cell(s) currently failed."
+        )
+    optional = [
+        ("Failures", _FAILURE_HEADER, _failure_rows(failures)),
+        ("Wall-clock speedup vs functional/default", _SPEEDUP_HEADER,
+         _speedup_rows(rows)),
+        ("Wall-clock speedup vs baseline policy", _POLICY_SPEEDUP_HEADER,
+         _policy_speedup_rows(rows)),
+        ("Modelled cycles: fingers vs flexminer", _CYCLES_HEADER,
+         _cycle_speedup_rows(rows)),
+    ]
+    sections = [("Results", *_result_table(rows))]
+    sections += [section for section in optional if section[2]]
+    sections.append(
+        ("Provenance", _PROVENANCE_HEADER, _provenance_rows(rows))
+    )
+    return summary, sections
+
+
+def _render_lines(rows, title: str, heading, table) -> str:
+    """A line-oriented report: ``heading`` formats each section title,
+    ``table`` each ``(header, body)``."""
+    summary, sections = _layout(rows)
+    parts = [title, "", summary, ""]
+    for name, header, body in sections:
+        parts += [heading(name), "", table(header, body), ""]
+    return "\n".join(parts)
+
+
 def _md_table(header: list[str], body: list[list[str]]) -> str:
     lines = [
         "| " + " | ".join(header) + " |",
@@ -213,43 +254,9 @@ def _md_table(header: list[str], body: list[list[str]]) -> str:
 
 def render_markdown(rows: Iterable[ResultRow], *, run: str) -> str:
     """The markdown report for one run's rows (pure; byte-stable)."""
-    rows, failures = _partition(rows)
-    parts = [f"# Sweep report: {run}", "", f"{len(rows)} result rows.", ""]
-    if failures:
-        parts[-2] = (
-            f"{len(rows)} result rows; "
-            f"{len(failures)} cell(s) currently failed."
-        )
-    header, body = _result_table(rows)
-    parts += ["## Results", "", _md_table(header, body), ""]
-    if failures:
-        parts += [
-            "## Failures", "",
-            _md_table(_FAILURE_HEADER, _failure_rows(failures)), "",
-        ]
-    speedups = _speedup_rows(rows)
-    if speedups:
-        parts += [
-            "## Wall-clock speedup vs functional/default", "",
-            _md_table(_SPEEDUP_HEADER, speedups), "",
-        ]
-    policy_speedups = _policy_speedup_rows(rows)
-    if policy_speedups:
-        parts += [
-            "## Wall-clock speedup vs baseline policy", "",
-            _md_table(_POLICY_SPEEDUP_HEADER, policy_speedups), "",
-        ]
-    cycles = _cycle_speedup_rows(rows)
-    if cycles:
-        parts += [
-            "## Modelled cycles: fingers vs flexminer", "",
-            _md_table(_CYCLES_HEADER, cycles), "",
-        ]
-    parts += [
-        "## Provenance", "",
-        _md_table(_PROVENANCE_HEADER, _provenance_rows(rows)), "",
-    ]
-    return "\n".join(parts)
+    return _render_lines(
+        rows, f"# Sweep report: {run}", lambda name: f"## {name}", _md_table
+    )
 
 
 def _text_table(header: list[str], body: list[list[str]]) -> str:
@@ -270,49 +277,13 @@ def render_text(rows: Iterable[ResultRow], *, run: str) -> str:
     """The plain-text report for one run's rows (pure; byte-stable).
 
     The terminal-facing sibling of :func:`render_markdown` — same
-    sections, fixed-width tables.  This view replaced the retired
-    ``python -m repro.bench --out`` .txt emitter: text artifacts now
-    regenerate from stored rows like every other format
-    (``repro exp report <run> --format txt``).
+    sections, fixed-width tables (``repro exp report <run> --format
+    txt``).
     """
-    rows, failures = _partition(rows)
-    summary = f"{len(rows)} result rows."
-    if failures:
-        summary = (
-            f"{len(rows)} result rows; "
-            f"{len(failures)} cell(s) currently failed."
-        )
-    parts = [f"=== Sweep report: {run} ===", "", summary, ""]
-    header, body = _result_table(rows)
-    parts += ["-- Results --", "", _text_table(header, body), ""]
-    if failures:
-        parts += [
-            "-- Failures --", "",
-            _text_table(_FAILURE_HEADER, _failure_rows(failures)), "",
-        ]
-    speedups = _speedup_rows(rows)
-    if speedups:
-        parts += [
-            "-- Wall-clock speedup vs functional/default --", "",
-            _text_table(_SPEEDUP_HEADER, speedups), "",
-        ]
-    policy_speedups = _policy_speedup_rows(rows)
-    if policy_speedups:
-        parts += [
-            "-- Wall-clock speedup vs baseline policy --", "",
-            _text_table(_POLICY_SPEEDUP_HEADER, policy_speedups), "",
-        ]
-    cycles = _cycle_speedup_rows(rows)
-    if cycles:
-        parts += [
-            "-- Modelled cycles: fingers vs flexminer --", "",
-            _text_table(_CYCLES_HEADER, cycles), "",
-        ]
-    parts += [
-        "-- Provenance --", "",
-        _text_table(_PROVENANCE_HEADER, _provenance_rows(rows)), "",
-    ]
-    return "\n".join(parts)
+    return _render_lines(
+        rows, f"=== Sweep report: {run} ===", lambda name: f"-- {name} --",
+        _text_table,
+    )
 
 
 def _html_table(header: list[str], body: list[list[str]]) -> str:
@@ -329,46 +300,10 @@ def _html_table(header: list[str], body: list[list[str]]) -> str:
 
 def render_html(rows: Iterable[ResultRow], *, run: str) -> str:
     """The HTML report for one run's rows (pure; byte-stable)."""
-    rows, failures = _partition(rows)
-    summary = f"{len(rows)} result rows."
-    if failures:
-        summary = (
-            f"{len(rows)} result rows; "
-            f"{len(failures)} cell(s) currently failed."
-        )
-    sections = [
-        f"<h1>Sweep report: {html.escape(run)}</h1>",
-        f"<p>{summary}</p>",
-        "<h2>Results</h2>",
-        _html_table(*_result_table(rows)),
-    ]
-    if failures:
-        sections += [
-            "<h2>Failures</h2>",
-            _html_table(_FAILURE_HEADER, _failure_rows(failures)),
-        ]
-    speedups = _speedup_rows(rows)
-    if speedups:
-        sections += [
-            "<h2>Wall-clock speedup vs functional/default</h2>",
-            _html_table(_SPEEDUP_HEADER, speedups),
-        ]
-    policy_speedups = _policy_speedup_rows(rows)
-    if policy_speedups:
-        sections += [
-            "<h2>Wall-clock speedup vs baseline policy</h2>",
-            _html_table(_POLICY_SPEEDUP_HEADER, policy_speedups),
-        ]
-    cycles = _cycle_speedup_rows(rows)
-    if cycles:
-        sections += [
-            "<h2>Modelled cycles: fingers vs flexminer</h2>",
-            _html_table(_CYCLES_HEADER, cycles),
-        ]
-    sections += [
-        "<h2>Provenance</h2>",
-        _html_table(_PROVENANCE_HEADER, _provenance_rows(rows)),
-    ]
+    summary, sections = _layout(rows)
+    parts = [f"<h1>Sweep report: {html.escape(run)}</h1>", f"<p>{summary}</p>"]
+    for name, header, body in sections:
+        parts += [f"<h2>{name}</h2>", _html_table(header, body)]
     style = (
         "body{font-family:sans-serif;margin:2em}"
         "table{border-collapse:collapse;margin:1em 0}"
@@ -379,7 +314,7 @@ def render_html(rows: Iterable[ResultRow], *, run: str) -> str:
         "<!DOCTYPE html><html><head><meta charset='utf-8'>"
         f"<title>Sweep report: {html.escape(run)}</title>"
         f"<style>{style}</style></head><body>"
-        + "".join(sections) + "</body></html>"
+        + "".join(parts) + "</body></html>"
     )
 
 

@@ -26,7 +26,7 @@ Layout
 """
 
 from repro.hw.config import FingersConfig, FlexMinerConfig, MemoryConfig
-from repro.hw.api import simulate, speedup_grid, SimResult
+from repro.hw.api import simulate, speedup_grid
 
 __all__ = [
     "FingersConfig",
@@ -34,5 +34,4 @@ __all__ = [
     "MemoryConfig",
     "simulate",
     "speedup_grid",
-    "SimResult",
 ]

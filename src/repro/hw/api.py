@@ -19,7 +19,6 @@ from repro.graph.csr import CSRGraph
 from repro.hw.config import FingersConfig, FlexMinerConfig, MemoryConfig
 
 __all__ = [
-    "SimResult",
     "simulate",
     "speedup_grid",
     "resolve_workload",
@@ -27,12 +26,6 @@ __all__ = [
     "FlexMinerConfig",
     "MemoryConfig",
 ]
-
-#: Simulation outcomes are the unified result type; the old name
-#: survives as an alias.  ``result.chip`` still yields the bare
-#: chip-level record (workload identity stripped).
-SimResult = RunResult
-
 
 def simulate(
     graph: CSRGraph,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from repro.core.result import RunResult, merge_run_results
+from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
 from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import FingersConfig, FlexMinerConfig, MemoryConfig
@@ -25,23 +25,7 @@ from repro.hw.optrace import TRACE_BUDGET_BYTES
 from repro.hw.pe import BasePE, FingersPE
 from repro.pattern.plan import ExecutionPlan
 
-__all__ = ["ChipResult", "run_chip", "merge_chip_results"]
-
-#: Chip runs produce the unified result type; the old name survives as
-#: an alias (``pe_stats``, ``combined``, ``shared_cache``, ... resolve
-#: through :class:`repro.core.result.RunResult`'s compatibility surface).
-ChipResult = RunResult
-
-
-def merge_chip_results(results: Sequence[RunResult]) -> RunResult:
-    """Combine per-shard chip results with exact semantics.
-
-    Alias of :func:`repro.core.result.merge_run_results`, kept for the
-    hardware layer's public surface: counts and every traffic counter
-    merge by addition, per-PE records concatenate, ``cycles`` is the
-    makespan of the slowest shard.
-    """
-    return merge_run_results(results)
+__all__ = ["run_chip"]
 
 
 def _make_pes(
@@ -70,7 +54,7 @@ def run_chip(
     roots: Iterable[int] | None = None,
     schedule: str = "dynamic",
     tracer=None,
-) -> ChipResult:
+) -> RunResult:
     """Simulate one mining job on one chip.
 
     ``roots`` restricts the job to the given level-0 vertices (sampled

@@ -8,8 +8,8 @@ Two things live here:
   of :mod:`repro.setops.segmented`;
 * the process-wide dispatch counters (:func:`kernel_counters`) that the
   frontier engine, the segmented kernels and :class:`KernelContext`
-  tally into, surfaced by ``python -m repro.bench --profile-kernels``
-  and recorded per sweep cell.
+  tally into, recorded per sweep cell (the ``dispatch`` column of
+  ``repro exp run`` rows).
 
 The recursive engine applies every plan op through the merge primitives
 of :mod:`repro.setops.merge` (via :class:`KernelContext`, which only
@@ -50,7 +50,7 @@ ENGINE_NAMES = ("frontier", "recursive")
 
 # ----------------------------------------------------------------------
 # Dispatch counters (process-wide; workers of a sharded run each keep
-# their own, so --profile-kernels reports the driver process only).
+# their own).
 # ----------------------------------------------------------------------
 
 _COUNTERS: dict[str, int] = {}

@@ -24,8 +24,6 @@ exactly, like every other executor in this repository.
 from repro.sw.config import SoftwareConfig
 from repro.sw.miner import (
     SoftwareMiner,
-    SoftwareResult,
-    merge_software_results,
     simulate_software,
 )
 
@@ -33,6 +31,4 @@ __all__ = [
     "SoftwareConfig",
     "SoftwareMiner",
     "simulate_software",
-    "SoftwareResult",
-    "merge_software_results",
 ]

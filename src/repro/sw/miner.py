@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Sequence
 
-from repro.core.result import RunResult, merge_run_results
+from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
 from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import MemoryConfig
@@ -29,12 +29,7 @@ from repro.hw.optrace import OpTrace
 from repro.hw.pe import BasePE
 from repro.sw.config import SoftwareConfig
 
-__all__ = [
-    "SoftwareMiner",
-    "SoftwareResult",
-    "simulate_software",
-    "merge_software_results",
-]
+__all__ = ["SoftwareMiner", "simulate_software"]
 
 #: LLC hit latency in core cycles (deeper hierarchy than the
 #: accelerator's dedicated shared cache).
@@ -107,24 +102,6 @@ class _Core(BasePE):
         return len(self._stack)
 
 
-#: Software runs produce the unified result type; the old name survives
-#: as an alias (``core_stats``, ``llc``, ``total_steals``, ... resolve
-#: through :class:`repro.core.result.RunResult`'s compatibility surface).
-SoftwareResult = RunResult
-
-
-def merge_software_results(
-    results: Sequence[RunResult],
-) -> RunResult:
-    """Combine per-shard software runs with exact semantics.
-
-    Alias of :func:`repro.core.result.merge_run_results`: counts,
-    traffic counters, and steals sum; core stats concatenate; ``cycles``
-    is the slowest shard's makespan.
-    """
-    return merge_run_results(results)
-
-
 class SoftwareMiner:
     """Driver: schedules roots over cores, with optional work stealing."""
 
@@ -141,7 +118,7 @@ class SoftwareMiner:
         base_mem = memcfg or MemoryConfig()
         self.memcfg = base_mem.with_shared_cache(config.llc_bytes)
 
-    def run(self, roots: Iterable[int] | None = None) -> SoftwareResult:
+    def run(self, roots: Iterable[int] | None = None) -> RunResult:
         llc = SectoredLRUCache(self.memcfg.shared_cache_bytes, name="llc")
         dram = DRAMModel(self.memcfg)
         trace = _Core.new_trace(self.graph, self.plans, self.config, self.memcfg)

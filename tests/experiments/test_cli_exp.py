@@ -1,4 +1,4 @@
-"""The ``repro exp`` CLI: run / report / diff / list / migrate."""
+"""The ``repro exp`` CLI: run / report / diff / list."""
 
 import dataclasses
 import json
@@ -109,19 +109,6 @@ class TestReportListDiff:
         assert (out_dir / "clismoke.md").exists()
         assert not (out_dir / "clismoke.html").exists()
 
-
-class TestMigrate:
-    def test_migrate_populates_baselines(self, capsys):
-        assert main(["exp", "migrate",
-                     "--results", "benchmarks/results"]) == 0
-        out = capsys.readouterr().out
-        assert "kernels-baseline" in out
-        assert "fig10-baseline" in out
-        store = ResultStore()
-        assert len(store.load("fig10-baseline")) == 42
-
-    def test_migrate_empty_dir(self, tmp_path, capsys):
-        empty = tmp_path / "nothing"
-        empty.mkdir()
-        assert main(["exp", "migrate", "--results", str(empty)]) == 0
-        assert "no legacy result files" in capsys.readouterr().out
+    def test_migrate_is_retired(self):
+        with pytest.raises(SystemExit):
+            main(["exp", "migrate"])

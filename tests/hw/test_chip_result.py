@@ -1,4 +1,4 @@
-"""Tests for ChipResult derived metrics and run_chip edge cases."""
+"""Tests for chip-run result metrics and run_chip edge cases."""
 
 import pytest
 

@@ -66,7 +66,7 @@ class TestInefficiency3Imbalance:
         g = star_graph(300)
         res = simulate(g, "wedge", FlexMinerConfig(num_pes=8))
         # The hub root's tree dwarfs every leaf-rooted tree.
-        busy = sorted((s.busy_cycles for s in res.chip.pe_stats), reverse=True)
+        busy = sorted((s.busy_cycles for s in res.units), reverse=True)
         others_avg = sum(busy[1:]) / len(busy[1:])
         assert busy[0] > 3 * others_avg
 

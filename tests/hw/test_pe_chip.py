@@ -132,8 +132,8 @@ class TestStatsWellFormed:
 
     def test_pe_finish_times(self):
         r = simulate(SMALL, "tc", FingersConfig(num_pes=3))
-        assert len(r.chip.pe_finish_times) == 3
-        assert max(r.chip.pe_finish_times) == r.cycles
+        assert len(r.unit_finish_times) == 3
+        assert max(r.unit_finish_times) == r.cycles
 
 
 class TestAutoGroupSize:

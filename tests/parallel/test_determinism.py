@@ -8,6 +8,7 @@ docs/PARALLELISM.md).
 
 import pytest
 
+from repro.core.result import merge_run_results
 from repro.graph import erdos_renyi
 from repro.hw.api import (
     FingersConfig,
@@ -15,7 +16,7 @@ from repro.hw.api import (
     resolve_workload,
     simulate,
 )
-from repro.hw.chip import merge_chip_results, run_chip
+from repro.hw.chip import run_chip
 from repro.mining.api import count, embeddings, motif_census, plan_for
 from repro.mining.engine import count_embeddings, per_root_counts
 from repro.parallel import shard_roots, sharded_run_chip
@@ -100,7 +101,7 @@ class TestChipDeterminism:
         cfg = FingersConfig(num_pes=2)
         _, plans, _ = resolve_workload("tc")
         shards = shard_roots(small_random, None, 5)
-        manual = merge_chip_results(
+        manual = merge_run_results(
             [
                 run_chip(small_random, plans, cfg, roots=shard)
                 for shard in shards
@@ -117,10 +118,10 @@ class TestChipDeterminism:
             run_chip(small_random, plans, cfg, roots=shard)
             for shard in shards
         ]
-        merged = merge_chip_results(parts)
+        merged = merge_run_results(parts)
         assert merged.cycles == max(p.cycles for p in parts)
         assert merged.num_shards == len(parts)
-        assert len(merged.pe_stats) == sum(len(p.pe_stats) for p in parts)
+        assert len(merged.units) == sum(len(p.units) for p in parts)
 
     def test_sharded_run_chip_single_shard_is_plain(self, small_random):
         cfg = FingersConfig(num_pes=2)

@@ -12,8 +12,8 @@ SMALL = erdos_renyi(40, 0.3, seed=55)
 class TestSoftwareResult:
     def test_core_stats_per_core(self):
         res = simulate_software(SMALL, "tc", SoftwareConfig(num_cores=5))
-        assert len(res.core_stats) == 5
-        assert res.combined.tasks == sum(s.tasks for s in res.core_stats)
+        assert len(res.units) == 5
+        assert res.combined.tasks == sum(s.tasks for s in res.units)
 
     def test_load_imbalance_one_core(self):
         res = simulate_software(SMALL, "tc", SoftwareConfig(num_cores=1))
