@@ -214,17 +214,12 @@ class CSRGraph:
         """
         cached = self._adj_bitmap_cache
         if cached is None:
-            n = self.num_vertices
-            words_per_row = (n + 63) // 64
-            flat = np.zeros(n * words_per_row, dtype=np.uint64)
-            if self._indices.size:
-                vertex_of = np.repeat(
-                    np.arange(n, dtype=np.int64), np.diff(self._indptr)
-                )
-                word = vertex_of * words_per_row + (self._indices >> 6)
-                bit = np.uint64(1) << (self._indices & 63).astype(np.uint64)
-                np.bitwise_or.at(flat, word, bit)
-            cached = flat.reshape(n, words_per_row)
+            from repro.setops.segmented import SegmentedSet, row_bitsets
+
+            cached = row_bitsets(
+                SegmentedSet(self._indices, self._indptr),
+                (self.num_vertices + 63) // 64,
+            )
             cached.setflags(write=False)
             self._adj_bitmap_cache = cached
         return cached

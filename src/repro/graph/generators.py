@@ -58,19 +58,24 @@ def erdos_renyi(n: int, p: float, *, seed: int = 0) -> CSRGraph:
         total = n * (n - 1) // 2
         idx = -1
         log1mp = np.log1p(-p) if p < 1.0 else None
-        while True:
-            if p >= 1.0:
-                idx += 1
-            else:
-                r = rng.random()
-                idx += 1 + int(np.floor(np.log1p(-r) / log1mp))
-            if idx >= total:
-                break
-            # Convert linear index to (u, v), u < v.
-            u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * idx)) // 2)
-            base = u * (2 * n - u - 1) // 2
-            v = u + 1 + (idx - base)
-            edges.append((u, int(v)))
+        # A tiny p overflows the gap to inf, which ends the walk.
+        with np.errstate(over="ignore"):
+            while True:
+                if p >= 1.0:
+                    idx += 1
+                else:
+                    r = rng.random()
+                    gap = np.floor(np.log1p(-r) / log1mp)
+                    if gap >= total - idx - 1:
+                        break
+                    idx += 1 + int(gap)
+                if idx >= total:
+                    break
+                # Convert linear index to (u, v), u < v.
+                u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * idx)) // 2)
+                base = u * (2 * n - u - 1) // 2
+                v = u + 1 + (idx - base)
+                edges.append((u, int(v)))
     return from_edges(edges, num_vertices=n)
 
 

@@ -7,6 +7,8 @@ The text format is the de-facto SNAP format (one ``u v`` pair per line,
 from __future__ import annotations
 
 import os
+import zipfile
+import zlib
 from typing import Union
 
 import numpy as np
@@ -17,6 +19,14 @@ from repro.graph.csr import CSRGraph
 __all__ = ["save_edge_list", "load_edge_list", "save_npz", "load_npz"]
 
 PathLike = Union[str, "os.PathLike[str]"]
+
+#: Vertex ids are stored as int32, so a graph has at most this many.
+_MAX_VERTICES = int(np.iinfo(np.int32).max)
+
+#: What a damaged ``.npz`` can raise while numpy and zipfile decode it.
+_ARCHIVE_ERRORS = (
+    zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError,
+)
 
 
 def save_edge_list(graph: CSRGraph, path: PathLike) -> None:
@@ -32,8 +42,14 @@ def load_edge_list(path: PathLike, *, num_vertices: int | None = None) -> CSRGra
     """Read a SNAP-style edge list.
 
     Lines starting with ``#`` or ``%`` are comments.  Duplicate edges,
-    reversed duplicates, and self loops are tolerated and cleaned.
+    reversed duplicates, and self loops are tolerated and cleaned.  A
+    line that is not two integer vertex ids, a negative id, or an id
+    outside ``num_vertices`` (or past the int32 id range) raises
+    ``ValueError`` naming ``path:lineno``.
     """
+    if num_vertices is not None and num_vertices < 0:
+        raise ValueError(f"num_vertices must be non-negative, got {num_vertices}")
+    limit = _MAX_VERTICES if num_vertices is None else num_vertices
     edges: list[tuple[int, int]] = []
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -43,7 +59,21 @@ def load_edge_list(path: PathLike, *, num_vertices: int | None = None) -> CSRGra
             parts = line.split()
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected 'u v', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+            try:
+                edge = (int(parts[0]), int(parts[1]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: vertex ids must be integers, got {line!r}"
+                ) from None
+            for x in edge:
+                if x < 0:
+                    raise ValueError(f"{path}:{lineno}: negative vertex id {x}")
+                if x >= limit:
+                    raise ValueError(
+                        f"{path}:{lineno}: vertex id {x} out of range "
+                        f"for {limit} vertices"
+                    )
+            edges.append(edge)
     return from_edges(edges, num_vertices=num_vertices)
 
 
@@ -55,11 +85,28 @@ def save_npz(graph: CSRGraph, path: PathLike) -> None:
 def load_npz(path: PathLike) -> CSRGraph:
     """Load a graph previously written by :func:`save_npz`.
 
-    The archive is validated like any other input (sorted, symmetric,
-    in-range neighbor lists without self loops, a consistent ``indptr``):
-    a corrupt file raises ``ValueError`` instead of yielding wrong counts.
+    The archive is validated like any other input (integer arrays,
+    sorted, symmetric, in-range neighbor lists without self loops, a
+    consistent ``indptr``): a corrupt file raises ``ValueError``
+    instead of yielding wrong counts.
     """
-    with np.load(path) as data:
-        if "indptr" not in data or "indices" not in data:
-            raise ValueError(f"{path} is not a repro graph archive")
-        return CSRGraph(data["indptr"], data["indices"])
+    with open(path, "rb") as f:
+        try:
+            data = np.load(f, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValueError(f"{path} is not a repro graph archive")
+            with data:
+                if "indptr" not in data or "indices" not in data:
+                    raise ValueError(f"{path} is not a repro graph archive")
+                indptr, indices = data["indptr"], data["indices"]
+        except _ARCHIVE_ERRORS as exc:
+            raise ValueError(f"{path}: corrupt graph archive ({exc})") from exc
+    for name, arr, dtype in (
+        ("indptr", indptr, np.int64), ("indices", indices, np.int32)
+    ):
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"{path}: {name} must be integers, got {arr.dtype}")
+        info = np.iinfo(dtype)
+        if arr.size and (arr.min() < info.min or arr.max() > info.max):
+            raise ValueError(f"{path}: {name} values do not fit {info.dtype}")
+    return CSRGraph(indptr, indices)

@@ -38,6 +38,18 @@ frontier_budget_bytes``, the frontier is processed in contiguous row
 chunks — identical counts for every budget, only peak memory changes
 (docs/KERNELS.md, "Frontier engine").
 
+The fused probe has two paths.  The element path checks each child's
+candidates one by one through the segmented membership kernels.  The
+word path treats candidate sets as ``ceil(|V| / 64)`` uint64 words:
+each parent row's fixed-op result becomes one bitset (its fixed bounds
+and excludes applied once), and each child counts
+``popcount(parent & A[child])`` against its adjacency-bitmap row
+(``& ~A[child]`` when subtracting; its own bound as a greater-than
+mask).  The word path runs when the membership dispatch picks
+``bitmap`` (so a forced ``edgekey``/``bisect`` keeps the element path)
+and ``children × words`` does not exceed the element probes; chunks
+are budgeted at ``4 × words × 8`` bytes per child.
+
 Everything here is functional-only: counts are bit-identical to the
 recursive oracle for every policy, and dispatch decisions are pure
 functions of sizes/policy so sanitized double runs trace identically.
@@ -65,9 +77,12 @@ __all__ = [
     "run_level_ops",
 ]
 
-#: Working-set estimate per element of a fused terminal probe (value,
-#: owner, row id, membership keys and mask, slack).
+#: Working-set estimate per element of the fused terminal probe's
+#: element path (value, owner, row id, membership keys and mask, slack).
 _FLAT_BYTES = 40
+#: Working-set estimate per child and bitset word of the word-parallel
+#: terminal probe (parent bitset, adjacency row, bound mask, result).
+_WORD_BYTES = 4 * 8
 
 
 @dataclass
@@ -397,8 +412,9 @@ class FrontierEngine:
 
         The chain's fixed (child-independent) ops commute with its one
         ``N(child)`` op, so they run segmented over the *parent* rows
-        once, then one flat membership/bounds pass over
-        each child's candidate slice yields the surviving counts.
+        once.  Then either the word path (:meth:`_terminal_words`) or
+        one flat membership/bounds pass over each child's candidate
+        slice yields the surviving counts.
         """
         graph, plan, policy = self.graph, self.plan, self.policy
         info = self.terminal
@@ -458,6 +474,19 @@ class FrontierEngine:
             weights = indptr[cand.values + 1] - indptr[cand.values]
         else:
             weights = s_prime.lengths[child_parent]
+        # Words cost ``children × words`` regardless of how many
+        # candidates survive; elements cost one probe per candidate.
+        probes = int(weights.sum())
+        words = (graph.num_vertices + 63) >> 6
+        if (
+            cand.total * words <= probes
+            and sg.pick_segment_kernel(graph, probes, policy) == "bitmap"
+        ):
+            self._terminal_words(
+                cols, root_rows, cand, child_parent, s_prime, mask_ops,
+                fb, fixed_excludes, self_bound, self_exclude,
+            )
+            return
         chunks = _chunk_ranges(
             weights * _FLAT_BYTES, self.policy.frontier_budget_bytes
         )
@@ -511,6 +540,73 @@ class FrontierEngine:
                 counts += np.bincount(
                     root_rows[hit_rows], minlength=counts.size
                 )
+
+    def _terminal_words(
+        self,
+        cols: list[np.ndarray],
+        root_rows: np.ndarray,
+        cand: sg.SegmentedSet,
+        child_parent: np.ndarray,
+        s_prime: sg.SegmentedSet | None,
+        mask_ops: list[tuple[OpKind, int]],
+        fb: np.ndarray | None,
+        fixed_excludes: list[int],
+        self_bound: bool,
+        self_exclude: bool,
+    ) -> None:
+        """The word-parallel fused terminal probe.
+
+        Each parent row becomes one bitset ``P`` of its fixed-op result
+        (``copy`` mode: the AND of its mask ops' adjacency rows), with
+        the fixed bounds and excludes applied once; each child then
+        counts ``popcount(P & A[child])`` (``& ~A[child]`` when
+        subtracting) under its own bound and exclude.
+        """
+        mode = self.terminal.mode
+        adj = self.graph.adjacency_bitmap()
+        words = adj.shape[1]
+        step = max(
+            1, self.policy.frontier_budget_bytes // (_WORD_BYTES * words)
+        )
+        chunk_starts = range(0, cand.total, step)
+        if len(chunk_starts) > 1:
+            _tally("frontier/spill_chunks", len(chunk_starts))
+        counts = self._counts
+        for ja in chunk_starts:
+            _tally("seg_fused/bitmap")
+            cp = child_parent[ja : ja + step]
+            cv = cand.values[ja : ja + step]
+            starts = np.flatnonzero(
+                np.concatenate(([True], cp[1:] != cp[:-1]))
+            )
+            parents = cp[starts]
+            if mode == "copy":
+                bits = np.full((parents.size, words), sg.ALL_BITS)
+                for kind, d in mask_ops:
+                    nb = adj[cols[d][parents]]
+                    if kind is not OpKind.INTERSECT:
+                        np.invert(nb, out=nb)
+                    bits &= nb
+            else:
+                bits = sg.row_bitsets(s_prime.take_rows(parents), words)
+            if fb is not None:
+                bits &= sg.gt_mask(fb[parents], words)
+            for d in fixed_excludes:
+                sg.clear_bits(bits, cols[d][parents])
+            hits = np.repeat(bits, np.diff(starts, append=cp.size), axis=0)
+            nb = adj[cv]
+            if mode == "subtract":
+                np.invert(nb, out=nb)
+            hits &= nb
+            if self_bound:
+                hits &= sg.gt_mask(cv, words)
+            if self_exclude and mode == "subtract":
+                sg.clear_bits(hits, cv)
+            # Popcounts summed per parent, then per root.
+            per_parent = np.add.reduceat(
+                np.bitwise_count(hits).ravel(), starts * words, dtype=np.int64
+            )
+            np.add.at(counts, root_rows[parents], per_parent)
 
 
 def frontier_per_root_counts(

@@ -27,6 +27,12 @@ interchangeable kernels:
     table, the fallback for small batches where building/loading a
     table cannot amortize.
 
+Word-parallel helpers (:func:`row_bitsets`, :func:`gt_mask`,
+:func:`clear_bits`) treat a candidate set as ``ceil(|V| / 64)`` uint64
+words instead of single elements, the bit-vector set-op idea of SISA
+and G2Miner (PAPERS.md); the frontier engine's fused terminal probe
+ANDs and popcounts them against adjacency-bitmap rows.
+
 **Contract (docs/KERNELS.md): kernel choice is functional-only.**  Every
 kernel returns the identical membership mask, so counts, dispatch-traced
 results, and the timing models are unchanged for every policy.  The
@@ -63,10 +69,15 @@ __all__ = [
     "compress",
     "concat",
     "pick_segment_kernel",
+    "row_bitsets",
+    "gt_mask",
+    "clear_bits",
 ]
 
 _EMPTY_VALUES = np.empty(0, dtype=np.int32)
 _EMPTY_OFFSETS = np.zeros(1, dtype=np.int64)
+#: A uint64 word with every bit set.
+ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
 #: Below this many queries the per-query ``O(log max_degree)`` bisect
 #: kernel beats loading the edge-key table into cache.
@@ -309,3 +320,49 @@ def subtract_neighbors(
         graph, source.values, owners, policy, op="subtract"
     )
     return compress(source, ~member)
+
+
+# ----------------------------------------------------------------------
+# Word-parallel bitsets
+# ----------------------------------------------------------------------
+
+
+def row_bitsets(seg: SegmentedSet, words: int) -> np.ndarray:
+    """Every row as a uint64 bitset: a ``(rows, words)`` array whose
+    row ``r`` has bit ``v`` set iff ``v`` is in ``seg`` row ``r``.
+
+    Rows are sorted, so the ``(row, word)`` keys of the elements are
+    already sorted and one ``bitwise_or.reduceat`` packs each key's
+    bits.
+    """
+    out = np.zeros(seg.rows * words, dtype=np.uint64)
+    if seg.total:
+        vals = seg.values
+        keys = seg.row_ids() * words + (vals >> 6)
+        bits = np.uint64(1) << (vals & 63).astype(np.uint64)
+        starts = np.flatnonzero(
+            np.concatenate(([True], keys[1:] != keys[:-1]))
+        )
+        out[keys[starts]] = np.bitwise_or.reduceat(bits, starts)
+    return out.reshape(seg.rows, words)
+
+
+def gt_mask(bounds: np.ndarray, words: int) -> np.ndarray:
+    """``(len(bounds), words)`` uint64 masks; row ``i`` has every bit
+    ``v > bounds[i]`` set (the word form of a lower bound)."""
+    bounds = np.asarray(bounds, dtype=np.int64)
+    word = bounds >> 6
+    out = np.where(
+        np.arange(words) > word[:, None], ALL_BITS, np.uint64(0)
+    )
+    # Two shifts: bits above position b, without shifting by 64 at b=63.
+    shift = (bounds & 63).astype(np.uint64)
+    out[np.arange(bounds.size), word] = (ALL_BITS << shift) << np.uint64(1)
+    return out
+
+
+def clear_bits(bitsets: np.ndarray, verts: np.ndarray) -> None:
+    """Clear bit ``verts[i]`` of ``bitsets`` row ``i``, in place."""
+    verts = np.asarray(verts, dtype=np.int64)
+    bit = np.uint64(1) << (verts & 63).astype(np.uint64)
+    bitsets[np.arange(verts.size), verts >> 6] &= ~bit

@@ -83,6 +83,25 @@ class TestIO:
         with pytest.raises(ValueError, match="expected"):
             load_edge_list(path)
 
+    @pytest.mark.parametrize(
+        "text, kw, match",
+        [
+            ("0 1\n1 x\n", {}, r"bad\.txt:2: vertex ids must be integers"),
+            ("0 1\n\n1.5 2\n", {}, r"bad\.txt:3: vertex ids must be integers"),
+            ("# c\n2 -1\n", {}, r"bad\.txt:2: negative vertex id -1"),
+            ("0 1\n1 4\n", {"num_vertices": 3},
+             r"bad\.txt:2: vertex id 4 out of range for 3 vertices"),
+            ("0 3000000000\n", {}, r"bad\.txt:1: vertex id 3000000000 out of range"),
+        ],
+        ids=["non-integer", "float", "negative", "num-vertices-too-small",
+             "past-int32"],
+    )
+    def test_edge_list_errors_name_the_line(self, tmp_path, text, kw, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_edge_list(path, **kw)
+
     def test_npz_roundtrip(self, tmp_path, small_random):
         path = tmp_path / "g.npz"
         save_npz(small_random, path)

@@ -27,6 +27,11 @@ class TestErdosRenyi:
     def test_p_zero_empty(self):
         assert erdos_renyi(50, 0.0, seed=0).num_edges == 0
 
+    @pytest.mark.parametrize("p", [5e-324, 2.2e-309, 1e-300])
+    def test_subnormal_p_skips_past_every_pair(self, p):
+        # The geometric gap overflows to inf; it must end the walk.
+        assert erdos_renyi(63, p, seed=0).num_edges == 0
+
     def test_p_one_complete(self):
         g = erdos_renyi(10, 1.0, seed=0)
         assert g.num_edges == 45

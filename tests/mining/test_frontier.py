@@ -1,13 +1,16 @@
-"""Frontier engine: spill invariance, edge cases, and the shared trunk.
+"""Frontier engine: spill invariance, edge cases, the word-parallel
+terminal probe, and the shared trunk.
 
 The agreement sweep (test_kernel_agreement.py) covers the full
 pattern × policy matrix; this file targets the frontier-specific
 machinery — budget chunking never changing counts (property-based),
-degenerate inputs, the lazy state carry, and the multi-pattern
-shared level-0 trunk.
+degenerate inputs, the word path of the fused terminal level and its
+dispatch, the lazy state carry, and the multi-pattern shared level-0
+trunk.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +20,7 @@ from repro.mining.engine import count_embeddings, count_multi, per_root_counts
 from repro.mining.frontier import FrontierEngine, _chunk_ranges
 from repro.pattern.compiler import compile_plan
 from repro.pattern.multipattern import compile_multi_plan, motif_patterns
-from repro.pattern.pattern import named_pattern
+from repro.pattern.pattern import all_named_patterns, named_pattern
 from repro.setops.kernels import (
     KernelPolicy,
     kernel_counters,
@@ -112,6 +115,142 @@ class TestEdgeCases:
         full = engine.per_root_counts(range(GRAPH.num_vertices))
         half = engine.per_root_counts(range(0, GRAPH.num_vertices, 2))
         assert np.array_equal(half, full[::2])
+
+
+#: Mining orders whose last vertex hangs off the penultimate one only,
+#: making the terminal chain an ``INIT_COPY``.
+_COPY_ORDERS = {"tt": [(1, 2, 0, 3)], "wedge": [(1, 0, 2)], "3path": [(0, 1, 2, 3)]}
+
+
+def _terminal_cases() -> list[tuple[str, tuple[int, ...] | None, bool]]:
+    """``(pattern, order, vertex_induced)`` for every built-in whose
+    penultimate level is batchable, plus the explicit orders that make
+    the chain an ``INIT_COPY`` (no built-in default order does)."""
+    cases = []
+    for induced in (True, False):
+        for name in sorted(all_named_patterns()):
+            for order in (None, *_COPY_ORDERS.get(name, ())):
+                plan = compile_plan(
+                    named_pattern(name), order=order, vertex_induced=induced
+                )
+                k = plan.num_levels
+                if k >= 3 and plan.chain_info(k - 2).batchable:
+                    cases.append((name, order, induced))
+    return cases
+
+
+_TERMINAL_CASES = _terminal_cases()
+
+
+def _case_id(case) -> str:
+    name, order, induced = case
+    shape = "auto" if order is None else "".join(map(str, order))
+    return f"{name}-{shape}-{'vertex' if induced else 'edge'}"
+
+
+def _terminal_plan(case):
+    name, order, induced = case
+    return compile_plan(named_pattern(name), order=order, vertex_induced=induced)
+
+
+def _spy_words(monkeypatch) -> list[int]:
+    """Record each word-path invocation (its child count)."""
+    calls: list[int] = []
+    real = FrontierEngine._terminal_words
+
+    def spy(self, cols, root_rows, cand, *rest):
+        calls.append(cand.total)
+        return real(self, cols, root_rows, cand, *rest)
+
+    monkeypatch.setattr(FrontierEngine, "_terminal_words", spy)
+    return calls
+
+
+class TestWordProbe:
+    """The fused terminal level's word-parallel path (bitset AND +
+    popcount) against the element path and the recursive oracle."""
+
+    def test_cases_cover_every_chain_mode(self):
+        plans = [_terminal_plan(c) for c in _TERMINAL_CASES]
+        modes = {p.chain_info(p.num_levels - 2).mode for p in plans}
+        assert modes == {"copy", "intersect", "subtract"}
+        assert {c[2] for c in _TERMINAL_CASES} == {True, False}
+
+    @given(
+        case=st.sampled_from(_TERMINAL_CASES),
+        n=st.sampled_from([1, 63, 64, 65, 127, 129]),
+        p=st.floats(0.0, 0.15),
+        seed=st.integers(0, 1 << 16),
+        budget=st.integers(1, 1 << 20),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_word_path_matches_element_path_and_oracle(
+        self, case, n, p, seed, budget
+    ):
+        graph = erdos_renyi(n, p, seed=seed)
+        plan = _terminal_plan(case)
+        roots = range(n)
+        oracle = [c for _, c in per_root_counts(graph, plan, kernels=RECURSIVE)]
+        words = FrontierEngine(graph, plan, _frontier(budget))
+        elements = FrontierEngine(
+            graph, plan, _frontier(budget, force_segment_kernel="edgekey")
+        )
+        assert list(words.per_root_counts(roots)) == oracle
+        assert list(elements.per_root_counts(roots)) == oracle
+
+    @pytest.mark.parametrize("case", _TERMINAL_CASES, ids=_case_id)
+    def test_every_case_takes_the_word_path_on_a_dense_graph(
+        self, case, monkeypatch
+    ):
+        graph = erdos_renyi(129, 0.3, seed=5)
+        plan = _terminal_plan(case)
+        calls = _spy_words(monkeypatch)
+        got = FrontierEngine(graph, plan).per_root_counts(range(129))
+        assert calls
+        elements = FrontierEngine(
+            graph, plan, _frontier(force_segment_kernel="edgekey")
+        ).per_root_counts(range(129))
+        assert len(calls) == 1
+        assert np.array_equal(got, elements)
+
+    def test_house_on_er_takes_the_word_path(self, monkeypatch):
+        calls = _spy_words(monkeypatch)
+        reset_kernel_counters()
+        count_embeddings(GRAPH, compile_plan(named_pattern("house")))
+        assert calls
+        assert kernel_counters().get("seg_fused/bitmap", 0) >= len(calls)
+
+    @pytest.mark.parametrize("kernel", ["edgekey", "bisect"])
+    def test_forced_kernel_keeps_the_element_path(self, kernel, monkeypatch):
+        calls = _spy_words(monkeypatch)
+        reset_kernel_counters()
+        plan = compile_plan(named_pattern("house"))
+        count_embeddings(
+            GRAPH, plan, kernels=_frontier(force_segment_kernel=kernel)
+        )
+        assert not calls
+        assert kernel_counters().get(f"seg_fused/{kernel}", 0) > 0
+
+    def test_words_beyond_probes_keep_the_element_path(self, monkeypatch):
+        # 2000 vertices at average degree ~4: each child's fixed-op
+        # result is a few elements, far fewer than its 32 words.
+        sparse = erdos_renyi(2000, 0.002, seed=3)
+        calls = _spy_words(monkeypatch)
+        reset_kernel_counters()
+        plan = compile_plan(named_pattern("tt"))
+        got = count_embeddings(sparse, plan)
+        assert not calls
+        assert kernel_counters().get("frontier/fused_invocations", 0) > 0
+        assert got == count_embeddings(sparse, plan, kernels=RECURSIVE)
+
+    def test_tiny_budget_chunks_the_word_path(self, monkeypatch):
+        calls = _spy_words(monkeypatch)
+        reset_kernel_counters()
+        plan = compile_plan(named_pattern("house"))
+        got = count_embeddings(GRAPH, plan, kernels=_frontier(budget=64))
+        assert calls
+        assert kernel_counters().get("seg_fused/bitmap", 0) > len(calls)
+        assert got == count_embeddings(GRAPH, plan, kernels=RECURSIVE)
 
 
 class TestSharedTrunk:

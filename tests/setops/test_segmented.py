@@ -15,11 +15,14 @@ from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.setops.kernels import DEFAULT_POLICY, KernelPolicy
 from repro.setops.segmented import (
     SegmentedSet,
+    clear_bits,
     compress,
     gather_neighbors,
     intersect_neighbors,
     neighbor_membership,
+    gt_mask,
     pick_segment_kernel,
+    row_bitsets,
     subtract_neighbors,
 )
 
@@ -173,3 +176,56 @@ def test_membership_property(rows, seed):
     ]
     assert np.array_equal(masks[0], masks[1])
     assert np.array_equal(masks[0], masks[2])
+
+
+def _bit_members(bitsets: np.ndarray) -> list[list[int]]:
+    """Each bitset row back as its sorted member list."""
+    bits = np.unpackbits(
+        bitsets.astype("<u8").view(np.uint8), axis=1, bitorder="little"
+    )
+    return [list(np.flatnonzero(row)) for row in bits]
+
+
+class TestWordHelpers:
+    """The word-parallel bitset helpers behind the fused terminal probe,
+    on universes that end on, before and past a word boundary."""
+
+    @given(
+        n=st.sampled_from([1, 63, 64, 65, 127, 129]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_bitsets_round_trip(self, n, data):
+        rows = data.draw(
+            st.lists(st.sets(st.integers(0, n - 1)).map(sorted), max_size=6)
+        )
+        words = (n + 63) // 64
+        bits = row_bitsets(_seg_from_rows(rows), words)
+        assert bits.shape == (len(rows), words)
+        assert bits.dtype == np.uint64
+        assert _bit_members(bits) == rows
+
+    @given(
+        n=st.sampled_from([1, 63, 64, 65, 127, 129]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_gt_mask_and_clear_bits(self, n, data):
+        verts = np.array(
+            data.draw(st.lists(st.integers(0, n - 1), max_size=6)),
+            dtype=np.int64,
+        )
+        words = (n + 63) // 64
+        above = _bit_members(gt_mask(verts, words))
+        assert above == [list(range(v + 1, words * 64)) for v in verts]
+        full = np.full((verts.size, words), np.uint64(2**64 - 1))
+        clear_bits(full, verts)
+        assert _bit_members(full) == [
+            [b for b in range(words * 64) if b != v] for v in verts
+        ]
+
+    def test_bit_63_boundary(self):
+        mask = gt_mask(np.array([62, 63, 64]), 2)
+        assert list(mask[0]) == [np.uint64(1) << np.uint64(63), 2**64 - 1]
+        assert list(mask[1]) == [0, 2**64 - 1]
+        assert list(mask[2]) == [0, 2**64 - 2]
