@@ -16,7 +16,8 @@ Run:  python examples/software_vs_hardware.py
 
 from repro import FingersConfig, FlexMinerConfig, simulate
 from repro.graph import load_dataset
-from repro.sw import SoftwareConfig, simulate_software
+from repro.sw import SoftwareConfig
+from repro.sw.miner import simulate_software
 
 
 def main() -> None:

@@ -10,6 +10,9 @@ special-cased engine path.
 Each backend registers itself at import time; the registry imports this
 module lazily (:func:`repro.core.backend.get_backend`), so importing
 ``repro.core.backend`` alone stays free of simulator dependencies.
+This module imports the simulators eagerly: a process that resolves a
+backend then holds them before it forks pool workers, which would
+otherwise each import them again for every pool.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from typing import Iterable, Sequence
 
 from repro.core.backend import Backend, register_backend
 from repro.core.result import RunResult
+from repro.hw.chip import run_chip
 from repro.setops.kernels import KernelPolicy
+from repro.sw.miner import SoftwareMiner
 
 __all__ = [
     "FingersBackend",
@@ -47,8 +52,6 @@ class _HardwareBackend(Backend):
         schedule: str = "dynamic",
         tracer=None,
     ) -> RunResult:
-        from repro.hw.chip import run_chip
-
         return run_chip(
             graph, plans, config, memory,
             roots=roots, schedule=schedule, tracer=tracer,
@@ -134,8 +137,6 @@ class SoftwareBackend(Backend):
             raise ValueError(
                 "the software backend does not support event tracing"
             )
-        from repro.sw.miner import SoftwareMiner
-
         return SoftwareMiner(graph, plans, config, memory).run(roots)
 
     def config_from_args(self, args):

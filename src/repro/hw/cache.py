@@ -11,12 +11,20 @@ definition.
 
 The same structure models the per-PE private caches (candidate sets for
 FINGERS, staged neighbor lists for FlexMiner).
+
+:meth:`SectoredLRUCache.fetch_path` is the one shared-fetch path every
+PE model replays through: this cache, then DRAM on a miss, then the NoC.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
+
+if TYPE_CHECKING:
+    from repro.hw.memory import DRAMModel
+    from repro.hw.noc import NoCModel
 
 __all__ = ["CacheStats", "SectoredLRUCache", "merge_cache_stats"]
 
@@ -80,6 +88,44 @@ class SectoredLRUCache:
         self._insert(key, num_bytes)
         return False
 
+    def fetch_path(
+        self,
+        sizes: Sequence[int],
+        hit_latency: int,
+        dram: "DRAMModel",
+        noc: "NoCModel | None" = None,
+    ) -> Callable[[int, float], float]:
+        """``fetch(v, now)``: the completion time of fetching list ``v``.
+
+        Look ``v`` (of ``sizes[v]`` bytes) up here exactly as
+        :meth:`access` does; a hit is ready ``hit_latency`` cycles after
+        ``now``, a miss once ``dram`` delivers it plus ``hit_latency``.
+        The response then crosses ``noc`` unless it is ``None`` (ideal
+        wires).  One call per access: the replay loops' hottest path.
+        """
+        entries = self._entries
+        move_to_end = entries.move_to_end
+        insert = self._insert
+        dram_access = dram.access
+        transfer = None if noc is None else noc.transfer
+
+        def fetch(v: int, now: float) -> float:
+            stats = self.stats
+            stats.accesses += 1
+            if v in entries:
+                move_to_end(v)
+                done = now + hit_latency
+            else:
+                stats.misses += 1
+                num_bytes = sizes[v]
+                insert(v, num_bytes)
+                done = dram_access(now, num_bytes) + hit_latency
+            if transfer is None:
+                return done
+            return transfer(done, sizes[v])
+
+        return fetch
+
     def contains(self, key: object) -> bool:
         """Non-mutating membership probe (no stats, no LRU update)."""
         return key in self._entries
@@ -96,18 +142,20 @@ class SectoredLRUCache:
             self._used -= size
 
     def _insert(self, key: object, num_bytes: int) -> None:
-        if num_bytes > self.capacity_bytes:
+        capacity = self.capacity_bytes
+        if num_bytes > capacity:
             # Too large to be resident: streamed, never cached.
             return
-        while self._used + num_bytes > self.capacity_bytes and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._used -= evicted
-            self.stats.evictions += 1
-            self.stats.bytes_evicted += evicted
-        self._entries[key] = num_bytes
-        self._used += num_bytes
-        self.stats.insertions += 1
-        self.stats.bytes_inserted += num_bytes
+        entries, stats, used = self._entries, self.stats, self._used
+        while used + num_bytes > capacity and entries:
+            _, evicted = entries.popitem(last=False)
+            used -= evicted
+            stats.evictions += 1
+            stats.bytes_evicted += evicted
+        entries[key] = num_bytes
+        self._used = used + num_bytes
+        stats.insertions += 1
+        stats.bytes_inserted += num_bytes
 
     # ------------------------------------------------------------------
 

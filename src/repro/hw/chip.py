@@ -2,7 +2,8 @@
 
 The global scheduler hands search-tree roots to idle PEs (the
 coarse-grained, tree-level parallelism both designs share, section 3.1).
-PEs advance in time order, one task group per event, so their accesses to
+PEs advance in time order: each event runs the earliest PE ahead until
+another PE is due (:meth:`repro.hw.pe.BasePE.run`), so their accesses to
 the shared cache and DRAM interleave approximately as they would on the
 real chip.  The chip makespan — the finish time of the last PE — is the
 headline "cycles" number; load imbalance from power-law roots shows up as
@@ -22,7 +23,7 @@ from repro.hw.flexminer import FlexMinerPE
 from repro.hw.memory import DRAMModel
 from repro.hw.noc import NoCModel
 from repro.hw.optrace import TRACE_BUDGET_BYTES
-from repro.hw.pe import BasePE, FingersPE
+from repro.hw.pe import NO_BOUND, BasePE, FingersPE
 from repro.pattern.plan import ExecutionPlan
 
 __all__ = ["run_chip"]
@@ -91,31 +92,11 @@ def run_chip(
     if schedule not in ("dynamic", "static_interleave", "static_block"):
         raise ValueError(f"unknown schedule policy {schedule!r}")
 
-    finish = [0.0] * len(pes)
-    heap: list[tuple[float, int]] = []
-
+    # Each PE's source of trees: one shared queue (dynamic), or a queue
+    # per PE over its pre-assigned roots (static).
     trace = pes[0].trace
     if schedule == "dynamic":
-        trees = trace.trees(all_roots)
-        for pe in pes:
-            tree = next(trees, None)
-            if tree is None:
-                break
-            pe.assign_root(tree.root, 0.0, tree)
-            heapq.heappush(heap, (pe.now, pe.pe_id))
-        while heap:
-            _, pid = heapq.heappop(heap)
-            pe = pes[pid]
-            if pe.has_work():
-                pe.step()
-                heapq.heappush(heap, (pe.now, pid))
-                continue
-            tree = next(trees, None)
-            if tree is None:
-                finish[pid] = pe.now
-                continue
-            pe.assign_root(tree.root, pe.now, tree)
-            heapq.heappush(heap, (pe.now, pid))
+        sources = [trace.trees(all_roots)] * len(pes)
     else:
         assigned: list[list[int]] = [[] for _ in pes]
         if schedule == "static_interleave":
@@ -128,26 +109,26 @@ def run_chip(
         # Every PE walks its own root queue, so the trace budget is split
         # between the queues' chunks in flight.
         budget = TRACE_BUDGET_BYTES // len(pes)
-        queues = [trace.trees(a, budget_bytes=budget) for a in assigned]
-        for pe, q in zip(pes, queues):
-            tree = next(q, None)
-            if tree is None:
-                continue
+        sources = [trace.trees(a, budget_bytes=budget) for a in assigned]
+
+    finish = [0.0] * len(pes)
+    heap: list[tuple[float, int]] = []
+    for pe, source in zip(pes, sources):
+        tree = next(source, None)
+        if tree is not None:
             pe.assign_root(tree.root, 0.0, tree)
             heapq.heappush(heap, (pe.now, pe.pe_id))
-        while heap:
-            _, pid = heapq.heappop(heap)
-            pe = pes[pid]
-            if pe.has_work():
-                pe.step()
-                heapq.heappush(heap, (pe.now, pid))
-                continue
-            tree = next(queues[pid], None)
+    while heap:
+        _, pid = heapq.heappop(heap)
+        pe = pes[pid]
+        if not pe.has_work():
+            tree = next(sources[pid], None)
             if tree is None:
                 finish[pid] = pe.now
                 continue
             pe.assign_root(tree.root, pe.now, tree)
-            heapq.heappush(heap, (pe.now, pid))
+        pe.run(heap[0] if heap else NO_BOUND)
+        heapq.heappush(heap, (pe.now, pid))
 
     cycles = max(finish) if finish else 0.0
     counts = [0] * len(plans)

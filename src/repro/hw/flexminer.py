@@ -27,7 +27,7 @@ from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import FlexMinerConfig, MemoryConfig
 from repro.hw.memory import DRAMModel
 from repro.hw.optrace import OpTrace
-from repro.hw.pe import BasePE
+from repro.hw.pe import ONE_GROUP, BasePE
 
 __all__ = ["FlexMinerPE"]
 
@@ -66,52 +66,86 @@ class FlexMinerPE(BasePE):
         return OpTrace(graph, plans, memcfg)
 
     def step(self) -> float:
-        # Strict DFS: every group holds one task, so the group id is
-        # also the task id.
-        t = self._stack.pop()
-        ch = self._chunk
-        stats = self.stats
-        stats.task_groups += 1
-        t0 = self.now
+        """Process exactly one task."""
+        return self.run(ONE_GROUP)
+
+    def run(self, bound: tuple[float, int]) -> float:
+        """Replay tasks in strict DFS until another PE is due
+        (:meth:`BasePE.run`).  Every group holds one task, so the group
+        id is also the task id."""
+        horizon = self._horizon(bound)
+        pe_id, tracer, counts = self.pe_id, self.tracer, self.counts
+        fetch = self._fetch_shared
+        private_access = self.private_cache.access
         list_bytes = self._list_bytes
+        stack = self._stack
+        pop, extend = stack.pop, stack.extend
+        ch = self._chunk
+        g_plan, g_leaf = ch.g_plan, ch.g_leaf
+        g_push_lo, g_push_hi = ch.g_push_lo, ch.g_push_hi
+        fetch_ptr, fetch_v = ch.fetch_ptr, ch.fetch_v
+        refetch_ptr, refetch_v = ch.refetch_ptr, ch.refetch_v
+        task_compute = ch.compute
         capacity = self.config.private_cache_bytes
+        overhead = self.config.task_overhead_cycles
+        private_latency = self.memcfg.private_cache_hit_latency
+        st = self.stats
+        tasks, task_groups, fetches = st.tasks, st.task_groups, st.neighbor_fetches
+        stall_total, compute_total = st.stall_cycles, st.compute_cycles
+        overhead_total, busy = st.overhead_cycles, st.busy_cycles
+        found = st.embeddings_found
+        now = self.now
+        while True:
+            t = pop()
+            task_groups += 1
+            t0 = now
 
-        # Dependent fetch: the PE stalls until every operand list of
-        # this level is resident (inefficiency #1).
-        fetch_done = self.now
-        fetch_v = ch.fetch_v
-        for i in range(ch.fetch_ptr[t], ch.fetch_ptr[t + 1]):
-            v = fetch_v[i]
-            if self.private_cache.access(v, list_bytes[v]):
-                fetch_done = max(
-                    fetch_done, self.now + self.memcfg.private_cache_hit_latency
-                )
+            # Dependent fetch: the PE stalls until every operand list of
+            # this level is resident (inefficiency #1).
+            fetch_done = now
+            for v in fetch_v[fetch_ptr[t]:fetch_ptr[t + 1]]:
+                if private_access(v, list_bytes[v]):
+                    done = now + private_latency
+                else:
+                    fetches += 1
+                    done = fetch(v, now)
+                if done > fetch_done:
+                    fetch_done = done
+            stall = fetch_done - now
+            stall_total += stall
+            now = fetch_done
+
+            compute = task_compute[t]
+            refetch_penalty = 0.0
+            for v in refetch_v[refetch_ptr[t]:refetch_ptr[t + 1]]:
+                if list_bytes[v] > capacity:
+                    # Oversized list: each additional serial op streams
+                    # it from the shared cache again.
+                    fetches += 1
+                    refetch_penalty += fetch(v, now) - now
+            now += compute + refetch_penalty + overhead
+            tasks += 1
+            compute_total += compute
+            overhead_total += overhead
+            plan = g_plan[t]
+            if plan >= 0:
+                leaves = g_leaf[t]
+                counts[plan] += leaves
+                found += leaves
+                extend(range(g_push_lo[t], g_push_hi[t]))
             else:
-                fetch_done = max(fetch_done, self._fetch_shared(v, self.now))
-        stall = max(0.0, fetch_done - self.now)
-        stats.stall_cycles += stall
-        self.now = fetch_done
+                found += self._spawn_merged(t)
 
-        compute = ch.compute[t]
-        refetch_penalty = 0.0
-        refetch_v = ch.refetch_v
-        for i in range(ch.refetch_ptr[t], ch.refetch_ptr[t + 1]):
-            v = refetch_v[i]
-            if list_bytes[v] > capacity:
-                # Oversized list: each additional serial op streams it
-                # from the shared cache again.
-                refetch_penalty += self._fetch_shared(v, self.now) - self.now
-        task_cycles = compute + refetch_penalty + self.config.task_overhead_cycles
-        self.now += task_cycles
-        stats.tasks += 1
-        stats.compute_cycles += compute
-        stats.overhead_cycles += self.config.task_overhead_cycles
-        self._spawn(ch, t)
-
-        stats.busy_cycles += self.now - t0
-        if self.tracer is not None:
-            if stall > 0:
-                self.tracer.record(self.pe_id, t0, t0 + stall, "stall")
-            self.tracer.record(self.pe_id, t0 + stall, self.now, "group",
-                               "1 task")
-        return self.now
+            busy += now - t0
+            if tracer is not None:
+                if stall > 0:
+                    tracer.record(pe_id, t0, t0 + stall, "stall")
+                tracer.record(pe_id, t0 + stall, now, "group", "1 task")
+            if not stack or now >= horizon:
+                break
+        self.now = now
+        st.tasks, st.task_groups, st.neighbor_fetches = tasks, task_groups, fetches
+        st.stall_cycles, st.compute_cycles = stall_total, compute_total
+        st.overhead_cycles, st.busy_cycles = overhead_total, busy
+        st.embeddings_found = found
+        return now

@@ -51,14 +51,17 @@ class DRAMModel:
         """Issue a transfer at ``now``; return its completion time."""
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        start = max(now, self._free_at)
+        start = self._free_at
+        if now >= start:
+            start = now
         service = num_bytes / self._bytes_per_cycle
         done = start + self._latency + service
         self._free_at = start + service
-        self.stats.requests += 1
-        self.stats.bytes_transferred += num_bytes
-        self.stats.busy_cycles += service
-        self.stats.total_queue_delay += start - now
+        stats = self.stats
+        stats.requests += 1
+        stats.bytes_transferred += num_bytes
+        stats.busy_cycles += service
+        stats.total_queue_delay += start - now
         return done
 
     @property

@@ -71,15 +71,19 @@ class NoCModel:
         """Move ``num_bytes`` across the NoC at ``now``; return arrival."""
         if num_bytes < 0:
             raise ValueError("num_bytes must be non-negative")
-        self.stats.transfers += 1
-        self.stats.bytes_transferred += num_bytes
-        if self.config.bytes_per_cycle <= 0:
-            return now + self.config.latency_cycles
-        start = max(now, self._free_at)
-        service = num_bytes / self.config.bytes_per_cycle
+        stats = self.stats
+        stats.transfers += 1
+        stats.bytes_transferred += num_bytes
+        config = self.config
+        if config.bytes_per_cycle <= 0:
+            return now + config.latency_cycles
+        start = self._free_at
+        if now >= start:
+            start = now
+        service = num_bytes / config.bytes_per_cycle
         self._free_at = start + service
-        self.stats.total_queue_delay += start - now
-        return start + service + self.config.latency_cycles
+        stats.total_queue_delay += start - now
+        return start + service + config.latency_cycles
 
     def reset(self) -> None:
         self._free_at = 0.0

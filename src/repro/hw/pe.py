@@ -17,11 +17,15 @@ cycles elapse:
 The trace fixes the tree shape and every op's cost; replay keeps what
 depends on timing and order: the shared/private caches, DRAM, the NoC,
 the stacks and the tracer events.
+
+Each design replays in one loop, :meth:`BasePE.run`, that *runs ahead*:
+it processes task groups while the PE is still the earliest event on the
+chip, so the chip's event heap is consulted only when another PE is due.
 """
 
 from __future__ import annotations
 
-from math import ceil
+from math import ceil, inf, nextafter
 from typing import Sequence
 
 from repro.graph.csr import CSRGraph
@@ -33,7 +37,13 @@ from repro.hw.optrace import OpTrace, RootTree, TraceChunk
 from repro.hw.stats import PEStats
 from repro.pattern.plan import ExecutionPlan
 
-__all__ = ["BasePE", "FingersPE", "auto_group_size"]
+__all__ = ["BasePE", "FingersPE", "NO_BOUND", "ONE_GROUP", "auto_group_size"]
+
+#: A :meth:`BasePE.run` bound no clock reaches: with no other event
+#: pending, a PE replays until its stack is empty.
+NO_BOUND = (inf, 0)
+#: A :meth:`BasePE.run` bound every clock is past: exactly one group.
+ONE_GROUP = (-inf, -1)
 
 
 def auto_group_size(
@@ -81,6 +91,8 @@ class BasePE:
         shared_cache: SectoredLRUCache,
         dram: DRAMModel,
         trace: OpTrace,
+        *,
+        hit_latency: int | None = None,
     ) -> None:
         self.pe_id = pe_id
         self.graph = graph
@@ -90,8 +102,12 @@ class BasePE:
         self.dram = dram
         self.trace = trace
         self._list_bytes = trace.list_bytes
-        #: Shared interconnect; set by the chip (None = ideal wires).
-        self.noc: NoCModel | None = None
+        #: Shared-cache hit latency of this PE's fetches.
+        self.hit_latency = (
+            memcfg.shared_cache_hit_latency if hit_latency is None
+            else hit_latency
+        )
+        self.noc = None
         self.now = 0.0
         self.stats = PEStats()
         self.counts = [0] * len(self.plans)
@@ -99,6 +115,19 @@ class BasePE:
         self._stack: list[int] = []
         #: Optional repro.hw.trace.Tracer; set by the chip when tracing.
         self.tracer = None
+
+    @property
+    def noc(self) -> NoCModel | None:
+        """Shared interconnect; set by the chip (None = ideal wires)."""
+        return self._noc
+
+    @noc.setter
+    def noc(self, noc: NoCModel | None) -> None:
+        self._noc = noc
+        # fetch(v, now): N(v) through the shared cache, DRAM and NoC.
+        self._fetch_shared = self.shared_cache.fetch_path(
+            self._list_bytes, self.hit_latency, self.dram, noc
+        )
 
     # -- work management ------------------------------------------------
 
@@ -121,42 +150,33 @@ class BasePE:
     def has_work(self) -> bool:
         return bool(self._stack)
 
-    def step(self) -> float:
-        """Process one task group; advance and return the local clock."""
+    def run(self, bound: tuple[float, int]) -> float:
+        """Replay task groups; return the local clock.
+
+        Processes one group, then keeps going while the stack is
+        non-empty and ``(now, pe_id) < bound``.  ``bound`` is the next
+        entry of the chip's event heap (:data:`NO_BOUND` when it is
+        empty), so the PE stops exactly where the heap would have handed
+        control to another PE: every group it runs ahead through would
+        have been popped next anyway, because its key is the strict
+        minimum (PE ids are distinct, so equal clocks break the same way).
+        """
         raise NotImplementedError
 
-    # -- shared helpers --------------------------------------------------
+    def _horizon(self, bound: tuple[float, int]) -> float:
+        """The clock at which this PE stops being the earliest event."""
+        at, pe_id = bound
+        return nextafter(at, inf) if self.pe_id < pe_id else at
 
-    def _fetch_shared(self, v: int, now: float) -> float:
-        """Fetch ``N(v)`` through the NoC and shared cache."""
-        self.stats.neighbor_fetches += 1
-        num_bytes = self._list_bytes[v]
-        hit = self.shared_cache.access(v, num_bytes)
-        if hit:
-            done = now + self.memcfg.shared_cache_hit_latency
-        else:
-            done = (
-                self.dram.access(now, num_bytes)
-                + self.memcfg.shared_cache_hit_latency
-            )
-        if self.noc is not None:
-            done = self.noc.transfer(done, num_bytes)
-        return done
-
-    def _spawn(self, chunk: TraceChunk, group: int) -> None:
-        """Count the group's leaves and push its child groups."""
-        plan = chunk.g_plan[group]
-        if plan >= 0:
-            outs = ((plan, chunk.g_leaf[group], chunk.g_push_lo[group],
-                     chunk.g_push_hi[group]),)
-        else:
-            outs = chunk.merged[group]
-        for plan, leaves, lo, hi in outs:
-            if leaves:
-                self.counts[plan] += leaves
-                self.stats.embeddings_found += leaves
-            if hi > lo:
-                self._stack.extend(range(lo, hi))
+    def _spawn_merged(self, group: int) -> int:
+        """Count a merged multi-pattern root's leaves per plan and push
+        its child groups, in plan order; return the leaves."""
+        found = 0
+        for plan, leaves, lo, hi in self._chunk.merged[group]:
+            self.counts[plan] += leaves
+            found += leaves
+            self._stack.extend(range(lo, hi))
+        return found
 
 
 class FingersPE(BasePE):
@@ -196,7 +216,12 @@ class FingersPE(BasePE):
         return OpTrace(graph, plans, memcfg, group_size=group, fingers=config)
 
     def step(self) -> float:
-        """Process one task group through the 5-stage macro pipeline.
+        """Process exactly one task group."""
+        return self.run(ONE_GROUP)
+
+    def run(self, bound: tuple[float, int]) -> float:
+        """Replay task groups through the 5-stage macro pipeline, until
+        another PE is due (:meth:`BasePE.run`).
 
         The group's tasks run *concurrently*: all neighbor-list fetches
         issue at group start (misses overlap with the compute of tasks
@@ -217,67 +242,112 @@ class FingersPE(BasePE):
         private cache; each task whose inherited footprint (times the
         group size) overflows it pays a read-back from the shared cache
         ("only spill to the shared cache if they overflow", section 4).
+
+        The serial I/O floor is pooled over the whole group: the
+        round-robin distributor/collector handles one work item per
+        rotation slot on each of the distribute and collect paths
+        (section 4.3), so the floor grows with the item count — which
+        is what iso-area segment shrinking inflates (Figure 12).
         """
-        g = self._stack.pop()
+        horizon = self._horizon(bound)
+        pe_id, tracer, counts = self.pe_id, self.tracer, self.counts
+        fetch = self._fetch_shared
+        stack = self._stack
+        pop, extend = stack.pop, stack.extend
         ch = self._chunk
-        stats = self.stats
-        stats.task_groups += 1
-        t0 = self.now
-        cfg = self.config
-        lo, hi = ch.g_lo[g], ch.g_hi[g]
+        g_lo, g_hi, g_plan, g_leaf = ch.g_lo, ch.g_hi, ch.g_plan, ch.g_leaf
+        g_push_lo, g_push_hi = ch.g_push_lo, ch.g_push_hi
+        g_total, g_divider, g_items = ch.g_total, ch.g_divider, ch.g_items
+        g_spills, g_busy, g_capacity = ch.g_spills, ch.g_busy, ch.g_capacity
+        g_max_item, g_max_divider = ch.g_max_item, ch.g_max_divider
         fetch_ptr, fetch_v, iu_phase = ch.fetch_ptr, ch.fetch_v, ch.iu_phase
+        cfg = self.config
+        num_ius, num_dividers = cfg.num_ius, cfg.num_dividers
+        io_cycles_per_item = cfg.io_cycles_per_item
+        overhead = cfg.task_overhead_cycles
+        spill_latency = float(self.memcfg.shared_cache_hit_latency)
+        st = self.stats
+        tasks, task_groups, fetches = st.tasks, st.task_groups, st.neighbor_fetches
+        iu_busy, work_items = st.iu_busy_cycles, st.num_work_items
+        balance_busy, balance_capacity = st.balance_busy_sum, st.balance_capacity_sum
+        private_spills, found = st.private_spills, st.embeddings_found
+        stall, compute = st.stall_cycles, st.compute_cycles
+        fill_total, busy = st.overhead_cycles, st.busy_cycles
+        now = self.now
+        while True:
+            g = pop()
+            task_groups += 1
+            t0 = now
+            lo, hi = g_lo[g], g_hi[g]
 
-        # IU phase of the latest-ready task (the last one, on ties).
-        latest_ready = -1.0
-        tail_after_ready = 0.0
-        for t in range(lo, hi):
-            r = t0
-            for i in range(fetch_ptr[t], fetch_ptr[t + 1]):
-                r = max(r, self._fetch_shared(fetch_v[i], t0))
-            if r >= latest_ready:
-                latest_ready = r
-                tail_after_ready = iu_phase[t]
+            # IU phase of the latest-ready task (the last one, on ties).
+            latest_ready = -1.0
+            tail_after_ready = 0.0
+            for t in range(lo, hi):
+                ready = t0
+                for v in fetch_v[fetch_ptr[t]:fetch_ptr[t + 1]]:
+                    done = fetch(v, t0)
+                    if done > ready:
+                        ready = done
+                if ready >= latest_ready:
+                    latest_ready = ready
+                    tail_after_ready = iu_phase[t]
+            fetches += fetch_ptr[hi] - fetch_ptr[lo]
 
-        num_tasks = hi - lo
-        sum_items_cycles = ch.g_total[g]
-        sum_divider = ch.g_divider[g]
-        num_items = ch.g_items[g]
-        spills = ch.g_spills[g]
-        spill_penalty = spills * float(self.memcfg.shared_cache_hit_latency)
-        stats.tasks += num_tasks
-        stats.iu_busy_cycles += sum_items_cycles
-        stats.num_work_items += num_items
-        stats.balance_busy_sum += ch.g_busy[g]
-        stats.balance_capacity_sum += ch.g_capacity[g]
-        stats.private_spills += spills
-        self._spawn(ch, g)
+            num_tasks = hi - lo
+            sum_items_cycles = g_total[g]
+            num_items = g_items[g]
+            spills = g_spills[g]
+            tasks += num_tasks
+            iu_busy += sum_items_cycles
+            work_items += num_items
+            balance_busy += g_busy[g]
+            balance_capacity += g_capacity[g]
+            private_spills += spills
+            plan = g_plan[g]
+            if plan >= 0:
+                leaves = g_leaf[g]
+                counts[plan] += leaves
+                found += leaves
+                extend(range(g_push_lo[g], g_push_hi[g]))
+            else:
+                found += self._spawn_merged(g)
 
-        # The serial I/O floor is pooled over the whole group: the
-        # round-robin distributor/collector handles one work item per
-        # rotation slot on each of the distribute and collect paths
-        # (section 4.3), so the floor grows with the item count — which
-        # is what iso-area segment shrinking inflates (Figure 12).
-        io_floor = float(num_items * cfg.io_cycles_per_item)
-        compute_bound = max(
-            sum_items_cycles / cfg.num_ius,
-            ch.g_max_item[g],
-            sum_divider / cfg.num_dividers if cfg.num_dividers else 0.0,
-            ch.g_max_divider[g],
-            io_floor,
-            num_tasks * 2.0,  # issue stage: pop + push per task
-        )
-        fill = cfg.task_overhead_cycles + spill_penalty
-        end_compute = t0 + compute_bound + fill
-        end_memory = latest_ready + tail_after_ready
-        end = max(end_compute, end_memory)
-        stats.stall_cycles += max(0.0, end_memory - end_compute)
-        stats.compute_cycles += compute_bound
-        stats.overhead_cycles += fill
-        self.now = end
-        stats.busy_cycles += self.now - t0
-        if self.tracer is not None:
-            self.tracer.record(self.pe_id, t0, end_compute, "group",
-                               f"{num_tasks} tasks")
+            # The slowest stage: IU pool, longest item, dividers, longest
+            # divider pass, serial I/O, issue (pop + push per task).
+            compute_bound = sum_items_cycles / num_ius
+            for stage in (
+                g_max_item[g],
+                g_divider[g] / num_dividers if num_dividers else 0.0,
+                g_max_divider[g],
+                float(num_items * io_cycles_per_item),
+                num_tasks * 2.0,
+            ):
+                if stage > compute_bound:
+                    compute_bound = stage
+            fill = overhead + spills * spill_latency
+            end_compute = t0 + compute_bound + fill
+            end_memory = latest_ready + tail_after_ready
+            end = end_compute
             if end_memory > end_compute:
-                self.tracer.record(self.pe_id, end_compute, end, "stall")
-        return self.now
+                end = end_memory
+                stall += end_memory - end_compute
+            compute += compute_bound
+            fill_total += fill
+            now = end
+            busy += now - t0
+            if tracer is not None:
+                tracer.record(pe_id, t0, end_compute, "group",
+                              f"{num_tasks} tasks")
+                if end_memory > end_compute:
+                    tracer.record(pe_id, end_compute, end, "stall")
+            if not stack or now >= horizon:
+                break
+        self.now = now
+        st.tasks, st.task_groups, st.neighbor_fetches = tasks, task_groups, fetches
+        st.iu_busy_cycles, st.num_work_items = iu_busy, work_items
+        st.balance_busy_sum, st.balance_capacity_sum = balance_busy, balance_capacity
+        st.private_spills, st.embeddings_found = private_spills, found
+        st.stall_cycles, st.compute_cycles = stall, compute
+        st.overhead_cycles, st.busy_cycles = fill_total, busy
+        return now

@@ -233,6 +233,19 @@ def _bump_attempt(
         ) from cause
 
 
+def _own_fault(shard: Any, draw: int) -> bool:
+    """Whether the fault plan fires for ``shard`` at fault draw ``draw``.
+
+    A pool failure under a shard whose draw is clean is collateral:
+    another shard broke the pool.
+    """
+    plan = faults.current_plan()
+    return (
+        plan is not None
+        and plan.decide("pool", faults.token_for(shard), draw) is not None
+    )
+
+
 def _run_pool(
     worker: Callable[[Any, Any], Any],
     payload: Any,
@@ -244,7 +257,19 @@ def _run_pool(
     global _POOL_FAILURE  # noqa: RACE001 - advisory latch only
     n = len(shards)
     results: list[Any] = [None] * n
+    # attempts[i] charges shard i's retry budget for every requeue.
+    # draws[i] is the attempt its faults are drawn at; it moves past a
+    # draw only when the plan fires a fault there, never on a collateral
+    # requeue, so the faults a shard meets do not depend on which other
+    # shards happened to be running when a pool broke.
     attempts = [0] * n
+    draws = [0] * n
+
+    def charge(i: int, cause: BaseException) -> None:
+        if _own_fault(shards[i], draws[i]):
+            draws[i] += 1
+        _bump_attempt(i, attempts, policy, stats, cause)
+
     pending = list(range(n))
     rebuilds = 0
     round_no = 0
@@ -278,7 +303,7 @@ def _run_pool(
         try:
             stats.attempts += len(pending)
             futures = [
-                (i, executor.submit(_invoke, (attempts[i], shards[i])))
+                (i, executor.submit(_invoke, (draws[i], shards[i])))
                 for i in pending
             ]
             for i, fut in futures:
@@ -292,10 +317,7 @@ def _run_pool(
                     ):
                         results[i] = fut.result()
                     else:
-                        _bump_attempt(
-                            i, attempts, policy, stats,
-                            WorkerCrash(f"pool broke under shard {i}"),
-                        )
+                        charge(i, WorkerCrash(f"pool broke under shard {i}"))
                         retry_next.append(i)
                     continue
                 try:
@@ -303,26 +325,20 @@ def _run_pool(
                 except (_FutureTimeout, TimeoutError):
                     stats.timeouts += 1
                     broken = True
-                    _bump_attempt(
-                        i, attempts, policy, stats,
-                        ShardTimeout(
-                            f"shard {i} exceeded the {policy.timeout_s}s "
-                            "collection timeout",
-                            timeout_s=policy.timeout_s,
-                        ),
-                    )
+                    charge(i, ShardTimeout(
+                        f"shard {i} exceeded the {policy.timeout_s}s "
+                        "collection timeout",
+                        timeout_s=policy.timeout_s,
+                    ))
                     retry_next.append(i)
                 except BrokenProcessPool as exc:
                     stats.crashes += 1
                     broken = True
-                    _bump_attempt(
-                        i, attempts, policy, stats,
-                        WorkerCrash(f"worker died mid-shard: {exc}"),
-                    )
+                    charge(i, WorkerCrash(f"worker died mid-shard: {exc}"))
                     retry_next.append(i)
                 except RetryableError as exc:
                     stats.transient_errors += 1
-                    _bump_attempt(i, attempts, policy, stats, exc)
+                    charge(i, exc)
                     retry_next.append(i)
                 # Any other exception is a worker defect: propagate
                 # unchanged (the finally below reaps the pool).

@@ -17,6 +17,7 @@ paper's 3-motif-counting job (triangle + wedge).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Sequence
 
@@ -199,18 +200,18 @@ def _canonical_form(pattern: Pattern) -> tuple[int, ...]:
     return best
 
 
-_KNOWN_SHAPES: dict[tuple[int, ...], str] = {}
+@lru_cache(maxsize=1)
+def _known_shapes() -> dict[tuple[int, ...], str]:
+    """Canonical form -> name of every named pattern (read-only)."""
+    from repro.pattern.pattern import _NAMED  # local import to avoid cycle
+
+    return {_canonical_form(pat): name for name, pat in _NAMED.items()}
 
 
 def _motif_name(pattern: Pattern) -> str:
-    global _KNOWN_SHAPES
-    if not _KNOWN_SHAPES:
-        from repro.pattern.pattern import _NAMED  # local import to avoid cycle
-
-        for name, pat in _NAMED.items():
-            _KNOWN_SHAPES[_canonical_form(pat)] = name
     canon = _canonical_form(pattern)
-    if canon in _KNOWN_SHAPES:
-        return _KNOWN_SHAPES[canon]
+    known = _known_shapes()
+    if canon in known:
+        return known[canon]
     tag = hash(canon) & 0xFFFF
     return f"{pattern.num_vertices}motif-e{pattern.num_edges}-{tag:04x}"

@@ -22,13 +22,5 @@ exactly, like every other executor in this repository.
 """
 
 from repro.sw.config import SoftwareConfig
-from repro.sw.miner import (
-    SoftwareMiner,
-    simulate_software,
-)
 
-__all__ = [
-    "SoftwareConfig",
-    "SoftwareMiner",
-    "simulate_software",
-]
+__all__ = ["SoftwareConfig"]

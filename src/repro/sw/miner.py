@@ -26,7 +26,7 @@ from repro.hw.cache import SectoredLRUCache
 from repro.hw.config import MemoryConfig
 from repro.hw.memory import DRAMModel
 from repro.hw.optrace import OpTrace
-from repro.hw.pe import BasePE
+from repro.hw.pe import NO_BOUND, BasePE
 from repro.sw.config import SoftwareConfig
 
 __all__ = ["SoftwareMiner", "simulate_software"]
@@ -40,7 +40,8 @@ class _Core(BasePE):
     """One CPU worker: strict DFS locally, stealable deque of tasks."""
 
     def __init__(self, core_id, graph, plans, config, memcfg, llc, dram, trace):
-        super().__init__(core_id, graph, plans, memcfg, llc, dram, trace)
+        super().__init__(core_id, graph, plans, memcfg, llc, dram, trace,
+                         hit_latency=_LLC_HIT_LATENCY)
         self.config = config
         self.steals = 0
 
@@ -51,33 +52,58 @@ class _Core(BasePE):
             graph, plans, memcfg, elements_per_cycle=config.elements_per_cycle
         )
 
-    def _fetch_shared(self, v: int, now: float) -> float:  # override latency
-        self.stats.neighbor_fetches += 1
-        hit = self.shared_cache.access(v, self._list_bytes[v])
-        if hit:
-            return now + _LLC_HIT_LATENCY
-        done = self.dram.access(now, self._list_bytes[v])
-        return done + _LLC_HIT_LATENCY
-
-    def step(self) -> float:
-        # One task per group: the group id is also the task id.
-        t = self._stack.pop()
+    def run(self, bound: tuple[float, int]) -> float:
+        """Replay tasks in strict DFS until another core is due
+        (:meth:`BasePE.run`), stalling on every LLC fetch.  One task per
+        group: the group id is also the task id."""
+        horizon = self._horizon(bound)
+        counts = self.counts
+        fetch = self._fetch_shared
+        stack = self._stack
+        pop, extend = stack.pop, stack.extend
         ch = self._chunk
-        t0 = self.now
-        fetch_done = self.now
-        fetch_v = ch.fetch_v
-        for i in range(ch.fetch_ptr[t], ch.fetch_ptr[t + 1]):
-            fetch_done = max(fetch_done, self._fetch_shared(fetch_v[i], self.now))
-        self.stats.stall_cycles += max(0.0, fetch_done - self.now)
-        self.now = fetch_done
-        compute = ch.compute[t]
-        self.now += compute + self.config.task_overhead_cycles
-        self.stats.tasks += 1
-        self.stats.compute_cycles += compute
-        self.stats.overhead_cycles += self.config.task_overhead_cycles
-        self._spawn(ch, t)
-        self.stats.busy_cycles += self.now - t0
-        return self.now
+        g_plan, g_leaf = ch.g_plan, ch.g_leaf
+        g_push_lo, g_push_hi = ch.g_push_lo, ch.g_push_hi
+        fetch_ptr, fetch_v, task_compute = ch.fetch_ptr, ch.fetch_v, ch.compute
+        overhead = self.config.task_overhead_cycles
+        st = self.stats
+        tasks, fetches, found = st.tasks, st.neighbor_fetches, st.embeddings_found
+        stall_total, compute_total = st.stall_cycles, st.compute_cycles
+        overhead_total, busy = st.overhead_cycles, st.busy_cycles
+        now = self.now
+        while True:
+            t = pop()
+            t0 = now
+            fetch_done = now
+            lo, hi = fetch_ptr[t], fetch_ptr[t + 1]
+            fetches += hi - lo
+            for v in fetch_v[lo:hi]:
+                done = fetch(v, now)
+                if done > fetch_done:
+                    fetch_done = done
+            stall_total += fetch_done - now
+            now = fetch_done
+            compute = task_compute[t]
+            now += compute + overhead
+            tasks += 1
+            compute_total += compute
+            overhead_total += overhead
+            plan = g_plan[t]
+            if plan >= 0:
+                leaves = g_leaf[t]
+                counts[plan] += leaves
+                found += leaves
+                extend(range(g_push_lo[t], g_push_hi[t]))
+            else:
+                found += self._spawn_merged(t)
+            busy += now - t0
+            if not stack or now >= horizon:
+                break
+        self.now = now
+        st.tasks, st.neighbor_fetches, st.embeddings_found = tasks, fetches, found
+        st.stall_cycles, st.compute_cycles = stall_total, compute_total
+        st.overhead_cycles, st.busy_cycles = overhead_total, busy
+        return now
 
     # -- stealing interface ---------------------------------------------
 
@@ -119,6 +145,13 @@ class SoftwareMiner:
         self.memcfg = base_mem.with_shared_cache(config.llc_bytes)
 
     def run(self, roots: Iterable[int] | None = None) -> RunResult:
+        """Replay every root's tree on the cores, in global-time order.
+
+        Cores advance in one event loop; each event runs a core ahead
+        (:meth:`BasePE.run`) until another core is due.  A core whose
+        stack is empty takes the next root, or under branch granularity
+        steals, and otherwise finishes.
+        """
         llc = SectoredLRUCache(self.memcfg.shared_cache_bytes, name="llc")
         dram = DRAMModel(self.memcfg)
         trace = _Core.new_trace(self.graph, self.plans, self.config, self.memcfg)
@@ -143,32 +176,17 @@ class SoftwareMiner:
         while heap:
             now, cid = heapq.heappop(heap)
             core = cores[cid]
-            if core.has_work():
-                core.step()
-                heapq.heappush(heap, (core.now, cid))
-                continue
-            tree = next(trees, None)
-            if tree is not None:
+            if not core.has_work():
+                tree = next(trees, None)
+                if tree is None:
+                    if allow_steal and self._steal_or_poll(core, cores, now):
+                        heapq.heappush(heap, (core.now, cid))
+                        continue
+                    finish[cid] = core.now
+                    continue
                 core.assign_root(tree.root, core.now, tree)
-                heapq.heappush(heap, (core.now, cid))
-                continue
-            if allow_steal:
-                victim = max(
-                    (c for c in cores if c.pe_id != cid),
-                    key=lambda c: c.queue_depth,
-                    default=None,
-                )
-                if victim is not None and core.steal_from(victim, now):
-                    heapq.heappush(heap, (core.now, cid))
-                    continue
-                if any(c.has_work() for c in cores):
-                    # Nothing stealable right now, but a busy core will
-                    # push children shortly: poll again after a steal
-                    # latency (bounded spinning, as a real scheduler does).
-                    core.now = max(core.now, now) + self.config.steal_overhead_cycles
-                    heapq.heappush(heap, (core.now, cid))
-                    continue
-            finish[cid] = core.now
+            core.run(heap[0] if heap else NO_BOUND)
+            heapq.heappush(heap, (core.now, cid))
 
         counts = [0] * len(self.plans)
         for core in cores:
@@ -188,6 +206,26 @@ class SoftwareMiner:
                 "total_steals": sum(core.steals for core in cores),
             },
         )
+
+    def _steal_or_poll(self, core: _Core, cores: list[_Core], now: float) -> bool:
+        """Give an idle ``core`` something to wait for at ``now``.
+
+        It steals from the deepest other queue; if nothing is stealable
+        but some core still has work, a busy core will push children
+        shortly, so it polls again after a steal latency (bounded
+        spinning, as a real scheduler does).  False once no work is left.
+        """
+        victim = max(
+            (c for c in cores if c.pe_id != core.pe_id),
+            key=lambda c: c.queue_depth,
+            default=None,
+        )
+        if victim is not None and core.steal_from(victim, now):
+            return True
+        if any(c.has_work() for c in cores):
+            core.now = max(core.now, now) + self.config.steal_overhead_cycles
+            return True
+        return False
 
 
 def simulate_software(

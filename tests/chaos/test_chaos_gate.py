@@ -36,6 +36,8 @@ def _hermetic(tmp_path, monkeypatch):
     # under it — even to another shard's crash — so at most 4
     # break-bumps (the rebuild budget) plus at most 10 own-fault
     # firings over 15 attempts still leaves every token a clean draw.
+    # Only a shard's own faults advance its fault draws, so the faults
+    # it meets are the same under any scheduling.
     monkeypatch.setenv("REPRO_RETRY", "base=0,attempts=15")
     monkeypatch.delenv(faults.ENV_VAR, raising=False)
     monkeypatch.setattr(pool, "_WARNED_DEGRADED", False)

@@ -20,7 +20,8 @@ from repro.hw.chip import run_chip
 from repro.mining.api import count, embeddings, motif_census, plan_for
 from repro.mining.engine import count_embeddings, per_root_counts
 from repro.parallel import shard_roots, sharded_run_chip
-from repro.sw import SoftwareConfig, simulate_software
+from repro.sw import SoftwareConfig
+from repro.sw.miner import simulate_software
 
 JOBS = 4
 

@@ -7,6 +7,8 @@ bit-identical to a fault-free run (docs/RESILIENCE.md).
 
 import os
 import warnings
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -90,7 +92,8 @@ class TestCrashRecovery:
         # assertions avoid them, and the attempt budget is sized so
         # exhaustion is impossible for this seed: at most 4 break-bumps
         # (the rebuild budget) plus at most 8 own-fault firings over 15
-        # attempts leaves every token a clean attempt.
+        # attempts leaves every token a clean attempt.  The faults each
+        # shard meets are fixed: only its own faults advance its draws.
         clean = run_shards(_square_sum, 3, SHARDS, jobs=1, policy=FAST)
         faults.install("seed=7,crash:pool=0.3,transient:pool=0.2")
         stats = RetryStats()
@@ -231,3 +234,73 @@ class TestFaultInvarianceProperties:
         assert faulted.count == clean_sim.count
         assert tuple(faulted.counts) == tuple(clean_sim.counts)
         assert faulted.cycles == clean_sim.cycles
+
+
+class _BreakingExecutor:
+    """Stands in for ProcessPoolExecutor: the first pool breaks under
+    every shard, later pools run each shard in-process.  Records the
+    fault draw each shard is submitted with."""
+
+    pools = 0
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.worker, self.payload = initargs
+        self.first = _BreakingExecutor.pools == 0
+        _BreakingExecutor.pools += 1
+        self.submitted = _BreakingExecutor.submitted
+
+    def submit(self, fn, task):
+        draw, shard = task
+        self.submitted.append((shard[0], draw))
+        fut = Future()
+        if self.first:
+            fut.set_exception(BrokenProcessPool("a worker died"))
+        else:
+            fut.set_result(self.worker(self.payload, shard))
+        return fut
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestFaultDraws:
+    SPEC = "seed=7,crash:pool=0.3"
+
+    def _shards(self):
+        # One shard whose first draw crashes (its second is clean) and
+        # one whose first draw is clean.
+        plan = faults.FaultPlan.parse(self.SPEC)
+
+        def fires(shard, draw):
+            return plan.decide("pool", faults.token_for(shard), draw)
+
+        candidates = [[i] for i in range(200)]
+        crasher = next(s for s in candidates
+                       if fires(s, 0) and not fires(s, 1))
+        bystander = next(s for s in candidates if not fires(s, 0))
+        return crasher, bystander
+
+    @pytest.mark.parametrize("crasher_first", [True, False])
+    def test_collateral_requeue_keeps_the_draw(self, monkeypatch,
+                                               crasher_first):
+        # The pool breaks under both shards; only the crasher's own draw
+        # fired, so only its draw advances.  The bystander retries at the
+        # draw it had, whichever of the two was collected first.
+        crasher, bystander = self._shards()
+        shards = [crasher, bystander] if crasher_first else [bystander, crasher]
+        monkeypatch.setattr(_BreakingExecutor, "pools", 0)
+        monkeypatch.setattr(_BreakingExecutor, "submitted", [], raising=False)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _BreakingExecutor)
+        faults.install(self.SPEC)
+        stats = RetryStats()
+        out = run_shards(_square_sum, 1, shards, jobs=2,
+                         policy=RetryPolicy(max_attempts=3, backoff_base_s=0.0),
+                         stats=stats)
+        assert out == [sum(s) for s in shards]
+        draws = {}
+        for key, draw in _BreakingExecutor.submitted:
+            draws.setdefault(key, []).append(draw)
+        assert draws == {crasher[0]: [0, 1], bystander[0]: [0, 0]}
+        # Both requeues still charge the retry budget.
+        assert stats.retries == 2
+        assert stats.pool_rebuilds == 1

@@ -4,7 +4,8 @@ import pytest
 
 from repro.graph import erdos_renyi, load_dataset, star_graph
 from repro.mining import count
-from repro.sw import SoftwareConfig, simulate_software
+from repro.sw import SoftwareConfig
+from repro.sw.miner import simulate_software
 
 SMALL = erdos_renyi(60, 0.25, seed=5)
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.graph import erdos_renyi
-from repro.sw import SoftwareConfig, SoftwareMiner, simulate_software
+from repro.sw import SoftwareConfig
+from repro.sw.miner import SoftwareMiner, simulate_software
 from repro.hw.api import resolve_workload
 
 SMALL = erdos_renyi(40, 0.3, seed=55)
