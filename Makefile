@@ -86,8 +86,11 @@ chaos:
 
 check: test-fast lint lint-flow chaos
 
+# Python line counts: src/ alone (ROADMAP's size figure), then the total
+# over src, tests, benchmarks and examples.
 loc:
-	find src tests benchmarks examples -name '*.py' | xargs wc -l | tail -1
+	@echo "src $$(find src -name '*.py' -exec cat {} + | wc -l)"
+	@echo "total $$(find src tests benchmarks examples -name '*.py' -exec cat {} + | wc -l)"
 
 clean:
 	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache

@@ -8,8 +8,8 @@ catalog):
   docs/PARALLELISM.md — unseeded randomness (DET001), wall-clock reads
   in simulation paths (DET002), iteration over unordered sets in hot
   paths (DET003), unpicklable worker dispatch (PAR001), config fields
-  escaping the cache schema hash (CACHE001), plus generic hygiene
-  (HYG001/HYG002).
+  escaping the cache schema hash (CACHE001), plus mutable default
+  arguments (HYG001).
 * **Tier B — plan verifier** (:mod:`repro.analysis.planlint`): static
   legality checks over compiled :class:`~repro.pattern.plan.ExecutionPlan`
   IR — state def-before-use, level coverage, restriction partial order

@@ -13,7 +13,6 @@ PERF001    error     ``np.delete``/``np.append`` inside a loop in a hot path
 STORE001   error     result file written around the experiment store
 ERR001     error     broad exception swallow on a worker/hot path
 HYG001     warning   mutable default argument
-HYG002     warning   bare ``except:``
 =========  ========  ==========================================================
 
 Each rule is registered with the engine at import time; the module is
@@ -696,7 +695,8 @@ ERR001 = register(
 
 
 # ----------------------------------------------------------------------
-# HYG001 / HYG002 — generic engine hygiene
+# HYG001 — mutable default arguments (the configured ruff does not
+# select B006)
 # ----------------------------------------------------------------------
 
 
@@ -729,29 +729,5 @@ HYG001 = register(
         summary="mutable default argument",
         scope=("repro",),
         check=_check_hyg001,
-    )
-)
-
-
-def _check_hyg002(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ExceptHandler) and node.type is None:
-            found = ctx.finding(
-                HYG002,
-                node,
-                "bare `except:` swallows SystemExit/KeyboardInterrupt; "
-                "catch the narrowest exception the operation can raise",
-            )
-            if found is not None:
-                yield found
-
-
-HYG002 = register(
-    Rule(
-        id="HYG002",
-        severity=Severity.WARNING,
-        summary="bare except",
-        scope=("repro",),
-        check=_check_hyg002,
     )
 )

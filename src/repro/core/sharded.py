@@ -15,9 +15,7 @@ jobs-independent, ``jobs=1`` and ``jobs=N`` produce bit-for-bit
 identical merged results; the worker count only changes the wall clock.
 See ``docs/PARALLELISM.md`` for the full contract.
 
-:func:`run_sharded` is the one driver for *every* backend — the former
-per-design ``sharded_run_chip`` / ``sharded_software_run`` twins are
-now thin wrappers over it (``repro.parallel.hardware``).  The engine's
+:func:`run_sharded` is the one driver for *every* backend.  The engine's
 list-shaped parallel helpers (``per_root_counts_parallel`` and
 friends), whose results merge associatively by concatenation rather
 than through a :class:`RunResult`, live here too so all host-parallel

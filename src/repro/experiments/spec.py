@@ -159,6 +159,15 @@ def _check_names(problems, label, values, known, *, hint=""):
             )
 
 
+def _try_build(problems, label, factory, overrides):
+    """Construct ``factory(**overrides)`` once so a bad field value is a
+    spec problem now, not a failed cell mid-sweep."""
+    try:
+        factory(**overrides)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{label} {exc}")
+
+
 def load_spec(
     data: Mapping[str, Any],
     *,
@@ -168,7 +177,8 @@ def load_spec(
     :class:`SweepSpec`.
 
     Collects every problem and raises one :class:`SpecError`; a returned
-    spec is guaranteed to expand and execute without name errors.
+    spec is guaranteed to expand and execute without name errors, and
+    every swept backend config and kernel policy has been built once.
     ``available_graphs`` overrides the dataset catalog (tests inject
     synthetic graphs through the executor's ``graphs=`` mapping).
     """
@@ -198,8 +208,8 @@ def load_spec(
             "(it names store files)"
         )
 
-    def _strings(key, *, required):
-        values = sweep.get(key, [])
+    def _strings(key, *, required, default=()):
+        values = sweep.get(key, default)
         if not isinstance(values, (list, tuple)) or not all(
             isinstance(v, str) for v in values
         ):
@@ -242,7 +252,9 @@ def load_spec(
             "(0 = unsharded single-chip model)"
         )
         jobs = (0,)
-    schedules = sweep.get("schedules", ["dynamic"]) or ["dynamic"]
+    schedules = _strings(
+        "schedules", required=False, default=["dynamic"]
+    ) or ("dynamic",)
     for schedule in schedules:
         if schedule not in _SCHEDULES:
             problems.append(
@@ -260,14 +272,25 @@ def load_spec(
                 f"[configs.{backend_name}] does not match a swept backend"
             )
             continue
+        if backend_name not in backend_names():
+            continue  # already reported as an unknown backend
+        if not isinstance(overrides, Mapping):
+            problems.append(
+                f"[configs.{backend_name}] must be a table of config fields"
+            )
+            continue
         config_type = get_backend(backend_name).config_type
         valid = {f.name for f in dataclasses.fields(config_type)}
-        for key in overrides:
-            if key not in valid:
-                problems.append(
-                    f"[configs.{backend_name}] unknown field {key!r} "
-                    f"(valid: {', '.join(sorted(valid))})"
-                )
+        unknown = [key for key in overrides if key not in valid]
+        for key in unknown:
+            problems.append(
+                f"[configs.{backend_name}] unknown field {key!r} "
+                f"(valid: {', '.join(sorted(valid))})"
+            )
+        if not unknown:
+            _try_build(
+                problems, f"[configs.{backend_name}]", config_type, overrides
+            )
         clean_configs[backend_name] = dict(overrides)
 
     policies = data.get("kernel_policies", [])
@@ -292,12 +315,17 @@ def load_spec(
             )
             continue
         overrides = {k: v for k, v in entry.items() if k != "name"}
-        for key in overrides:
-            if key not in policy_fields:
-                problems.append(
-                    f"kernel policy {policy_name!r}: unknown field {key!r} "
-                    f"(valid: {', '.join(sorted(policy_fields))})"
-                )
+        unknown = [key for key in overrides if key not in policy_fields]
+        for key in unknown:
+            problems.append(
+                f"kernel policy {policy_name!r}: unknown field {key!r} "
+                f"(valid: {', '.join(sorted(policy_fields))})"
+            )
+        if not unknown:
+            _try_build(
+                problems, f"kernel policy {policy_name!r}:", KernelPolicy,
+                overrides,
+            )
         clean_policies[policy_name] = overrides
 
     if problems:

@@ -23,9 +23,11 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: Vertex ids are stored as int32, so a graph has at most this many.
 _MAX_VERTICES = int(np.iinfo(np.int32).max)
 
-#: What a damaged ``.npz`` can raise while numpy and zipfile decode it.
+#: What a damaged ``.npz`` can raise while numpy and zipfile decode it
+#: (zipfile raises ``RuntimeError`` for an entry flagged as encrypted).
 _ARCHIVE_ERRORS = (
     zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError,
+    RuntimeError,
 )
 
 

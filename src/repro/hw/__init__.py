@@ -13,7 +13,6 @@ Layout
 ``memory``     DRAM model
 ``cache``      shared / private sectored caches, stream buffers
 ``iu``         intersect-unit pool: per-task reference of the IU costs
-``divider``    task-divider timing (head lists, chunking)
 ``optrace``    set-op trace: every task's tree shape and op costs, built
                batched once per run (vectorized IU/divider model)
 ``stats``      counters: cycles, active rate, balance rate, miss rates

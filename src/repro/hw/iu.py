@@ -47,7 +47,8 @@ from repro.setops.segments import pairing_loads
 
 __all__ = ["OpTiming", "TaskTiming", "time_task_ops"]
 
-#: Pipeline cycles to load a divider chunk's long heads (see divider.py).
+#: Pipeline cycles to load a divider chunk's long heads into the
+#: binary tree (paper section 4.2); ``optrace`` charges the same.
 _CHUNK_SETUP_CYCLES = 2
 
 

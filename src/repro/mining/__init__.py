@@ -18,11 +18,6 @@ from repro.mining.bruteforce import (
     count_instances_bruteforce,
 )
 from repro.mining.api import count, embeddings, motif_census
-from repro.mining.oblivious import (
-    ObliviousStats,
-    census_oblivious,
-    count_oblivious,
-)
 from repro.mining.validate import ValidationReport, cross_validate
 
 __all__ = [
@@ -35,9 +30,6 @@ __all__ = [
     "count",
     "embeddings",
     "motif_census",
-    "ObliviousStats",
-    "census_oblivious",
-    "count_oblivious",
     "ValidationReport",
     "cross_validate",
 ]

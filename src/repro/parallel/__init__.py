@@ -21,16 +21,6 @@ from repro.parallel.chunking import (
     engine_num_chunks,
     shard_roots,
 )
-from repro.parallel.hardware import (
-    resolve_shards,
-    sharded_run_chip,
-    sharded_software_run,
-)
-from repro.parallel.mining import (
-    count_embeddings_parallel,
-    list_embeddings_parallel,
-    per_root_counts_parallel,
-)
 from repro.parallel.pool import (
     pool_unavailable_reason,
     reset_retry_stats,
@@ -47,12 +37,6 @@ __all__ = [
     "default_num_shards",
     "engine_num_chunks",
     "shard_roots",
-    "resolve_shards",
-    "sharded_run_chip",
-    "sharded_software_run",
-    "count_embeddings_parallel",
-    "list_embeddings_parallel",
-    "per_root_counts_parallel",
     "pool_unavailable_reason",
     "reset_retry_stats",
     "retry_stats",

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Sequence
@@ -215,6 +215,17 @@ def _reap(executor: ProcessPoolExecutor, *, kill: bool) -> None:
             pass
 
 
+def _submit(executor: ProcessPoolExecutor, task: Any) -> Future:
+    """Queue one shard; a pool that a worker death already broke refuses
+    the submission, which then fails like a shard that ran on it."""
+    try:
+        return executor.submit(_invoke, task)
+    except BrokenProcessPool as exc:
+        refused: Future = Future()
+        refused.set_exception(exc)
+        return refused
+
+
 def _bump_attempt(
     index: int,
     attempts: list[int],
@@ -303,7 +314,7 @@ def _run_pool(
         try:
             stats.attempts += len(pending)
             futures = [
-                (i, executor.submit(_invoke, (draws[i], shards[i])))
+                (i, _submit(executor, (draws[i], shards[i])))
                 for i in pending
             ]
             for i, fut in futures:

@@ -6,12 +6,9 @@ are one-pass merges (paper section 2.1).  This package provides:
 
 * :mod:`repro.setops.merge` — the functional merge-based operations used
   by the recursive reference engine;
-* :mod:`repro.setops.segments` — fixed-length segmentation, head lists,
-  and segment pairing, the substrate of segment-level parallelism
-  (paper sections 3.4 and 4.2);
-* :mod:`repro.setops.bitvector` — the intersect-unit datapath and the
-  bitwise-OR result aggregation of paper section 4.3, validated against
-  the merge primitives by the test suite;
+* :mod:`repro.setops.segments` — fixed-length segment pairing and the
+  load table it yields, the substrate of segment-level parallelism in
+  the IU timing model (paper sections 3.4 and 4.2);
 * :mod:`repro.setops.kernels` — the functional execution policy
   (:class:`~repro.setops.kernels.KernelPolicy`), the dispatch counters,
   and the counted merge entry point the recursive oracle uses
@@ -32,17 +29,8 @@ from repro.setops.merge import (
 from repro.setops.segments import (
     LONG_SEGMENT_LEN,
     SHORT_SEGMENT_LEN,
-    segment_bounds,
-    head_list,
     pair_segments,
     SegmentPairing,
-    balance_loads,
-    WorkItem,
-)
-from repro.setops.bitvector import (
-    intersect_bitvector,
-    aggregate_or,
-    segmented_set_op,
 )
 from repro.setops.kernels import (
     SEGMENT_KERNEL_NAMES,
@@ -69,15 +57,8 @@ __all__ = [
     "exclude_values",
     "LONG_SEGMENT_LEN",
     "SHORT_SEGMENT_LEN",
-    "segment_bounds",
-    "head_list",
     "pair_segments",
     "SegmentPairing",
-    "balance_loads",
-    "WorkItem",
-    "intersect_bitvector",
-    "aggregate_or",
-    "segmented_set_op",
     "SEGMENT_KERNEL_NAMES",
     "ENGINE_NAMES",
     "KernelContext",

@@ -1,4 +1,4 @@
-"""Segmentation, head lists, segment pairing, and load balancing.
+"""Segment pairing: the load table of one set operation.
 
 Segment-level parallelism (paper sections 3.4 and 4.2) divides the two
 inputs of one set operation into fixed-length segments — the *long* set
@@ -10,9 +10,10 @@ search of each short head against the long head list, accumulates a *load
 table* (how many short segments overlap each long segment), and splits
 overloaded long segments across IUs using a maximum-load threshold.
 
-This module is the functional substrate shared by the hardware timing
-model (which needs the work-item shapes and costs) and the datapath
-validation tests (which replay paper Figure 4 and Figure 7).
+:func:`pairing_loads` computes the load table for the IU timing model
+(:mod:`repro.hw.iu`); :func:`pair_segments` also returns each short
+segment's span and is the reference the tests hold it to (paper
+Figures 4 and 7).
 """
 
 from __future__ import annotations
@@ -24,38 +25,14 @@ import numpy as np
 __all__ = [
     "LONG_SEGMENT_LEN",
     "SHORT_SEGMENT_LEN",
-    "DEFAULT_MAX_LOAD",
-    "segment_bounds",
-    "head_list",
     "SegmentPairing",
     "pair_segments",
     "pairing_loads",
-    "WorkItem",
-    "balance_loads",
 ]
 
 #: Paper defaults (section 3.4): long segments of 16 ids, short of 4.
 LONG_SEGMENT_LEN = 16
 SHORT_SEGMENT_LEN = 4
-#: Maximum short segments per work item before the task divider splits the
-#: load across IUs (paper Figure 7 uses 2; we default to 3 so one item's
-#: cost matches the paper's "about s_l + 3 s_s = 28 cycles" example).
-DEFAULT_MAX_LOAD = 3
-
-
-def segment_bounds(length: int, seg_len: int) -> list[tuple[int, int]]:
-    """``(start, end)`` index ranges of each segment of a set of ``length``."""
-    if seg_len < 1:
-        raise ValueError("segment length must be >= 1")
-    return [(s, min(s + seg_len, length)) for s in range(0, length, seg_len)]
-
-
-def head_list(values: np.ndarray, seg_len: int) -> np.ndarray:
-    """First element of every segment (paper: "head list")."""
-    if seg_len < 1:
-        raise ValueError("segment length must be >= 1")
-    values = np.asarray(values)
-    return values[::seg_len]
 
 
 @dataclass(frozen=True)
@@ -173,49 +150,3 @@ def pairing_loads(
     np.add.at(diff, start_seg, 1)
     np.add.at(diff, end_seg + 1, -1)
     return np.cumsum(diff[:-1])
-
-
-@dataclass(frozen=True)
-class WorkItem:
-    """One IU assignment: a long segment with some of its paired shorts.
-
-    ``cost(s_l, s_s)`` is the IU occupancy in cycles: the one-pass merge
-    streams the whole long segment plus each paired short segment
-    (paper section 4.3: "about s_l + 3 x s_s = 28" for three shorts).
-    """
-
-    long_segment: int
-    num_short_segments: int
-
-    def cost(self, long_len: int, short_len: int) -> int:
-        return long_len + self.num_short_segments * short_len
-
-
-def balance_loads(
-    pairing: SegmentPairing,
-    *,
-    max_load: int = DEFAULT_MAX_LOAD,
-    keep_unpaired: bool = False,
-) -> list[WorkItem]:
-    """Turn a load table into balanced work items (paper Figure 7).
-
-    Long segments with zero paired shorts are omitted — except when
-    ``keep_unpaired`` (the anti-subtraction case, where unpaired long
-    segments pass through to the output and still occupy the datapath).
-    Long segments with more than ``max_load`` shorts are split into
-    multiple items so no IU receives a disproportionate share.
-    """
-    if max_load < 1:
-        raise ValueError("max_load must be >= 1")
-    items: list[WorkItem] = []
-    for seg, load in enumerate(pairing.loads):
-        load = int(load)
-        if load == 0:
-            if keep_unpaired:
-                items.append(WorkItem(long_segment=seg, num_short_segments=0))
-            continue
-        while load > max_load:
-            items.append(WorkItem(long_segment=seg, num_short_segments=max_load))
-            load -= max_load
-        items.append(WorkItem(long_segment=seg, num_short_segments=load))
-    return items

@@ -41,7 +41,7 @@ class TestValidation:
             "graphs": ["Nope"],
             "backends": ["vaporware"],
             "schedules": ["chaotic"],
-        })
+        }, configs={"vaporware": {"num_pes": 1}})
         with pytest.raises(SpecError) as excinfo:
             load_spec(data)
         problems = "\n".join(excinfo.value.problems)
@@ -97,6 +97,32 @@ class TestValidation:
         ):
             with pytest.raises(SpecError):
                 load_spec(_minimal(kernel_policies=policies))
+
+    def test_non_table_config_is_a_problem(self):
+        data = _minimal(sweep={"backends": ["fingers"]}, configs={"fingers": 3})
+        with pytest.raises(SpecError, match=r"configs\.fingers\] must be a table"):
+            load_spec(data)
+
+    def test_scalar_axis_is_one_problem(self):
+        with pytest.raises(SpecError) as excinfo:
+            load_spec(_minimal(sweep={"schedules": "dynamic"}))
+        assert excinfo.value.problems == ["sweep.schedules must be a list of strings"]
+        with pytest.raises(SpecError) as excinfo:
+            load_spec(_minimal(sweep={"jobs": 2}))
+        assert len(excinfo.value.problems) == 1
+        assert excinfo.value.problems[0].startswith("sweep.jobs must be")
+
+    def test_config_values_checked_at_load(self):
+        data = _minimal(
+            sweep={"backends": ["fingers"]}, configs={"fingers": {"num_pes": "a"}}
+        )
+        with pytest.raises(SpecError, match=r"\[configs\.fingers\]"):
+            load_spec(data)
+
+    def test_kernel_policy_values_checked_at_load(self):
+        data = _minimal(kernel_policies=[{"name": "a", "engine": "bogus"}])
+        with pytest.raises(SpecError, match="kernel policy 'a'.*bogus"):
+            load_spec(data)
 
     def test_available_graphs_override(self):
         data = _minimal(sweep={"graphs": ["tiny"]})

@@ -8,7 +8,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.csr import CSRGraph
@@ -103,6 +103,8 @@ class TestNpzFuzz:
         st.tuples(st.integers(0, len(_GOOD) - 1), st.integers(0, 255)),
         min_size=1, max_size=6,
     ))
+    # Flag bit 0 of the last central-directory entry marks it encrypted.
+    @example(edits=[(_GOOD.rfind(b"PK\x01\x02") + 8, 1)])
     @FUZZ
     def test_flipped_bytes(self, edits):
         payload = bytearray(_GOOD)

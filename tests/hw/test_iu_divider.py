@@ -1,9 +1,9 @@
-"""Tests for the IU-pool timing model and the task-divider model."""
+"""Tests for the IU-pool timing model and its task-divider phase."""
 
 import numpy as np
 import pytest
 
-from repro.hw.divider import DividerWork, divider_phase_cycles
+from repro.hw.config import FingersConfig
 from repro.hw.iu import TaskTiming, _op_item_costs, _round_robin_busy, time_task_ops
 from repro.pattern.plan import OpKind
 from repro.setops.segments import pairing_loads
@@ -182,33 +182,45 @@ class TestTimeTaskOps:
         assert many_small.io_serial_cycles > few_big.io_serial_cycles
 
 
+def divider_phase(head_counts, num_dividers=1):
+    """Divider phase of one task whose ops have these head-list sizes.
+
+    Each ``(n_long, n_short)`` becomes an intersection of a long set of
+    ``16 * n_long`` ids and a short set of ``4 * n_short`` ids (the long
+    set must be the larger one).  With one
+    divider the phase is the serial total, ``2 * chunks + n_short`` per op.
+    """
+    ops = [
+        (OpKind.INTERSECT, arr(range(4 * ns)), arr(range(16 * nl)))
+        for nl, ns in head_counts
+    ]
+    params = {**DEFAULTS, "num_dividers": num_dividers}
+    return time_task_ops(ops, **params).divider_phase_cycles
+
+
 class TestDividerModel:
     def test_no_chunking(self):
-        w = DividerWork(10, 20, long_head_capacity=15, short_head_capacity=24)
-        assert w.num_chunks == 1
+        assert divider_phase([(10, 20)]) == 2 * 1 + 20
 
     def test_long_overflow_chunks(self):
-        w = DividerWork(40, 10, long_head_capacity=15, short_head_capacity=24)
-        assert w.num_chunks == 3
+        assert divider_phase([(40, 10)]) == 2 * 3 + 10
 
     def test_both_overflow_additive(self):
-        w = DividerWork(40, 60, long_head_capacity=15, short_head_capacity=24)
-        assert w.num_chunks == 3 + 3 - 1
+        assert divider_phase([(40, 60)]) == 2 * (3 + 3 - 1) + 60
 
     def test_phase_balanced(self):
-        works = [DividerWork(10, 20, 15, 24)] * 12
-        solo = divider_phase_cycles(works[:1], 12)
-        full = divider_phase_cycles(works, 12)
-        assert full == solo  # 12 works on 12 dividers run in parallel
+        solo = divider_phase([(10, 20)], num_dividers=12)
+        full = divider_phase([(10, 20)] * 12, num_dividers=12)
+        assert full == solo  # 12 ops on 12 dividers run in parallel
 
     def test_phase_floor_is_largest_chunk(self):
-        works = [DividerWork(5, 100, 15, 24)]
-        phase = divider_phase_cycles(works, 12)
-        assert phase >= 2  # at least setup cycles
+        # 2 + 5 - 1 = 6 chunks of at most 17 short heads; the balanced
+        # share, ceil((2 * 6 + 100) / 12) = 10, is smaller.
+        assert divider_phase([(30, 100)], num_dividers=12) == 2 + 17
 
     def test_empty(self):
-        assert divider_phase_cycles([], 12) == 0
+        assert divider_phase([]) == 0
 
     def test_invalid_dividers(self):
         with pytest.raises(ValueError):
-            divider_phase_cycles([], 0)
+            FingersConfig(num_dividers=0)

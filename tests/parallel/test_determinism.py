@@ -8,7 +8,9 @@ docs/PARALLELISM.md).
 
 import pytest
 
+from repro.core.backend import get_backend
 from repro.core.result import merge_run_results
+from repro.core.sharded import run_sharded
 from repro.graph import erdos_renyi
 from repro.hw.api import (
     FingersConfig,
@@ -19,7 +21,7 @@ from repro.hw.api import (
 from repro.hw.chip import run_chip
 from repro.mining.api import count, embeddings, motif_census, plan_for
 from repro.mining.engine import count_embeddings, per_root_counts
-from repro.parallel import shard_roots, sharded_run_chip
+from repro.parallel import shard_roots
 from repro.sw import SoftwareConfig
 from repro.sw.miner import simulate_software
 
@@ -128,8 +130,9 @@ class TestChipDeterminism:
         cfg = FingersConfig(num_pes=2)
         _, plans, _ = resolve_workload("tc")
         plain = run_chip(small_random, plans, cfg)
-        sharded = sharded_run_chip(
-            small_random, plans, cfg, None, roots=None, jobs=1, num_shards=1
+        sharded = run_sharded(
+            get_backend("fingers"), small_random, plans, cfg,
+            roots=None, jobs=1, num_shards=1,
         )
         assert sharded == plain
 

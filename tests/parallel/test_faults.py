@@ -263,6 +263,32 @@ class _BreakingExecutor:
         pass
 
 
+class _RefusingExecutor(_BreakingExecutor):
+    """The first pool breaks under its first shard and then refuses every
+    later submission, as a real pool does once it sees a worker die."""
+
+    def submit(self, fn, task):
+        if self.first and self.submitted:
+            raise BrokenProcessPool("the pool is not usable anymore")
+        return super().submit(fn, task)
+
+
+class TestBrokenSubmit:
+    def test_refused_submissions_are_requeued(self, monkeypatch):
+        # A worker can die while shards are still being queued; submit()
+        # itself then raises.  Every shard reruns on the next pool.
+        monkeypatch.setattr(_BreakingExecutor, "pools", 0)
+        monkeypatch.setattr(_BreakingExecutor, "submitted", [], raising=False)
+        monkeypatch.setattr(pool, "ProcessPoolExecutor", _RefusingExecutor)
+        stats = RetryStats()
+        out = run_shards(_square_sum, 3, SHARDS, jobs=2, policy=FAST,
+                         stats=stats)
+        assert out == [3 * sum(s) for s in SHARDS]
+        assert stats.crashes == 1
+        assert stats.pool_rebuilds == 1
+        assert stats.retries == len(SHARDS)
+
+
 class TestFaultDraws:
     SPEC = "seed=7,crash:pool=0.3"
 

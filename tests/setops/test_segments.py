@@ -1,19 +1,23 @@
-"""Tests for segmentation, head lists, pairing, and load balancing."""
+"""Tests for segmentation, head lists, pairing, and load balancing.
+
+Load balancing (paper Figure 7) is the IU model's work-item split,
+:func:`repro.hw.iu._op_item_costs`; with ``short_len=1`` and
+``long_len=4`` an item's cost ``4 + n`` reads off its ``n`` short
+segments.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hw.config import FingersConfig
+from repro.hw.iu import _op_item_costs
+from repro.pattern.plan import OpKind
 from repro.setops import (
     LONG_SEGMENT_LEN,
     SHORT_SEGMENT_LEN,
-    SegmentPairing,
-    WorkItem,
-    balance_loads,
-    head_list,
     pair_segments,
-    segment_bounds,
 )
 from repro.setops.segments import pairing_loads
 
@@ -28,22 +32,27 @@ def arr(values):
 
 class TestSegmentBounds:
     def test_exact_multiple(self):
-        assert segment_bounds(8, 4) == [(0, 4), (4, 8)]
+        assert pair_segments(arr([0]), arr(range(8)), long_len=4).num_long_segments == 2
 
     def test_partial_tail(self):
-        assert segment_bounds(9, 4) == [(0, 4), (4, 8), (8, 9)]
+        assert pair_segments(arr([0]), arr(range(9)), long_len=4).num_long_segments == 3
 
     def test_empty(self):
-        assert segment_bounds(0, 4) == []
+        assert pair_segments(arr([0]), arr([]), long_len=4).num_long_segments == 0
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            segment_bounds(4, 0)
+            FingersConfig(long_segment_len=0)
 
 
 class TestHeadList:
     def test_heads(self):
-        assert list(head_list(arr(range(10)), 4)) == [0, 4, 8]
+        # Heads of range(10) in segments of 4 are 0, 4, 8: each value
+        # pairs with the segment whose head it reaches.
+        pairing = pair_segments(
+            arr([3, 4, 7, 8]), arr(range(10)), short_len=1, long_len=4
+        )
+        assert pairing.spans == ((0, 0), (1, 1), (1, 1), (2, 2))
 
     def test_defaults_match_paper(self):
         assert LONG_SEGMENT_LEN == 16
@@ -51,7 +60,7 @@ class TestHeadList:
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            head_list(arr([1]), 0)
+            FingersConfig(short_segment_len=0)
 
 
 class TestPaperFigure4:
@@ -128,44 +137,48 @@ class TestPairing:
             assert list(full.loads) == list(fast)
 
 
+#: Four long segments of four ids with heads 0, 10, 20, 30.
+LONG4 = arr([0, 1, 2, 3, 10, 11, 12, 13, 20, 21, 22, 23, 30, 31, 32, 33])
+
+
 class TestBalanceLoads:
-    def _pairing(self, loads):
-        return SegmentPairing(
-            loads=np.asarray(loads, dtype=np.int64),
-            spans=(),
-            num_long_segments=len(loads),
-            num_short_segments=int(sum(loads)),
+    def _costs(self, kind, source, operand, max_load=3, long_len=4):
+        costs, *_ = _op_item_costs(
+            kind, arr(source), arr(operand),
+            long_len=long_len, short_len=1, max_load=max_load,
         )
+        return costs
 
     def test_zero_loads_omitted(self):
-        items = balance_loads(self._pairing([0, 2, 0]), max_load=3)
-        assert len(items) == 1
-        assert items[0].long_segment == 1
+        # Load table [0, 2, 0]: only the middle long segment has work.
+        costs = self._costs(OpKind.INTERSECT, [10, 11], LONG4[:12])
+        assert costs == [4 + 2]
 
     def test_zero_loads_kept_for_anti_subtraction(self):
-        items = balance_loads(
-            self._pairing([0, 2, 0]), max_load=3, keep_unpaired=True
-        )
-        assert [it.long_segment for it in items] == [0, 1, 2]
+        # The long set is the subtraction's left operand, so unpaired
+        # long segments pass through and still occupy an IU.
+        costs = self._costs(OpKind.SUBTRACT, LONG4[:12], [10, 11])
+        assert costs == [4, 4 + 2, 4]
 
     def test_overload_split(self):
-        items = balance_loads(self._pairing([7]), max_load=3)
-        assert [it.num_short_segments for it in items] == [3, 3, 1]
+        # One long segment of 16 ids paired with 7 short segments.
+        costs = self._costs(OpKind.INTERSECT, range(7), range(16), long_len=16)
+        assert costs == [16 + 3, 16 + 3, 16 + 1]
 
     def test_paper_figure7_example(self):
         # Load table [0, 2, 3, 1] with max load 2: the 3 splits into 2+1.
-        items = balance_loads(self._pairing([0, 2, 3, 1]), max_load=2)
-        assert [(it.long_segment, it.num_short_segments) for it in items] == [
-            (1, 2),
-            (2, 2),
-            (2, 1),
-            (3, 1),
-        ]
+        costs = self._costs(
+            OpKind.INTERSECT, [10, 11, 20, 21, 22, 30], LONG4, max_load=2
+        )
+        assert costs == [4 + 2, 4 + 2, 4 + 1, 4 + 1]
 
     def test_cost_formula(self):
-        item = WorkItem(long_segment=0, num_short_segments=3)
-        assert item.cost(16, 4) == 28  # the paper's s_l + 3 s_s example
+        costs, *_ = _op_item_costs(
+            OpKind.INTERSECT, arr(range(12)), arr(range(16)),
+            long_len=16, short_len=4, max_load=3,
+        )
+        assert costs == [28]  # the paper's s_l + 3 s_s example
 
     def test_invalid_max_load(self):
         with pytest.raises(ValueError):
-            balance_loads(self._pairing([1]), max_load=0)
+            FingersConfig(max_load=0)

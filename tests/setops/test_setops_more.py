@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.setops import intersect, subtract, segmented_set_op
-from repro.setops.segments import head_list, segment_bounds
+from repro.setops import intersect, pair_segments, subtract
+from repro.setops.segments import pairing_loads
 
 sorted_sets = st.lists(
     st.integers(min_value=0, max_value=200), max_size=50, unique=True
@@ -51,21 +51,17 @@ class TestAlgebra:
 class TestSegmentHelpers:
     @given(sorted_sets, st.integers(1, 20))
     def test_bounds_cover_exactly(self, a, seg_len):
-        bounds = segment_bounds(len(a), seg_len)
-        covered = [i for lo, hi in bounds for i in range(lo, hi)]
-        assert covered == list(range(len(a)))
+        """Segmenting a set against itself pairs each segment with its own
+        twin only, so the load table is one 1 per segment."""
+        loads = pairing_loads(arr(a), arr(a), short_len=seg_len, long_len=seg_len)
+        if a:
+            assert list(loads) == [1] * -(-len(a) // seg_len)
 
     @given(sorted_sets, st.integers(1, 20))
     def test_head_list_heads(self, a, seg_len):
-        heads = head_list(arr(a), seg_len)
-        bounds = segment_bounds(len(a), seg_len)
-        assert len(heads) == len(bounds)
-        for head, (lo, _) in zip(heads, bounds):
-            assert head == a[lo]
-
-    @given(sorted_sets, sorted_sets, st.integers(1, 12), st.integers(1, 12))
-    @settings(max_examples=60, deadline=None)
-    def test_segmented_subtract_any_lengths(self, a, b, s_s, s_l):
-        got = segmented_set_op("subtract", arr(a), arr(b),
-                               short_len=s_s, long_len=s_l)
-        assert list(got) == list(subtract(arr(a), arr(b)))
+        """The long heads are ``a[::seg_len]``: element ``i`` falls in
+        segment ``i // seg_len``."""
+        pairing = pair_segments(arr(a), arr(a), short_len=1, long_len=seg_len)
+        assert pairing.spans == tuple(
+            (i // seg_len, i // seg_len) for i in range(len(a))
+        )
