@@ -85,7 +85,9 @@ def _flex(**kw):
 
 def _cases():
     cases = {}
-    for p in ("tc", "4cl", "tt", "cyc", "3mc"):
+    # dia: a subtract under a lower bound at the last level; house: five
+    # levels, an anti-subtract chain feeding the last op.
+    for p in ("tc", "4cl", "tt", "cyc", "3mc", "dia", "house"):
         cases[f"fingers-1pe-{p}"] = ("ba", p, _fingers(), {})
         cases[f"flexminer-1pe-{p}"] = ("ba", p, _flex(), {})
     for sched in ("dynamic", "static_interleave", "static_block"):
