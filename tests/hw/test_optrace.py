@@ -7,11 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import complete_graph, erdos_renyi
-from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
+from repro.bench import BENCHMARK_PATTERNS
+from repro.core.workload import resolve_workload
+from repro.graph import builders, erdos_renyi
+from repro.graph import generators as gen
+from repro.hw import optrace
+from repro.hw.api import FingersConfig, MemoryConfig
 from repro.hw.iu import time_task_ops
 from repro.hw.optrace import OpTrace, Rows, iu_task_stats
 from repro.mining.api import plan_for
+from repro.mining.engine import count_embeddings
 from repro.pattern.plan import OpKind
 from repro.setops.segmented import SegmentedSet
 
@@ -159,12 +164,56 @@ class TestTraceTables:
         assert len(chunks) == g.num_vertices - 64 + 1
         assert [t.root for t in trees] == list(range(g.num_vertices))
 
-    def test_leaf_counts_match_functional_count(self):
-        g = complete_graph(7)
-        for config in (FingersConfig(num_pes=1), FlexMinerConfig(num_pes=1)):
-            trace = OpTrace(
-                g, [plan_for("tc")], MemoryConfig(),
-                fingers=config if isinstance(config, FingersConfig) else None,
-            )
-            chunk = next(trace.trees(range(7))).chunk
-            assert sum(chunk.g_leaf) == 35
+    def test_leaf_counts_match_functional_count(self, monkeypatch):
+        """Each root's leaves, summed over its tree, equal its functional
+        count for every plan of every benchmark workload, on both
+        designs, in single-root chunks — with the default op pieces and
+        with pieces small enough to split every level."""
+        g = _LEAF_GRAPH
+        roots = range(g.num_vertices)
+        pieces = (optrace._PIECE_VALUES, 5)
+        for pattern in BENCHMARK_PATTERNS:
+            _, plans, _ = resolve_workload(pattern)
+            want = [
+                [count_embeddings(g, plan, roots=[r]) for plan in plans]
+                for r in roots
+            ]
+            for piece in pieces:
+                monkeypatch.setattr(optrace, "_PIECE_VALUES", piece)
+                for fingers in (FingersConfig(num_pes=1), None):
+                    trace = OpTrace(
+                        g, plans, MemoryConfig(),
+                        group_size=3 if fingers else 1, fingers=fingers,
+                    )
+                    got = [
+                        _leaf_totals(tree, len(plans))
+                        for tree in trace.trees(roots, budget_bytes=1)
+                    ]
+                    assert got == want, (pattern, piece, fingers)
+
+
+#: Hubs, planted 5-cliques and more than one first chunk of roots.
+_LEAF_GRAPH = builders.relabel_by_degree(builders.from_edges(
+    list(gen.barabasi_albert(72, 3, seed=4).edges())
+    + list(gen.planted_cliques(72, num_cliques=3, clique_size=5, seed=5).edges()),
+    num_vertices=72,
+))
+
+
+def _leaf_totals(tree, num_plans: int) -> list[int]:
+    """Leaves counted in ``tree``, per plan."""
+    chunk = tree.chunk
+    totals = [0] * num_plans
+    if chunk.g_plan[tree.group] < 0:
+        tops = [(p, leaf, range(lo, hi))
+                for p, leaf, lo, hi in chunk.merged[tree.group]]
+    else:
+        tops = [(chunk.g_plan[tree.group], 0, [tree.group])]
+    for p, leaf, groups in tops:
+        totals[p] += leaf
+        stack = list(groups)
+        while stack:
+            g = stack.pop()
+            totals[p] += chunk.g_leaf[g]
+            stack.extend(range(chunk.g_push_lo[g], chunk.g_push_hi[g]))
+    return totals

@@ -1,13 +1,15 @@
 """Frontier engine: spill invariance, edge cases, the word-parallel
-terminal probe, and the shared trunk.
+terminal probe, the count-only leaf level, and the shared trunk.
 
 The agreement sweep (test_kernel_agreement.py) covers the full
 pattern × policy matrix; this file targets the frontier-specific
 machinery — budget chunking never changing counts (property-based),
 degenerate inputs, the word path of the fused terminal level and its
-dispatch, the lazy state carry, and the multi-pattern shared level-0
-trunk.
+dispatch, the lazy state carry, the set-op trace's leaf counts, and the
+multi-pattern shared level-0 trunk.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,15 +19,25 @@ from hypothesis import strategies as st
 from repro.graph.builders import from_edges
 from repro.graph.generators import barabasi_albert, erdos_renyi
 from repro.mining.engine import count_embeddings, count_multi, per_root_counts
-from repro.mining.frontier import FrontierEngine, _chunk_ranges
+from repro.mining.frontier import (
+    FrontierEngine,
+    _chunk_ranges,
+    _State,
+    filter_candidates,
+    leaf_counts,
+    materialize,
+    run_level_ops,
+)
 from repro.pattern.compiler import compile_plan
 from repro.pattern.multipattern import compile_multi_plan, motif_patterns
 from repro.pattern.pattern import all_named_patterns, named_pattern
+from repro.pattern.plan import OpKind, SetOp
 from repro.setops.kernels import (
     KernelPolicy,
     kernel_counters,
     reset_kernel_counters,
 )
+from repro.setops.segmented import SegmentedSet
 
 GRAPH = erdos_renyi(80, 0.18, seed=21)
 HUBBY = barabasi_albert(90, 6, seed=8)
@@ -300,3 +312,86 @@ class TestSharedTrunk:
         multi = self._multi()
         serial = count_multi(GRAPH, multi)
         assert count_multi(GRAPH, multi, jobs=2) == serial
+
+
+@dataclass(frozen=True)
+class _Filters:
+    """The two plan queries the leaf filters read, with drawn levels."""
+
+    bounds: tuple[int, ...]
+    excludes: tuple[int, ...]
+
+    def lower_bound_levels(self, level):
+        return self.bounds
+
+    def exclude_levels(self, level):
+        return self.excludes
+
+
+@st.composite
+def _leaf_inputs(draw):
+    """A graph, a frontier, a (maybe lazily mapped) source state, one
+    non-copy op and its leaf filters."""
+    n = draw(st.integers(1, 40))
+    graph = erdos_renyi(n, draw(st.sampled_from([0.0, 0.2, 0.6])),
+                        seed=draw(st.integers(0, 50)))
+    nxt = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 12))
+    vertex = st.integers(0, n - 1)
+    cols = [
+        np.array(draw(st.lists(vertex, min_size=rows, max_size=rows)),
+                 dtype=np.int32)
+        for _ in range(nxt)
+    ]
+    lazy = draw(st.booleans())
+    seg_rows = draw(st.integers(1, 6)) if lazy else rows
+    sets = [
+        sorted(draw(st.sets(vertex, max_size=n))) for _ in range(seg_rows)
+    ]
+    offsets = np.zeros(seg_rows + 1, dtype=np.int64)
+    np.cumsum([len(x) for x in sets], out=offsets[1:])
+    values = np.array([v for x in sets for v in x], dtype=np.int32)
+    sel = None
+    if lazy:
+        sel = np.array(
+            draw(st.lists(st.integers(0, seg_rows - 1),
+                          min_size=rows, max_size=rows)),
+            dtype=np.int64,
+        )
+    kind = draw(st.sampled_from(
+        [OpKind.INTERSECT, OpKind.SUBTRACT, OpKind.ANTI_SUBTRACT]
+    ))
+    op = SetOp(kind, draw(st.integers(0, nxt - 1)), 0, 1, (nxt,), nxt)
+    levels = st.lists(st.integers(0, nxt - 1), max_size=3, unique=True)
+    plan = _Filters(tuple(draw(levels)), tuple(draw(levels)))
+    return graph, plan, nxt, op, SegmentedSet(values, offsets), sel, cols
+
+
+class TestLeafCounts:
+    """``leaf_counts`` is the size of the filtered extension set, read
+    off the bounded source suffix instead of the built result."""
+
+    @given(inputs=_leaf_inputs(), max_values=st.integers(1, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_filtered_materialized_result(self, inputs, max_values):
+        graph, plan, nxt, op, seg, sel, cols = inputs
+        got = leaf_counts(
+            graph, plan, nxt, op, _State(seg, sel), cols,
+            max_values=max_values,
+        )
+        states = {0: _State(seg, sel)}
+        run_level_ops(graph, [op], cols, states)
+        want = filter_candidates(plan, materialize(states, 1), nxt, cols)
+        assert got.tolist() == want.lengths.tolist()
+
+    def test_tallies_under_the_op_kind_label(self):
+        seg = SegmentedSet(np.arange(5, dtype=np.int32),
+                           np.array([0, 5], dtype=np.int64))
+        cols = [np.array([0], dtype=np.int32)]
+        for kind, label in ((OpKind.INTERSECT, "seg_intersect/"),
+                            (OpKind.ANTI_SUBTRACT, "seg_subtract/")):
+            reset_kernel_counters()
+            op = SetOp(kind, 0, 0, 1, (1,), 1)
+            leaf_counts(GRAPH, _Filters((), ()), 1, op, _State(seg, None),
+                        cols, max_values=2)
+            assert set(kernel_counters()) == {label + "bitmap"}
