@@ -17,7 +17,6 @@ from repro.bench.workloads import (
     BENCHMARK_GRAPHS,
     ROOT_STRIDE,
     roots_for,
-    workload_graphs,
 )
 from repro.bench.runner import (
     PairResult,
@@ -63,7 +62,6 @@ __all__ = [
     "BENCHMARK_GRAPHS",
     "ROOT_STRIDE",
     "roots_for",
-    "workload_graphs",
     "run_pair",
     "run_cached",
     "run_software_cached",

@@ -14,7 +14,6 @@ __all__ = [
     "BENCHMARK_GRAPHS",
     "ROOT_STRIDE",
     "roots_for",
-    "workload_graphs",
 ]
 
 #: The paper's seven evaluated workloads, in its plotting order.
@@ -43,8 +42,3 @@ def roots_for(name: str, graph: CSRGraph | None = None) -> list[int]:
     graph = graph if graph is not None else load_dataset(name)
     stride = ROOT_STRIDE.get(name, 1)
     return list(range(0, graph.num_vertices, stride))
-
-
-def workload_graphs(names: list[str] | None = None) -> dict[str, CSRGraph]:
-    """Load the named analogs (default: all six)."""
-    return {n: load_dataset(n) for n in (names or BENCHMARK_GRAPHS)}

@@ -19,7 +19,7 @@ Subcommands
                baselines (docs/BENCHMARKS.md).
 ``lint``       Static determinism/parallel-safety linter (docs/ANALYSIS.md).
 ``lint-plan``  Statically verify compiled execution plans.
-``tune``       Measure and persist the tuned plan/policy choice for one
+``tune``       Measure and persist the tuned vertex order for one
                (pattern, graph) cell (docs/TUNING.md).
 
 ``count``, ``simulate``, ``compare``, and ``bench`` accept ``--jobs N``
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "tune",
-        help="measure & persist the tuned plan/policy for one "
+        help="measure & persist the tuned vertex order for one "
              "(pattern, graph) cell (docs/TUNING.md)",
     )
     p.add_argument("pattern", help="benchmark pattern name (tc, 4cl, tt, ...)")
@@ -481,7 +481,6 @@ def _cmd_backends(args) -> int:
 def _cmd_tune(args) -> int:
     import json as _json
 
-    from repro.core.backend import config_signature
     from repro.mining.api import plan_for
     from repro.tuning import reset_tuning_stats, tune_plan, tuning_stats
 
@@ -505,7 +504,6 @@ def _cmd_tune(args) -> int:
             "source": source,
             "candidate": choice.candidate_label,
             "order": list(choice.order),
-            "policy": config_signature(choice.policy),
             "trials": choice.trials,
             "sample_size": choice.sample_size,
             "reference_seconds": choice.reference_seconds,
@@ -520,7 +518,6 @@ def _cmd_tune(args) -> int:
     print(f"source:    {source}")
     print(f"candidate: {choice.candidate_label}")
     print(f"order:     {'-'.join(str(v) for v in choice.order)}")
-    print(f"policy:    {config_signature(choice.policy)}")
     if source == "trial":
         print(f"trials:    {choice.trials} "
               f"(final sample: {choice.sample_size} roots)")

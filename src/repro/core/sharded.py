@@ -40,7 +40,6 @@ from repro.pattern.plan import ExecutionPlan
 from repro.resilience.retry import RetryStats
 
 __all__ = [
-    "count_embeddings_parallel",
     "count_multi_parallel",
     "list_embeddings_parallel",
     "per_root_counts_parallel",
@@ -200,23 +199,6 @@ def per_root_counts_parallel(
     payload = {"graph": graph, "plan": plan, "kernels": kernels}
     parts = run_shards(_count_worker, payload, chunks, jobs)
     return [pair for part in parts for pair in part]
-
-
-def count_embeddings_parallel(
-    graph: CSRGraph,
-    plan: ExecutionPlan,
-    roots: Iterable[int] | None,
-    jobs: int,
-    *,
-    kernels=None,
-) -> int:
-    """Total embedding count, sharded over ``jobs`` worker processes."""
-    return sum(
-        count
-        for _, count in per_root_counts_parallel(
-            graph, plan, roots, jobs, kernels=kernels
-        )
-    )
 
 
 def count_multi_parallel(

@@ -34,9 +34,9 @@ stack is a list of group ids; pushing a group's children is one
 
 The trace is rebuilt by every run (nothing is cached across runs) and
 in root chunks whose replay tables stay near a byte budget, so memory
-does not grow with the number of roots.  Building uses the default
-kernel policy: kernel choice is functional only (docs/KERNELS.md), so
-no timing quantity here depends on it.
+does not grow with the number of roots.  Kernel choice is functional
+only (docs/KERNELS.md), so no timing quantity here depends on which
+membership kernel the graph gets.
 """
 
 from __future__ import annotations

@@ -46,9 +46,9 @@ and excludes applied once), and each child counts
 ``popcount(parent & A[child])`` against its adjacency-bitmap row
 (``& ~A[child]`` when subtracting; its own bound as a greater-than
 mask).  The word path runs when the membership dispatch picks
-``bitmap`` (so a forced ``edgekey``/``bisect`` keeps the element path)
-and ``children × words`` does not exceed the element probes; chunks
-are budgeted at ``4 × words × 8`` bytes per child.
+``bitmap`` (a graph over the bitmap budget keeps the element path) and
+``children × words`` does not exceed the element probes; chunks are
+budgeted at ``4 × words × 8`` bytes per child.
 
 The set-op trace builder (:mod:`repro.hw.optrace`) reuses these level
 functions.  Its leaf level calls :func:`leaf_counts`, which sizes a
@@ -57,7 +57,8 @@ only above its lower bound.
 
 Everything here is functional-only: counts are bit-identical to the
 recursive oracle for every policy, and dispatch decisions are pure
-functions of sizes/policy so sanitized double runs trace identically.
+functions of sizes and the graph so sanitized double runs trace
+identically.
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ __all__ = [
     "carried_states",
     "expand_rows",
     "filter_candidates",
-    "frontier_per_root_counts",
     "leaf_counts",
     "materialize",
     "run_level_ops",
@@ -167,11 +167,10 @@ def _set_op(
     src: sg.SegmentedSet,
     graph: CSRGraph,
     verts: np.ndarray,
-    policy: KernelPolicy,
 ) -> sg.SegmentedSet:
     if kind is OpKind.INTERSECT:
-        return sg.intersect_neighbors(src, graph, verts, policy)
-    return sg.subtract_neighbors(src, graph, verts, policy)
+        return sg.intersect_neighbors(src, graph, verts)
+    return sg.subtract_neighbors(src, graph, verts)
 
 
 def run_level_ops(
@@ -179,7 +178,6 @@ def run_level_ops(
     ops: Sequence[SetOp],
     cols: list[np.ndarray],
     states: MutableMapping[int, _State],
-    policy: KernelPolicy = DEFAULT_POLICY,
     shared: MutableMapping[int, sg.SegmentedSet] | None = None,
     *,
     max_values: int | None = None,
@@ -208,7 +206,7 @@ def run_level_ops(
             seg = sg.gather_neighbors(graph, verts)
         elif max_values is None:
             src = _State(materialize(states, op.source_state), None)
-            seg = _set_op(op.kind, src.seg, graph, verts, policy)
+            seg = _set_op(op.kind, src.seg, graph, verts)
         else:
             src = states[op.source_state]
             lens = src.seg.lengths if src.sel is None else src.seg.lengths[src.sel]
@@ -218,7 +216,7 @@ def run_level_ops(
                     src.seg.slice_rows(a, b) if src.sel is None
                     else src.seg.take_rows(src.sel[a:b])
                 )
-                parts.append(_set_op(op.kind, rows, graph, verts[a:b], policy))
+                parts.append(_set_op(op.kind, rows, graph, verts[a:b]))
             seg = sg.concat(parts)
         states[op.result_state] = _State(seg, None)
         if shared is not None:
@@ -422,7 +420,7 @@ class FrontierEngine:
         plan = self.plan
         sched = plan.levels[level]
         shared = self._shared if level == 0 else None
-        run_level_ops(self.graph, sched.ops, cols, states, self.policy, shared)
+        run_level_ops(self.graph, sched.ops, cols, states, shared)
         nxt = level + 1
         cand = filter_candidates(
             plan, materialize(states, sched.extend_state), nxt, cols
@@ -489,7 +487,7 @@ class FrontierEngine:
         one flat membership/bounds pass over each child's candidate
         slice yields the surviving counts.
         """
-        graph, plan, policy = self.graph, self.plan, self.policy
+        graph, plan = self.graph, self.plan
         info = self.terminal
         ops = plan.levels[self.k - 2].ops
         if cand.total == 0:
@@ -525,7 +523,7 @@ class FrontierEngine:
                     continue
                 local[op.result_state] = _set_op(
                     op.kind, resolve(op.source_state), graph,
-                    cols[op.operand_level], policy,
+                    cols[op.operand_level],
                 )
             s_prime = local[ops[-1].result_state]
 
@@ -553,7 +551,7 @@ class FrontierEngine:
         words = (graph.num_vertices + 63) >> 6
         if (
             cand.total * words <= probes
-            and sg.pick_segment_kernel(graph, probes, policy) == "bitmap"
+            and sg.pick_segment_kernel(graph) == "bitmap"
         ):
             self._terminal_words(
                 cols, root_rows, cand, child_parent, s_prime, mask_ops,
@@ -583,14 +581,12 @@ class FrontierEngine:
                 keep = np.ones(vals.size, dtype=bool)
                 for kind, d in mask_ops:
                     hit = sg.neighbor_membership(
-                        graph, vals, cols[d][frow], policy, op="fused"
+                        graph, vals, cols[d][frow], op="fused"
                     )
                     keep &= hit if kind is OpKind.INTERSECT else ~hit
             else:
                 owners = np.repeat(cv, fl)
-                hit = sg.neighbor_membership(
-                    graph, vals, owners, policy, op="fused"
-                )
+                hit = sg.neighbor_membership(graph, vals, owners, op="fused")
                 keep = hit if info.mode == "intersect" else ~hit
             if self_bound or fb is not None:
                 if owners is None:
@@ -680,16 +676,3 @@ class FrontierEngine:
                 np.bitwise_count(hits).ravel(), starts * words, dtype=np.int64
             )
             np.add.at(counts, root_rows[parents], per_parent)
-
-
-def frontier_per_root_counts(
-    graph: CSRGraph,
-    plan: ExecutionPlan,
-    roots: Iterable[int],
-    policy: KernelPolicy | None = None,
-    *,
-    shared_level0: MutableMapping[int, sg.SegmentedSet] | None = None,
-) -> np.ndarray:
-    """Convenience wrapper: one engine, one root list, one count vector."""
-    engine = FrontierEngine(graph, plan, policy)
-    return engine.per_root_counts(roots, shared_level0=shared_level0)

@@ -23,7 +23,6 @@ from repro.parallel.chunking import (
 )
 from repro.parallel.pool import (
     pool_unavailable_reason,
-    reset_retry_stats,
     retry_stats,
     run_shards,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "engine_num_chunks",
     "shard_roots",
     "pool_unavailable_reason",
-    "reset_retry_stats",
     "retry_stats",
     "run_shards",
 ]

@@ -21,7 +21,7 @@ Two properties matter for the determinism contract (see
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -96,8 +96,3 @@ def shard_roots(
         for a, b in zip(bounds[:-1], bounds[1:])
         if b > a
     ]
-
-
-def shard_signature(shards: Sequence[Sequence[int]]) -> tuple[int, ...]:
-    """Chunk sizes, handy for logging/tests."""
-    return tuple(len(s) for s in shards)

@@ -68,7 +68,6 @@ from repro.resilience.retry import RetryPolicy, RetryStats
 
 __all__ = [
     "pool_unavailable_reason",
-    "reset_retry_stats",
     "retry_stats",
     "run_shards",
 ]
@@ -89,11 +88,6 @@ _TOTALS = RetryStats()
 def retry_stats() -> RetryStats:
     """Immutable snapshot of the cumulative recovery counters."""
     return _TOTALS.snapshot()
-
-
-def reset_retry_stats() -> None:
-    global _TOTALS  # noqa: RACE001 - driver-side counter reset only
-    _TOTALS = RetryStats()
 
 
 def _initializer(worker: Callable[[Any, Any], Any], payload: Any) -> None:

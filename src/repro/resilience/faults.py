@@ -12,9 +12,8 @@ crashes on every run, on every machine.
 Injection sites reuse the sanitizer's probe seams
 (:mod:`repro.sanitize`): sites are addressed by the same labels the
 sanitizer emits (``pool``, ``cache``, ``cell``), tokens are derived
-with :func:`repro.sanitize.payload_digest`, and while a plan is
-installed the framework listens on the sanitizer's probe-hook bus to
-count seam traffic (``fault_counters()``).
+with :func:`repro.sanitize.payload_digest`, and every fired fault is
+counted (``fault_counters()``).
 
 Fault-spec grammar (full reference: docs/RESILIENCE.md)::
 
@@ -43,7 +42,6 @@ import hashlib
 import os
 import time
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro import sanitize
 from repro.errors import ConfigError, InjectedFault
@@ -225,13 +223,6 @@ _IN_WORKER = False
 _COUNTERS: dict[str, int] = {}
 
 
-def _probe_listener(kind: str, label: str) -> None:
-    # Rides the sanitizer's probe bus while a plan is installed: every
-    # seam firing is counted, giving the chaos harness a traffic view
-    # of the sites it can address.
-    _COUNTERS[f"probe:{kind}"] = _COUNTERS.get(f"probe:{kind}", 0) + 1
-
-
 def install(plan: FaultPlan | str) -> FaultPlan:
     """Install a plan process-wide and export it to ``REPRO_FAULTS``.
 
@@ -244,7 +235,6 @@ def install(plan: FaultPlan | str) -> FaultPlan:
         plan = FaultPlan.parse(plan)
     _INSTALLED = plan
     os.environ[ENV_VAR] = plan.spec()
-    sanitize.add_probe_hook(_probe_listener)
     return plan
 
 
@@ -254,7 +244,6 @@ def clear() -> None:
     _INSTALLED = None
     _ENV_CACHE = None
     os.environ.pop(ENV_VAR, None)
-    sanitize.remove_probe_hook(_probe_listener)
 
 
 def current_plan() -> FaultPlan | None:
@@ -290,10 +279,9 @@ def in_worker() -> bool:
 
 
 def fault_counters() -> dict[str, int]:
-    """Snapshot of fired-fault and probe-traffic counters.
+    """Snapshot of fired-fault counters.
 
-    Keys: ``"<site>:<kind>"`` per fired fault, ``"probe:<kind>"`` per
-    observed sanitizer probe.  Per-process: worker-side firings are
+    Keys: ``"<site>:<kind>"`` per fired fault.  Per-process: worker-side firings are
     visible to the parent only through their effects (crashes, retries).
     """
     return dict(_COUNTERS)
@@ -374,8 +362,3 @@ def corrupt_bytes(
     keep = max(1, len(data) // 2)
     head = bytes(b ^ 0xFF for b in data[: min(8, keep)])
     return head + data[len(head):keep]
-
-
-def iter_rules(plan: FaultPlan | None) -> Iterable[FaultRule]:
-    """The plan's rules, or nothing — convenience for reporting code."""
-    return () if plan is None else plan.rules

@@ -47,7 +47,6 @@ __all__ = [
     "SanitizerError",
     "Trace",
     "TraceEvent",
-    "add_probe_hook",
     "capture",
     "compare_traces",
     "emit",
@@ -55,7 +54,6 @@ __all__ = [
     "env_enabled",
     "is_active",
     "payload_digest",
-    "remove_probe_hook",
     "suspended",
 ]
 
@@ -65,15 +63,8 @@ _ENV_VAR = "REPRO_SANITIZE"
 _ACTIVE = False
 _EVENTS: list["TraceEvent"] | None = None
 
-#: While set, probes are silenced entirely (no trace events, no hook
-#: notifications) — see :func:`suspended`.
+#: While set, probes are silenced entirely — see :func:`suspended`.
 _SUSPENDED = False
-
-#: Probe-hook bus: listeners that observe every probe firing (kind,
-#: label) without a capture being armed.  The fault-injection framework
-#: (:mod:`repro.resilience.faults`) rides this bus to count seam
-#: traffic while a fault plan is installed.
-_PROBE_HOOKS: list[Any] = []
 
 _NO_PAYLOAD = object()
 
@@ -125,30 +116,9 @@ def env_enabled() -> bool:
 
 
 def is_active() -> bool:
-    """Whether probes should fire: a :func:`capture` is recording, or a
-    probe hook (e.g. an installed fault plan) is listening — and probes
-    are not :func:`suspended`."""
-    if _SUSPENDED:
-        return False
-    return _ACTIVE or bool(_PROBE_HOOKS)
-
-
-def add_probe_hook(hook: Any) -> None:
-    """Subscribe ``hook(kind, label)`` to every probe firing.
-
-    Hooks fire outside captures too (they arm :func:`is_active`), and
-    must be cheap, deterministic, and free of probe calls themselves.
-    """
-    if hook not in _PROBE_HOOKS:
-        _PROBE_HOOKS.append(hook)
-
-
-def remove_probe_hook(hook: Any) -> None:
-    """Unsubscribe a hook; unknown hooks are ignored."""
-    try:
-        _PROBE_HOOKS.remove(hook)
-    except ValueError:
-        pass
+    """Whether probes should fire: a :func:`capture` is recording and
+    probes are not :func:`suspended`."""
+    return _ACTIVE and not _SUSPENDED
 
 
 def payload_digest(payload: Any) -> str:
@@ -191,16 +161,8 @@ def _feed(h: "hashlib._Hash", payload: Any) -> None:
 
 
 def emit(kind: str, label: str, payload: Any = _NO_PAYLOAD) -> None:
-    """Record one probe event (and notify probe hooks).
-
-    Trace recording still requires an armed :func:`capture`; hooks see
-    every firing regardless.
-    """
-    if _SUSPENDED:
-        return
-    for hook in _PROBE_HOOKS:
-        hook(kind, label)
-    if not _ACTIVE or _EVENTS is None:
+    """Record one probe event into the armed :func:`capture`, if any."""
+    if _SUSPENDED or not _ACTIVE or _EVENTS is None:
         return
     digest = "" if payload is _NO_PAYLOAD else payload_digest(payload)
     _EVENTS.append(TraceEvent(kind=kind, label=label, digest=digest))
@@ -233,7 +195,7 @@ def capture() -> Iterator[Trace]:
 
 @contextmanager
 def suspended() -> Iterator[None]:
-    """Silence every probe (trace events *and* hook notifications).
+    """Silence every probe.
 
     The auto-tuner (:mod:`repro.tuning`) wraps its measured trials in
     this: trial executions are measurement scaffolding that runs only

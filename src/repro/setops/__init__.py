@@ -33,7 +33,6 @@ from repro.setops.segments import (
     SegmentPairing,
 )
 from repro.setops.kernels import (
-    SEGMENT_KERNEL_NAMES,
     ENGINE_NAMES,
     KernelContext,
     KernelPolicy,
@@ -59,7 +58,6 @@ __all__ = [
     "SHORT_SEGMENT_LEN",
     "pair_segments",
     "SegmentPairing",
-    "SEGMENT_KERNEL_NAMES",
     "ENGINE_NAMES",
     "KernelContext",
     "KernelPolicy",

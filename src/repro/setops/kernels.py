@@ -4,8 +4,9 @@ Two things live here:
 
 * :class:`KernelPolicy` — the knobs of the functional counting engines:
   which engine runs (the frontier engine or the recursive oracle), the
-  frontier's spill budget, and the segmented membership-kernel dispatch
-  of :mod:`repro.setops.segmented`;
+  frontier's spill budget, and the auto-tuner opt-in (the segmented
+  membership kernel of :mod:`repro.setops.segmented` is chosen from the
+  graph alone);
 * the process-wide dispatch counters (:func:`kernel_counters`) that the
   frontier engine, the segmented kernels and :class:`KernelContext`
   tally into, recorded per sweep cell (the ``dispatch`` column of
@@ -34,15 +35,10 @@ __all__ = [
     "KernelContext",
     "KernelPolicy",
     "DEFAULT_POLICY",
-    "SEGMENT_KERNEL_NAMES",
     "ENGINE_NAMES",
     "kernel_counters",
     "reset_kernel_counters",
 ]
-
-#: The segmented membership-kernel names
-#: (``KernelPolicy.force_segment_kernel`` values; repro.setops.segmented).
-SEGMENT_KERNEL_NAMES = ("bitmap", "edgekey", "bisect")
 
 #: The mining-engine execution models (``KernelPolicy.engine`` values).
 ENGINE_NAMES = ("frontier", "recursive")
@@ -102,25 +98,14 @@ class KernelPolicy:
         next level's embedding matrix (or a fused terminal probe) would
         exceed this many bytes, the frontier is processed in contiguous
         row chunks instead.  Any budget produces identical counts.
-    force_segment_kernel:
-        ``"bitmap"``, ``"edgekey"``, or ``"bisect"`` pins the segmented
-        membership kernel (:mod:`repro.setops.segmented`); ``None``
-        selects adaptively.
-    segment_bitmap_bytes:
-        Ceiling on the dense adjacency bitmap
-        (:meth:`repro.graph.csr.CSRGraph.adjacency_bitmap`) the
-        segmented dispatch may build; larger graphs fall back to the
-        edge-key / bisect kernels.
     tuned:
         Opt into the measured-trial auto-tuner (:mod:`repro.tuning`,
-        docs/TUNING.md): counting runs resolve this policy — and the
-        plan's vertex order — against the persistent tuned-choice store
-        for the (pattern, graph signature) at hand, falling back to
-        measured trials on a cold store.  The remaining fields act as
-        the *base* policy the tuner seeds its candidate grid from and
-        the reference candidate trials are compared against.  Like every
-        other knob, ``tuned`` is functional-only: resolved choices are
-        verified bit-identical (including per-root sequences) during
+        docs/TUNING.md): counting runs resolve the plan's vertex order
+        against the persistent tuned-choice store for the (pattern,
+        graph signature) at hand, falling back to measured trials on a
+        cold store.  Every trial runs under the remaining fields.  Like
+        every other knob, ``tuned`` is functional-only: resolved choices
+        are verified bit-identical (including per-root sequences) during
         trials.
 
     Every policy produces bit-identical results; only speed changes.
@@ -128,22 +113,12 @@ class KernelPolicy:
 
     engine: str = "frontier"
     frontier_budget_bytes: int = 128 << 20
-    force_segment_kernel: str | None = None
-    segment_bitmap_bytes: int = 16 << 20
     tuned: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {ENGINE_NAMES}"
-            )
-        if (
-            self.force_segment_kernel is not None
-            and self.force_segment_kernel not in SEGMENT_KERNEL_NAMES
-        ):
-            raise ValueError(
-                f"unknown segment kernel {self.force_segment_kernel!r}; "
-                f"choose from {SEGMENT_KERNEL_NAMES}"
             )
         if self.frontier_budget_bytes < 1:
             raise ValueError("frontier_budget_bytes must be >= 1")

@@ -9,23 +9,18 @@ segment-level parallelism (sections 3.4/4.2, :mod:`repro.setops.segments`)
 — and needs every op as *one* vectorized pass over the concatenation.
 
 Intersections and subtractions against per-row neighbor lists reduce to
-batched edge-membership queries ``value in N(owner)``, served by three
-interchangeable kernels:
+batched edge-membership queries ``value in N(owner)``, served by one of
+two kernels chosen from the graph alone (:func:`pick_segment_kernel`):
 
 ``bitmap``
     Probe a dense packed adjacency matrix
     (:meth:`repro.graph.csr.CSRGraph.adjacency_bitmap`) with shift/mask —
-    ``O(1)`` per query, the win whenever the bitmap fits the policy's
-    byte budget.
+    ``O(1)`` per query, used whenever the bitmap fits
+    :data:`BITMAP_BUDGET_BYTES`.
 ``edgekey``
     Binary-search ``owner * |V| + value`` keys in the sorted edge-key
     table (:meth:`repro.graph.csr.CSRGraph.edge_keys`) —
-    ``O(log |E|)`` per query, no dense storage.
-``bisect``
-    Lockstep vectorized binary search of each query inside its owner's
-    CSR slice — ``O(log max_degree)`` per query with *no* auxiliary
-    table, the fallback for small batches where building/loading a
-    table cannot amortize.
+    ``O(log |E|)`` per query, no dense storage; every larger graph.
 
 Word-parallel helpers (:func:`row_bitsets`, :func:`gt_mask`,
 :func:`clear_bits`) treat a candidate set as ``ceil(|V| / 64)`` uint64
@@ -33,12 +28,12 @@ words instead of single elements, the bit-vector set-op idea of SISA
 and G2Miner (PAPERS.md); the frontier engine's fused terminal probe
 ANDs and popcounts them against adjacency-bitmap rows.
 
-**Contract (docs/KERNELS.md): kernel choice is functional-only.**  Every
-kernel returns the identical membership mask, so counts, dispatch-traced
-results, and the timing models are unchanged for every policy.  The
-dispatch decision is a pure function of the query-batch size, the graph
-shape, and the policy — never of cache warm-up state — so the sanitizer's
-double-run dispatch traces stay bit-identical.  Decisions are tallied via
+**Contract (docs/KERNELS.md): kernel choice is functional-only.**  Both
+kernels return the identical membership mask, so counts and the timing
+models do not depend on which one runs.  The dispatch decision is a
+pure function of the graph's size — never of the batch, a policy, or
+cache warm-up state — so the sanitizer's double-run dispatch traces
+stay bit-identical.  Decisions are tallied via
 :func:`repro.setops.kernels._tally` under ``"seg_<op>/<kernel>"``.
 """
 
@@ -49,19 +44,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.setops.kernels import (
-    DEFAULT_POLICY,
-    SEGMENT_KERNEL_NAMES,
-    KernelPolicy,
-    _tally,
-)
+from repro.setops.kernels import _tally
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.graph.csr import CSRGraph
 
 __all__ = [
+    "BITMAP_BUDGET_BYTES",
     "SegmentedSet",
-    "SEGMENT_KERNEL_NAMES",
     "gather_neighbors",
     "neighbor_membership",
     "intersect_neighbors",
@@ -79,9 +69,9 @@ _EMPTY_OFFSETS = np.zeros(1, dtype=np.int64)
 #: A uint64 word with every bit set.
 ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 
-#: Below this many queries the per-query ``O(log max_degree)`` bisect
-#: kernel beats loading the edge-key table into cache.
-_EDGEKEY_MIN_QUERIES = 2048
+#: Largest dense adjacency bitmap the membership dispatch builds; graphs
+#: whose bitmap is bigger use the edge-key kernel.
+BITMAP_BUDGET_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -194,26 +184,22 @@ def concat(parts: list[SegmentedSet]) -> SegmentedSet:
 
 
 # ----------------------------------------------------------------------
-# Batched edge membership — the three kernels
+# Batched edge membership — the two kernels
 # ----------------------------------------------------------------------
 
 
-def pick_segment_kernel(
-    graph: "CSRGraph", num_queries: int, policy: KernelPolicy
-) -> str:
-    """Choose the membership kernel for one query batch.
+def pick_segment_kernel(graph: "CSRGraph") -> str:
+    """The membership kernel for ``graph``: ``"bitmap"`` when its dense
+    adjacency bitmap fits :data:`BITMAP_BUDGET_BYTES`, else
+    ``"edgekey"``.
 
-    Pure in (graph shape, batch size, policy): the decision never reads
-    whether a table is already cached, so sanitized double runs see the
-    same dispatch trace.
+    Pure in the graph's shape: the decision never reads whether a table
+    is already cached, so sanitized double runs see the same dispatch
+    trace.
     """
-    if policy.force_segment_kernel is not None:
-        return policy.force_segment_kernel
-    if graph.adjacency_bitmap_bytes() <= policy.segment_bitmap_bytes:
+    if graph.adjacency_bitmap_bytes() <= BITMAP_BUDGET_BYTES:
         return "bitmap"
-    if num_queries >= _EDGEKEY_MIN_QUERIES:
-        return "edgekey"
-    return "bisect"
+    return "edgekey"
 
 
 def _bitmap_membership(
@@ -240,45 +226,10 @@ def _edgekey_membership(
     return table[idx] == keys
 
 
-def _bisect_membership(
-    graph: "CSRGraph", values: np.ndarray, owners: np.ndarray
-) -> np.ndarray:
-    indices = graph.indices
-    if indices.size == 0:
-        return np.zeros(values.size, dtype=bool)
-    lo = graph.indptr[owners].copy()
-    end = graph.indptr[np.asarray(owners) + 1]
-    hi = end.copy()
-    # Lockstep binary search: every lane halves its own CSR slice until
-    # it converges on the insertion point of its query value.
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        less = indices[np.minimum(mid, indices.size - 1)] < values
-        go_right = active & less
-        go_left = active & ~less
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    hit = np.zeros(values.size, dtype=bool)
-    in_range = lo < end
-    hit[in_range] = indices[lo[in_range]] == values[in_range]
-    return hit
-
-
-_MEMBERSHIP = {
-    "bitmap": _bitmap_membership,
-    "edgekey": _edgekey_membership,
-    "bisect": _bisect_membership,
-}
-
-
 def neighbor_membership(
     graph: "CSRGraph",
     values: np.ndarray,
     owners: np.ndarray,
-    policy: KernelPolicy = DEFAULT_POLICY,
     *,
     op: str = "member",
 ) -> np.ndarray:
@@ -289,36 +240,28 @@ def neighbor_membership(
     """
     if values.size == 0:
         return np.zeros(0, dtype=bool)
-    kernel = pick_segment_kernel(graph, int(values.size), policy)
+    kernel = pick_segment_kernel(graph)
     _tally(f"seg_{op}/{kernel}")
-    return _MEMBERSHIP[kernel](graph, values, owners)
+    if kernel == "bitmap":
+        return _bitmap_membership(graph, values, owners)
+    return _edgekey_membership(graph, values, owners)
 
 
 def intersect_neighbors(
-    source: SegmentedSet,
-    graph: "CSRGraph",
-    vertices: np.ndarray,
-    policy: KernelPolicy = DEFAULT_POLICY,
+    source: SegmentedSet, graph: "CSRGraph", vertices: np.ndarray
 ) -> SegmentedSet:
     """Per-row ``source[r] ∩ N(vertices[r])`` in one pass."""
     owners = np.repeat(vertices, source.lengths)
-    keep = neighbor_membership(
-        graph, source.values, owners, policy, op="intersect"
-    )
+    keep = neighbor_membership(graph, source.values, owners, op="intersect")
     return compress(source, keep)
 
 
 def subtract_neighbors(
-    source: SegmentedSet,
-    graph: "CSRGraph",
-    vertices: np.ndarray,
-    policy: KernelPolicy = DEFAULT_POLICY,
+    source: SegmentedSet, graph: "CSRGraph", vertices: np.ndarray
 ) -> SegmentedSet:
     """Per-row ``source[r] − N(vertices[r])`` in one pass."""
     owners = np.repeat(vertices, source.lengths)
-    member = neighbor_membership(
-        graph, source.values, owners, policy, op="subtract"
-    )
+    member = neighbor_membership(graph, source.values, owners, op="subtract")
     return compress(source, ~member)
 
 

@@ -1,16 +1,15 @@
-"""Input-aware auto-tuning: measured-trial plan & kernel-policy selection.
+"""Input-aware auto-tuning: measured-trial vertex-order selection.
 
-The plan compiler picks one vertex order per pattern and the kernel
-dispatch one default policy per run — input-blind choices that G2Miner
-and the AutoMine line of work show are worth integer factors when made
-per (pattern, graph).  This package closes that loop (docs/TUNING.md):
+The plan compiler picks one vertex order per pattern — an input-blind
+choice that G2Miner and the AutoMine line of work show is worth integer
+factors when made per (pattern, graph).  This package closes that loop
+(docs/TUNING.md):
 
 :mod:`~repro.tuning.signature`
     A cheap, deterministic graph signature (counts, degree deciles, hub
-    mass, bitmap fit) computed once per :class:`~repro.graph.csr.CSRGraph`.
+    mass) computed once per :class:`~repro.graph.csr.CSRGraph`.
 :mod:`~repro.tuning.candidates`
-    Top-N cost-model vertex orders × a small signature-gated
-    :class:`~repro.setops.kernels.KernelPolicy` grid.
+    The top-N cost-model vertex orders, reference first.
 :mod:`~repro.tuning.tuner`
     Successive-halving measured trials on deterministic sampled roots,
     bit-identity (per-root sequences) enforced on every candidate.
@@ -27,7 +26,6 @@ from repro.tuning.candidates import (
     TunerCandidate,
     generate_candidates,
     original_pattern,
-    policy_grid,
 )
 from repro.tuning.signature import GraphSignature, graph_signature
 from repro.tuning.store import (
@@ -57,7 +55,6 @@ __all__ = [
     "graph_signature",
     "load_choice",
     "original_pattern",
-    "policy_grid",
     "reset_tuning_stats",
     "resolve_run",
     "save_choice",

@@ -12,9 +12,7 @@ signature is the middle ground (docs/TUNING.md, "Graph signature"):
   which pins down skew far better than a mean;
 * hub mass — the share of edge endpoints landing on the top-1%
   highest-degree vertices (matches
-  :meth:`repro.pattern.ordering.OrderCostModel.from_graph`);
-* bitmap fit — :meth:`repro.graph.csr.CSRGraph.adjacency_bitmap_bytes`,
-  the number the segmented-kernel dispatch compares against its budget.
+  :meth:`repro.pattern.ordering.OrderCostModel.from_graph`).
 
 Every field is computed from the degree array with integer or
 fixed-rounded arithmetic, so the signature is bit-stable across
@@ -46,16 +44,13 @@ class GraphSignature:
     #: Share of edge endpoints on the top-1% degree vertices, rounded
     #: to 6 decimals for cross-process stability.
     hub_mass: float
-    #: Bytes the dense adjacency bitmap would occupy — what the
-    #: segmented dispatch compares against ``segment_bitmap_bytes``.
-    bitmap_fit_bytes: int
 
     def key(self) -> str:
         """Stable short digest for cache keys and reports."""
         text = (
             f"v={self.num_vertices};e={self.num_edges};"
             f"dec={','.join(map(str, self.degree_deciles))};"
-            f"hub={self.hub_mass:.6f};bmp={self.bitmap_fit_bytes}"
+            f"hub={self.hub_mass:.6f}"
         )
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -84,7 +79,6 @@ def _compute(graph: CSRGraph) -> GraphSignature:
         num_edges=graph.num_edges,
         degree_deciles=deciles,
         hub_mass=hub_mass,
-        bitmap_fit_bytes=graph.adjacency_bitmap_bytes(),
     )
 
 

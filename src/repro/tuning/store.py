@@ -36,7 +36,7 @@ __all__ = ["TUNER_VERSION", "TunedChoice", "choice_key", "load_choice",
 
 #: Bump whenever the trial protocol, candidate grid, or choice schema
 #: changes meaning; every stored choice then misses and re-trials.
-TUNER_VERSION = 2
+TUNER_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -45,8 +45,6 @@ class TunedChoice:
 
     #: Vertex order (original pattern names) the tuned plan compiles with.
     order: tuple[int, ...]
-    #: Concrete policy (``tuned=False``) the tuned run executes with.
-    policy: KernelPolicy
     #: Label of the winning candidate (``"reference"`` = no change won).
     candidate_label: str
     #: Measured executions performed to reach this choice (0 when the

@@ -1,7 +1,8 @@
 """The measured-trial tuner: time candidates, verify, persist, resolve.
 
 ``KernelPolicy(tuned=True)`` is the opt-in; this module is what it
-resolves through.  The flow per (plan, graph, base-policy) cell:
+resolves through.  Candidates are vertex orders, all timed under the
+caller's base policy.  The flow per (plan, graph, base-policy) cell:
 
 1. **Memo** — an in-process table keyed like the store, so a sweep
    tunes each cell at most once per process (and a sanitized double-run
@@ -159,7 +160,7 @@ def _timed_counts(
 def _run_trials(
     graph: CSRGraph, plan: ExecutionPlan, base: KernelPolicy
 ) -> TunedChoice:
-    candidates = generate_candidates(graph, plan, base)
+    candidates = generate_candidates(graph, plan)
     plans = [_compile_candidate(plan, c) for c in candidates]
     # Index 0 is the reference; it survives every cut.
     alive = list(range(len(candidates)))
@@ -169,7 +170,7 @@ def _run_trials(
     with sanitize.suspended():
         for sample in _trial_samples(graph.num_vertices):
             reference_pairs, ref_seconds = _timed_counts(
-                graph, plans[0], candidates[0].policy, sample
+                graph, plans[0], base, sample
             )
             trials += 1
             timings = {0: ref_seconds}
@@ -177,7 +178,7 @@ def _run_trials(
                 if index == 0:
                     continue
                 pairs, seconds = _timed_counts(
-                    graph, plans[index], candidates[index].policy, sample
+                    graph, plans[index], base, sample
                 )
                 trials += 1
                 if pairs != reference_pairs:
@@ -199,7 +200,6 @@ def _run_trials(
     _STATS.tuned_cells += 1
     return TunedChoice(
         order=candidates[winner].order,
-        policy=candidates[winner].policy,
         candidate_label=candidates[winner].label,
         trials=trials,
         sample_size=len(sample),
@@ -227,7 +227,7 @@ def tune_plan(
                    tuned=False)
     if plan.num_levels < 2:
         return TunedChoice(
-            order=tuple(plan.vertex_order), policy=base,
+            order=tuple(plan.vertex_order),
             candidate_label="reference", trials=0, sample_size=0,
             reference_seconds=0.0, chosen_seconds=0.0,
         )
@@ -266,17 +266,18 @@ def resolve_run(
 ) -> tuple[ExecutionPlan, KernelPolicy]:
     """What a ``tuned=True`` counting run actually executes.
 
-    Returns the tuned plan and the concrete policy — both bit-compatible
-    with the inputs by the trial contract.  The mining engine calls this
-    at the top of :func:`repro.mining.engine.per_root_counts` (before
-    the sharded fan-out), so workers receive already-resolved arguments;
+    Returns the tuned plan — bit-compatible with ``plan`` by the trial
+    contract — and ``policy`` with the ``tuned`` flag cleared.  The
+    mining engine calls this at the top of
+    :func:`repro.mining.engine.per_root_counts` (before the sharded
+    fan-out), so workers receive already-resolved arguments;
     :meth:`repro.core.backends.FunctionalBackend.prepare` pre-warms the
     store at the driver for the sharded backend path.
     """
+    base = replace(policy, tuned=False)
     if plan.num_levels < 2:
-        return plan, replace(policy, tuned=False)
+        return plan, base
     choice = tune_plan(graph, plan, policy)
-    key = choice_key(graph, plan, replace(policy, tuned=False))
-    memo = _MEMO.get(key)
+    memo = _MEMO.get(choice_key(graph, plan, base))
     tuned_plan = memo[1] if memo is not None else _choice_plan(plan, choice)
-    return tuned_plan, choice.policy
+    return tuned_plan, base

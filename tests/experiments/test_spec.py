@@ -120,9 +120,14 @@ class TestValidation:
             load_spec(data)
 
     def test_kernel_policy_values_checked_at_load(self):
-        data = _minimal(kernel_policies=[{"name": "a", "engine": "bogus"}])
-        with pytest.raises(SpecError, match="kernel policy 'a'.*bogus"):
-            load_spec(data)
+        for policy, message in [
+            ({"name": "a", "engine": "bogus"}, "kernel policy 'a'.*bogus"),
+            ({"name": "b", "frontier_budget_bytes": 0},
+             "kernel policy 'b'.*frontier_budget_bytes must be >= 1"),
+        ]:
+            data = _minimal(kernel_policies=[policy])
+            with pytest.raises(SpecError, match=message):
+                load_spec(data)
 
     def test_available_graphs_override(self):
         data = _minimal(sweep={"graphs": ["tiny"]})
@@ -170,8 +175,8 @@ class TestExpansion:
         data = _minimal(
             sweep={"backends": ["functional", "fingers"]},
             configs={"fingers": {"num_pes": 2}},
-            kernel_policies=[{"name": "bisect",
-                              "force_segment_kernel": "bisect"}],
+            kernel_policies=[{"name": "small-spill",
+                              "frontier_budget_bytes": 4096}],
         )
         spec = load_spec(data)
         fingers = spec.config_for(Cell("tc", "As", "fingers"))
@@ -179,9 +184,9 @@ class TestExpansion:
         assert fingers.num_pes == 2
         default = spec.config_for(Cell("tc", "As", "functional"))
         assert default.kernels is None
-        bisect = spec.config_for(Cell("tc", "As", "functional",
-                                      policy="bisect"))
-        assert bisect.kernels.force_segment_kernel == "bisect"
+        small = spec.config_for(Cell("tc", "As", "functional",
+                                     policy="small-spill"))
+        assert small.kernels.frontier_budget_bytes == 4096
 
     def test_cell_label(self):
         assert Cell("tc", "As", "fingers").label == "tc/As/fingers"

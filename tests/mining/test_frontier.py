@@ -32,6 +32,7 @@ from repro.pattern.compiler import compile_plan
 from repro.pattern.multipattern import compile_multi_plan, motif_patterns
 from repro.pattern.pattern import all_named_patterns, named_pattern
 from repro.pattern.plan import OpKind, SetOp
+from repro.setops import segmented
 from repro.setops.kernels import (
     KernelPolicy,
     kernel_counters,
@@ -45,8 +46,17 @@ HUBBY = barabasi_albert(90, 6, seed=8)
 RECURSIVE = KernelPolicy(engine="recursive")
 
 
-def _frontier(budget: int = 128 << 20, **kw) -> KernelPolicy:
-    return KernelPolicy(engine="frontier", frontier_budget_bytes=budget, **kw)
+def _frontier(budget: int = 128 << 20) -> KernelPolicy:
+    return KernelPolicy(engine="frontier", frontier_budget_bytes=budget)
+
+
+def _edgekey_counts(engine: FrontierEngine, roots) -> np.ndarray:
+    """``engine``'s per-root counts with the bitmap budget patched to 0:
+    every membership probe takes the edge-key kernel, so the fused probe
+    keeps its element path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmented, "BITMAP_BUDGET_BYTES", 0)
+        return engine.per_root_counts(roots)
 
 
 class TestChunkRanges:
@@ -203,12 +213,9 @@ class TestWordProbe:
         plan = _terminal_plan(case)
         roots = range(n)
         oracle = [c for _, c in per_root_counts(graph, plan, kernels=RECURSIVE)]
-        words = FrontierEngine(graph, plan, _frontier(budget))
-        elements = FrontierEngine(
-            graph, plan, _frontier(budget, force_segment_kernel="edgekey")
-        )
-        assert list(words.per_root_counts(roots)) == oracle
-        assert list(elements.per_root_counts(roots)) == oracle
+        engine = FrontierEngine(graph, plan, _frontier(budget))
+        assert list(engine.per_root_counts(roots)) == oracle
+        assert list(_edgekey_counts(engine, roots)) == oracle
 
     @pytest.mark.parametrize("case", _TERMINAL_CASES, ids=_case_id)
     def test_every_case_takes_the_word_path_on_a_dense_graph(
@@ -217,11 +224,10 @@ class TestWordProbe:
         graph = erdos_renyi(129, 0.3, seed=5)
         plan = _terminal_plan(case)
         calls = _spy_words(monkeypatch)
-        got = FrontierEngine(graph, plan).per_root_counts(range(129))
+        engine = FrontierEngine(graph, plan)
+        got = engine.per_root_counts(range(129))
         assert calls
-        elements = FrontierEngine(
-            graph, plan, _frontier(force_segment_kernel="edgekey")
-        ).per_root_counts(range(129))
+        elements = _edgekey_counts(engine, range(129))
         assert len(calls) == 1
         assert np.array_equal(got, elements)
 
@@ -232,16 +238,13 @@ class TestWordProbe:
         assert calls
         assert kernel_counters().get("seg_fused/bitmap", 0) >= len(calls)
 
-    @pytest.mark.parametrize("kernel", ["edgekey", "bisect"])
-    def test_forced_kernel_keeps_the_element_path(self, kernel, monkeypatch):
+    def test_over_budget_graph_keeps_the_element_path(self, monkeypatch):
         calls = _spy_words(monkeypatch)
+        monkeypatch.setattr(segmented, "BITMAP_BUDGET_BYTES", 0)
         reset_kernel_counters()
-        plan = compile_plan(named_pattern("house"))
-        count_embeddings(
-            GRAPH, plan, kernels=_frontier(force_segment_kernel=kernel)
-        )
+        count_embeddings(GRAPH, compile_plan(named_pattern("house")))
         assert not calls
-        assert kernel_counters().get(f"seg_fused/{kernel}", 0) > 0
+        assert kernel_counters().get("seg_fused/edgekey", 0) > 0
 
     def test_words_beyond_probes_keep_the_element_path(self, monkeypatch):
         # 2000 vertices at average degree ~4: each child's fixed-op

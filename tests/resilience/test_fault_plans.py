@@ -144,15 +144,6 @@ class TestInstall:
         assert not faults.in_worker()
         faults.inject("pool", "tok", 0)
 
-    def test_probe_hook_counts_seam_traffic(self):
-        faults.install("transient:pool=0")
-        sanitize.emit("pool", "run_shards[2]", [[1], [2]])
-        assert faults.fault_counters().get("probe:pool") == 1
-        faults.clear()
-        faults.reset_fault_counters()
-        sanitize.emit("pool", "run_shards[2]", [[1], [2]])
-        assert faults.fault_counters() == {}  # hook removed with the plan
-
 
 class TestCorruptBytes:
     def test_corruption_is_destructive_and_deterministic(self):

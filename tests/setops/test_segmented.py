@@ -1,7 +1,7 @@
-"""Segmented set-op kernels: layout invariants and three-way agreement.
+"""Segmented set-op kernels: layout invariants and kernel agreement.
 
-Every membership kernel (bitmap / edgekey / bisect) must return the
-identical mask for identical queries — the frontier engine's
+Both membership kernels (bitmap / edgekey) must return the Python-set
+reference mask for identical queries — the frontier engine's
 functional-only contract rests on it — and the :class:`SegmentedSet`
 layout primitives must round-trip against per-row NumPy references.
 """
@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.generators import barabasi_albert, erdos_renyi
-from repro.setops.kernels import DEFAULT_POLICY, KernelPolicy
+from repro.setops import segmented
 from repro.setops.segmented import (
     SegmentedSet,
+    _bitmap_membership,
+    _edgekey_membership,
     clear_bits,
     compress,
     gather_neighbors,
@@ -37,6 +39,15 @@ def _seg_from_rows(rows):
         ([0], np.cumsum([len(r) for r in rows], dtype=np.int64))
     )
     return SegmentedSet(values, offsets)
+
+
+def _reference_membership(graph, values, owners):
+    """``values[i] in N(owners[i])`` by Python sets."""
+    return np.array(
+        [int(v) in set(map(int, graph.neighbors(int(o))))
+         for v, o in zip(values, owners)],
+        dtype=bool,
+    )
 
 
 class TestSegmentedSet:
@@ -95,19 +106,11 @@ class TestKernelAgreement:
         n = graph.num_vertices
         owners = rng.integers(0, n, size=500).astype(np.int64)
         values = rng.integers(0, n, size=500).astype(np.int32)
-        masks = {
-            kernel: neighbor_membership(
-                graph, values, owners,
-                KernelPolicy(force_segment_kernel=kernel),
-            )
-            for kernel in ("bitmap", "edgekey", "bisect")
-        }
-        reference = np.array(
-            [int(v) in set(map(int, graph.neighbors(int(o))))
-             for v, o in zip(values, owners)]
-        )
-        for kernel, mask in masks.items():
-            assert np.array_equal(mask, reference), kernel
+        # Bitmap, edge-key and the Python-set reference must agree.
+        reference = _reference_membership(graph, values, owners)
+        for kernel in (_bitmap_membership, _edgekey_membership):
+            mask = kernel(graph, values, owners)
+            assert np.array_equal(mask, reference), kernel.__name__
 
     def test_empty_queries(self):
         out = neighbor_membership(
@@ -130,26 +133,21 @@ class TestKernelAgreement:
 
 
 class TestDispatch:
-    def test_force_wins(self):
-        pol = KernelPolicy(force_segment_kernel="bisect")
-        assert pick_segment_kernel(GRAPH, 10**6, pol) == "bisect"
-
     def test_small_graph_uses_bitmap(self):
-        assert pick_segment_kernel(GRAPH, 10, DEFAULT_POLICY) == "bitmap"
+        assert pick_segment_kernel(GRAPH) == "bitmap"
 
-    def test_bitmap_budget_zero_falls_back(self):
-        pol = KernelPolicy(segment_bitmap_bytes=0)
-        assert pick_segment_kernel(GRAPH, 10, pol) == "bisect"
-        assert pick_segment_kernel(GRAPH, 10**6, pol) == "edgekey"
+    def test_bitmap_budget_zero_falls_back(self, monkeypatch):
+        monkeypatch.setattr(segmented, "BITMAP_BUDGET_BYTES", 0)
+        assert pick_segment_kernel(GRAPH) == "edgekey"
 
-    def test_dispatch_is_pure(self):
-        # Same (graph shape, batch size, policy) -> same kernel, even
-        # after the caches warm up (sanitizer double-run contract).
-        pol = KernelPolicy(segment_bitmap_bytes=0)
-        first = pick_segment_kernel(HUBBY, 4096, pol)
+    def test_dispatch_is_pure(self, monkeypatch):
+        # Same graph -> same kernel, even after the caches warm up
+        # (sanitizer double-run contract).
+        monkeypatch.setattr(segmented, "BITMAP_BUDGET_BYTES", 0)
+        first = pick_segment_kernel(HUBBY)
         HUBBY.edge_keys()
         HUBBY.adjacency_bitmap()
-        assert pick_segment_kernel(HUBBY, 4096, pol) == first
+        assert pick_segment_kernel(HUBBY) == first
 
 
 @given(
@@ -160,22 +158,21 @@ class TestDispatch:
 )
 @settings(max_examples=60, deadline=None)
 def test_membership_property(rows, seed):
-    """Any (values, owners) batch agrees across all three kernels."""
+    """Any (values, owners) batch gets the reference mask from both
+    kernels."""
     rows = [sorted(set(r)) for r in rows]
     seg = _seg_from_rows(rows)
     rng = np.random.default_rng(seed)
     owners = rng.integers(0, GRAPH.num_vertices, size=seg.total).astype(
         np.int64
     )
-    masks = [
-        neighbor_membership(
-            GRAPH, seg.values, owners,
-            KernelPolicy(force_segment_kernel=kernel),
-        )
-        for kernel in ("bitmap", "edgekey", "bisect")
-    ]
-    assert np.array_equal(masks[0], masks[1])
-    assert np.array_equal(masks[0], masks[2])
+    reference = _reference_membership(GRAPH, seg.values, owners)
+    assert np.array_equal(
+        _bitmap_membership(GRAPH, seg.values, owners), reference
+    )
+    assert np.array_equal(
+        _edgekey_membership(GRAPH, seg.values, owners), reference
+    )
 
 
 def _bit_members(bitsets: np.ndarray) -> list[list[int]]:

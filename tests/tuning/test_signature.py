@@ -21,7 +21,6 @@ def test_signature_fields_are_plausible():
     assert len(sig.degree_deciles) == 11
     assert sig.degree_deciles == tuple(sorted(sig.degree_deciles))
     assert 0.0 <= sig.hub_mass <= 1.0
-    assert sig.bitmap_fit_bytes == g.adjacency_bitmap_bytes()
 
 
 def test_different_graphs_get_different_keys():
@@ -54,7 +53,7 @@ def test_hub_mass_rises_with_skew():
 def test_key_is_stable_text_digest():
     sig = GraphSignature(
         num_vertices=10, num_edges=20,
-        degree_deciles=(1,) * 11, hub_mass=0.25, bitmap_fit_bytes=128,
+        degree_deciles=(1,) * 11, hub_mass=0.25,
     )
     assert sig.key() == sig.key()
     assert len(sig.key()) == 16

@@ -93,7 +93,7 @@ def test_trivial_single_level_plan_skips_trials():
 def test_resolve_run_returns_bit_compatible_plan_and_policy():
     plan = compile_plan(named_pattern("cyc"))
     tuned_plan, policy = resolve_run(GRAPH, plan, KernelPolicy(tuned=True))
-    assert not policy.tuned
+    assert policy == KernelPolicy()
     assert list(
         per_root_counts(GRAPH, tuned_plan, kernels=policy)
     ) == list(per_root_counts(GRAPH, plan))
