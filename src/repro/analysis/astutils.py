@@ -94,14 +94,6 @@ class ImportMap:
         """All local aliases bound to ``module`` (``import m as a``)."""
         return {a for a, m in self.modules.items() if m == module}
 
-    def from_names(self, module: str) -> dict[str, str]:
-        """Local name -> original name for from-imports of ``module``."""
-        return {
-            local: orig
-            for local, (mod, orig) in self.names.items()
-            if mod == module
-        }
-
 
 def collect_imports(tree: ast.Module) -> ImportMap:
     """Imports anywhere in the module (including function bodies)."""

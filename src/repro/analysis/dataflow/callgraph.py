@@ -71,10 +71,6 @@ class FunctionInfo:
     cls: str | None
     node: ast.FunctionDef | ast.AsyncFunctionDef
 
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
-
 
 @dataclass
 class ClassInfo:

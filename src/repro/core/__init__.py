@@ -5,7 +5,7 @@ FlexMiner baseline, the multi-core software miner, and the pure
 functional reference engine — is a :class:`~repro.core.backend.Backend`
 behind one registry.  All of them produce the same
 :class:`~repro.core.result.RunResult`, merge shards through the same
-policy-driven :func:`~repro.core.result.merge_run_results`, run the
+:func:`~repro.core.result.merge_run_results`, run the
 sharded model through the same
 :func:`~repro.core.sharded.run_sharded` driver, and derive
 persistent-cache keys from the same
@@ -19,12 +19,6 @@ Typical use::
     result = backend.run(graph, "tc", backend.default_config(units=4))
     print(result.count, result.cycles)
 
-Registering a new design variant makes it available to the CLI
-(``--design``), the bench runner, and the sharded driver in one step::
-
-    from repro.core import register_backend
-    register_backend(MyBackend())
-
 See docs/API.md ("Backend contract") and docs/PARALLELISM.md for the
 full merge/caching semantics.
 """
@@ -35,7 +29,6 @@ from repro.core.backend import (
     backend_names,
     config_signature,
     get_backend,
-    register_backend,
 )
 from repro.core.merge import merge_stats
 from repro.core.provenance import environment_provenance, git_revision
@@ -55,7 +48,6 @@ __all__ = [
     "git_revision",
     "merge_run_results",
     "merge_stats",
-    "register_backend",
     "resolve_shards",
     "resolve_workload",
     "run_sharded",

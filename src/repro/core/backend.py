@@ -18,9 +18,8 @@ protocol —
     the persistent-cache identity of a run.
 
 — so the sharded driver (:func:`repro.core.sharded.run_sharded`), the
-bench runner, and the CLI are all backend-generic: adding a design
-variant is one ``register_backend`` call, not an edit to every figure
-script.
+bench runner, and the CLI are all backend-generic.  The registry is a
+fixed table of the four built-ins (``repro.core.backends.BACKENDS``).
 
 Cache keys render **every** dataclass field of the configuration
 explicitly (:func:`config_signature`), so a field can never silently
@@ -42,7 +41,6 @@ __all__ = [
     "backend_names",
     "config_signature",
     "get_backend",
-    "register_backend",
 ]
 
 
@@ -69,7 +67,7 @@ def config_signature(config: Any) -> str:
 class Backend(abc.ABC):
     """One execution path for mining jobs (see module docstring)."""
 
-    #: Registry key; unique across registered backends.
+    #: Registry key; unique across the built-in backends.
     name: str = ""
     #: One-line description for ``python -m repro backends``.
     description: str = ""
@@ -78,8 +76,6 @@ class Backend(abc.ABC):
     #: Name of the config field holding the execution-unit count
     #: (``num_pes`` / ``num_cores``), or ``None`` if not configurable.
     unit_field: str | None = None
-    #: Display label for execution units in summaries.
-    unit_label: str = "PEs"
     #: Whether ``simulate`` accepts a tracer (event-level Gantt traces).
     supports_trace: bool = False
     #: Bump whenever this backend's ``simulate`` changes observable
@@ -228,41 +224,23 @@ class Backend(abc.ABC):
 # Registry
 # ----------------------------------------------------------------------
 
-_REGISTRY: dict[str, Backend] = {}
+def _registry() -> dict[str, Backend]:
+    # The four built-ins live in ``repro.core.backends``; importing it
+    # lazily keeps ``repro.core.backend`` free of simulator dependencies.
+    from repro.core.backends import BACKENDS
 
-
-def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
-    """Add a backend to the registry; returns it for assignment style.
-
-    Registering a second backend under an existing name requires
-    ``replace=True`` (guards against accidental shadowing of the
-    built-ins).
-    """
-    if not backend.name:
-        raise ValueError("backend must have a non-empty name")
-    if backend.name in _REGISTRY and not replace:
-        raise ValueError(f"backend {backend.name!r} is already registered")
-    _REGISTRY[backend.name] = backend
-    return backend
-
-
-def _ensure_builtins() -> None:
-    # The built-ins register themselves at import time; importing lazily
-    # here keeps ``repro.core.backend`` free of simulator dependencies.
-    import repro.core.backends  # noqa: F401
+    return BACKENDS
 
 
 def backend_names() -> list[str]:
-    """Registered backend names, sorted."""
-    _ensure_builtins()
-    return sorted(_REGISTRY)
+    """Built-in backend names, sorted."""
+    return sorted(_registry())
 
 
 def get_backend(name: str) -> Backend:
     """Look up a backend by registry name."""
-    _ensure_builtins()
     try:
-        return _REGISTRY[name]
+        return _registry()[name]
     except KeyError:
         raise KeyError(
             f"unknown backend {name!r}; registered: {backend_names()}"
@@ -271,8 +249,7 @@ def get_backend(name: str) -> Backend:
 
 def backend_for_config(config: Any) -> Backend:
     """The backend whose ``config_type`` matches ``config``'s type."""
-    _ensure_builtins()
-    for backend in _REGISTRY.values():
+    for backend in _registry().values():
         if type(config) is backend.config_type:
             return backend
     raise TypeError(

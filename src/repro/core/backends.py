@@ -7,9 +7,9 @@ the pure reference engine promoted to a first-class backend — so
 cross-validation is just "run two backends, compare counts", with no
 special-cased engine path.
 
-Each backend registers itself at import time; the registry imports this
-module lazily (:func:`repro.core.backend.get_backend`), so importing
-``repro.core.backend`` alone stays free of simulator dependencies.
+:data:`BACKENDS` is the registry; :func:`repro.core.backend.get_backend`
+imports this module lazily, so importing ``repro.core.backend`` alone
+stays free of simulator dependencies.
 This module imports the simulators eagerly: a process that resolves a
 backend then holds them before it forks pool workers, which would
 otherwise each import them again for every pool.
@@ -20,13 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from repro.core.backend import Backend, register_backend
+from repro.core.backend import Backend
 from repro.core.result import RunResult
 from repro.hw.chip import run_chip
 from repro.setops.kernels import KernelPolicy
 from repro.sw.miner import SoftwareMiner
 
 __all__ = [
+    "BACKENDS",
     "FingersBackend",
     "FlexMinerBackend",
     "FunctionalBackend",
@@ -114,7 +115,6 @@ class SoftwareBackend(Backend):
     name = "software"
     description = "multi-core software miner (work-stealing CPU model)"
     unit_field = "num_cores"
-    unit_label = "cores"
 
     @property
     def config_type(self):
@@ -173,7 +173,6 @@ class FunctionalBackend(Backend):
     name = "functional"
     description = "pure reference engine (exact counts, no timing)"
     config_type = FunctionalConfig
-    unit_label = "workers"
 
     def simulate(
         self,
@@ -235,7 +234,13 @@ class FunctionalBackend(Backend):
         return lines
 
 
-FINGERS = register_backend(FingersBackend())
-FLEXMINER = register_backend(FlexMinerBackend())
-SOFTWARE = register_backend(SoftwareBackend())
-FUNCTIONAL = register_backend(FunctionalBackend())
+#: The backend registry: the four built-ins, keyed by name.
+BACKENDS: dict[str, Backend] = {
+    backend.name: backend
+    for backend in (
+        FingersBackend(),
+        FlexMinerBackend(),
+        SoftwareBackend(),
+        FunctionalBackend(),
+    )
+}

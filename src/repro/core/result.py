@@ -18,11 +18,10 @@ functional engine — is
   attributes (``result.num_pes``); sections read the same way
   (``result.shared_cache``).
 
-Merging (:func:`merge_run_results`) is the single policy-driven shard
-merge of docs/PARALLELISM.md: counts and sum-policy scalars add,
-``cycles`` is the max over shards, units concatenate, sections merge
-field-wise, and everything else must agree exactly or the merge is
-refused.
+Merging (:func:`merge_run_results`) is the single shard merge of
+docs/PARALLELISM.md: counts and summed scalars add, ``cycles`` is the
+max over shards, units concatenate, sections sum field by field, and
+everything else must agree exactly or the merge is refused.
 """
 
 from __future__ import annotations
@@ -145,7 +144,7 @@ def merge_run_results(results: Sequence[RunResult]) -> RunResult:
 
     Each input must come from the *same* backend configuration run over
     a disjoint root shard on a cold simulator instance.  Counts and
-    sum-policy scalars merge by addition; per-unit records concatenate
+    summed scalars merge by addition; per-unit records concatenate
     (unit ``i`` of shard ``s`` is a distinct physical unit in the
     multi-chip reading); sections merge field-wise under
     :func:`repro.core.merge.merge_stats`; ``cycles`` is the makespan of

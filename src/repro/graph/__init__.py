@@ -20,20 +20,10 @@ from repro.graph.generators import (
     powerlaw_configuration,
     planted_cliques,
     rmat,
-    watts_strogatz,
-    stochastic_block,
     complete_graph,
     star_graph,
     cycle_graph,
     path_graph,
-)
-from repro.graph.traversal import (
-    bfs_order,
-    bfs_distances,
-    connected_components,
-    largest_component_fraction,
-    triangle_count_reference,
-    clustering_coefficient,
 )
 from repro.graph.datasets import load_dataset, dataset_names, DATASET_SPECS
 from repro.graph.io import (
@@ -55,14 +45,6 @@ __all__ = [
     "powerlaw_configuration",
     "planted_cliques",
     "rmat",
-    "watts_strogatz",
-    "stochastic_block",
-    "bfs_order",
-    "bfs_distances",
-    "connected_components",
-    "largest_component_fraction",
-    "triangle_count_reference",
-    "clustering_coefficient",
     "complete_graph",
     "star_graph",
     "cycle_graph",

@@ -20,8 +20,6 @@ __all__ = [
     "powerlaw_configuration",
     "planted_cliques",
     "rmat",
-    "watts_strogatz",
-    "stochastic_block",
     "complete_graph",
     "star_graph",
     "cycle_graph",
@@ -227,65 +225,6 @@ def rmat(
         src = (src << 1) | bit_src
         dst = (dst << 1) | bit_dst
     edges = [(int(u), int(v)) for u, v in zip(src, dst) if u != v]
-    return from_edges(edges, num_vertices=n)
-
-
-def watts_strogatz(n: int, k: int, p: float, *, seed: int = 0) -> CSRGraph:
-    """Small-world graph: ring lattice of degree ``k`` with rewiring ``p``.
-
-    High clustering with short paths; useful as a structured contrast to
-    the power-law generators in tests and examples.
-    """
-    if k < 2 or k % 2 != 0:
-        raise ValueError("k must be even and >= 2")
-    if k >= n:
-        raise ValueError("k must be < n")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be in [0, 1]")
-    rng = _rng(seed, "watts_strogatz")
-    edges: list[tuple[int, int]] = []
-    for u in range(n):
-        for j in range(1, k // 2 + 1):
-            v = (u + j) % n
-            if p > 0 and rng.random() < p:
-                w = int(rng.integers(0, n))
-                attempts = 0
-                while w == u and attempts < 8:
-                    w = int(rng.integers(0, n))
-                    attempts += 1
-                if w != u:
-                    v = w
-            edges.append((u, v))
-    return from_edges(edges, num_vertices=n)
-
-
-def stochastic_block(
-    sizes: list[int],
-    p_in: float,
-    p_out: float,
-    *,
-    seed: int = 0,
-) -> CSRGraph:
-    """Planted-partition graph: dense blocks, sparse cross-block edges.
-
-    Community structure with tunable density contrast — the regime where
-    locality-aware scheduling (the paper's section 6.3 future work) has
-    something to exploit.
-    """
-    if not 0 <= p_out <= p_in <= 1:
-        raise ValueError("need 0 <= p_out <= p_in <= 1")
-    rng = _rng(seed, "stochastic_block")
-    n = sum(sizes)
-    starts = np.cumsum([0] + list(sizes))
-    block_of = np.zeros(n, dtype=np.int64)
-    for b, (lo, hi) in enumerate(zip(starts[:-1], starts[1:])):
-        block_of[lo:hi] = b
-    edges: list[tuple[int, int]] = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            prob = p_in if block_of[u] == block_of[v] else p_out
-            if prob > 0 and rng.random() < prob:
-                edges.append((u, v))
     return from_edges(edges, num_vertices=n)
 
 

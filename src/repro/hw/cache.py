@@ -26,7 +26,7 @@ if TYPE_CHECKING:
     from repro.hw.memory import DRAMModel
     from repro.hw.noc import NoCModel
 
-__all__ = ["CacheStats", "SectoredLRUCache", "merge_cache_stats"]
+__all__ = ["CacheStats", "SectoredLRUCache"]
 
 
 @dataclass
@@ -47,14 +47,6 @@ class CacheStats:
     @property
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
-
-
-def merge_cache_stats(stats: "list[CacheStats] | tuple[CacheStats, ...]") -> CacheStats:
-    """Sum counters across cache instances (exact: every counter is a
-    plain event count, so disjoint simulations merge by addition)."""
-    from repro.core.merge import merge_stats
-
-    return merge_stats(stats, cls=CacheStats)
 
 
 class SectoredLRUCache:

@@ -13,7 +13,7 @@ divided by :data:`repro.graph.datasets.CACHE_SCALE` to match the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.graph.datasets import CACHE_SCALE
 from repro.hw.noc import NoCConfig
@@ -24,6 +24,13 @@ __all__ = ["MemoryConfig", "FingersConfig", "FlexMinerConfig", "scaled_bytes"]
 def scaled_bytes(paper_bytes: int) -> int:
     """Scale a paper byte capacity down by the global graph scale factor."""
     return max(64, paper_bytes // CACHE_SCALE)
+
+
+def _require_non_negative(config, *names: str) -> None:
+    """Reject negative cycle counts and byte capacities (zero is legal)."""
+    for name in names:
+        if getattr(config, name) < 0:
+            raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,11 +90,6 @@ class FingersConfig:
     #: Serial input-distribution + result-collection handshake cycles per
     #: work item (round-robin multicast in, bitvector out — section 4.3).
     io_cycles_per_item: int = 2
-    #: Serial input-distribution + result-collection handshake cycles per
-    #: round-robin IU slot; one wave over the pool costs
-    #: ``io_cycles_per_item x num_ius`` cycles (paper section 4.3: the
-    #: serial periods are proportional to the number of IUs).
-    io_bus_ids_per_cycle: int = 8
     #: Fixed macro-pipeline overhead per task (pop, head-list generation,
     #: restriction pre-check, push of spawned tasks).
     task_overhead_cycles: int = 6
@@ -102,6 +104,19 @@ class FingersConfig:
             raise ValueError("max_load must be >= 1")
         if self.task_group_size is not None and self.task_group_size < 1:
             raise ValueError("task_group_size must be >= 1 when given")
+        for name in (
+            "max_task_group_size", "divider_long_heads", "divider_short_heads"
+        ):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        _require_non_negative(
+            self,
+            "private_cache_bytes",
+            "stream_buffer_bytes",
+            "num_stream_buffers",
+            "io_cycles_per_item",
+            "task_overhead_cycles",
+        )
 
     @property
     def design_name(self) -> str:
@@ -128,6 +143,9 @@ class FlexMinerConfig:
     def __post_init__(self) -> None:
         if self.num_pes < 1:
             raise ValueError("num_pes must be positive")
+        _require_non_negative(
+            self, "private_cache_bytes", "task_overhead_cycles"
+        )
 
     @property
     def design_name(self) -> str:

@@ -241,7 +241,6 @@ def time_task_ops(
     divider_long_heads: int,
     divider_short_heads: int,
     io_cycles_per_item: int,
-    io_bus_ids_per_cycle: int = 8,
     detail: bool = False,
 ) -> TaskTiming:
     """Time the compute phase of one task from its ops' actual inputs."""

@@ -10,11 +10,11 @@ PEs miss concurrently (section 6.3, Yo/Pa discussion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.hw.config import MemoryConfig
 
-__all__ = ["DRAMModel", "DRAMStats", "merge_dram_stats"]
+__all__ = ["DRAMModel", "DRAMStats"]
 
 
 @dataclass
@@ -29,13 +29,6 @@ class DRAMStats:
     @property
     def avg_queue_delay(self) -> float:
         return self.total_queue_delay / self.requests if self.requests else 0.0
-
-
-def merge_dram_stats(stats: "list[DRAMStats] | tuple[DRAMStats, ...]") -> DRAMStats:
-    """Sum traffic counters across independent channels/simulations."""
-    from repro.core.merge import merge_stats
-
-    return merge_stats(stats, cls=DRAMStats)
 
 
 class DRAMModel:

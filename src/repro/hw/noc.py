@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["NoCConfig", "NoCModel", "NoCStats", "merge_noc_stats"]
+__all__ = ["NoCConfig", "NoCModel", "NoCStats"]
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,6 @@ class NoCStats:
     @property
     def avg_queue_delay(self) -> float:
         return self.total_queue_delay / self.transfers if self.transfers else 0.0
-
-
-def merge_noc_stats(stats: "list[NoCStats] | tuple[NoCStats, ...]") -> NoCStats:
-    """Sum traffic counters across independent interconnect instances."""
-    from repro.core.merge import merge_stats
-
-    return merge_stats(stats, cls=NoCStats)
 
 
 class NoCModel:

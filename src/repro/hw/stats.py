@@ -13,9 +13,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["PEStats", "merge_pe_stats"]
+__all__ = ["PEStats"]
 
 
 @dataclass
@@ -67,9 +67,3 @@ class PEStats:
             self.stall_cycles / self.busy_cycles if self.busy_cycles > 0 else 0.0
         )
 
-
-def merge_pe_stats(stats: list[PEStats]) -> PEStats:
-    """Sum counters across PEs (for chip-level reporting)."""
-    from repro.core.merge import merge_stats
-
-    return merge_stats(stats, cls=PEStats)

@@ -7,7 +7,7 @@ Counting runs on one of two execution models, selected by
     Breadth-batched: every level's partial embeddings are materialized
     as one struct-of-arrays frontier and the level's schedule runs as
     segmented batch set ops (:mod:`repro.mining.frontier`).  Memory is
-    bounded by the policy's spill budget.
+    bounded by the module's spill budget.
 ``"recursive"``
     The oracle path, following paper Figure 2 exactly: nested loops over
     candidate sets, with the set-operation schedules materialized
@@ -228,7 +228,7 @@ def per_root_counts(
     policy = kernels if kernels is not None else DEFAULT_POLICY
     root_list = [int(r) for r in _iter_roots(graph, roots)]
     if policy.engine == "frontier":
-        counts = FrontierEngine(graph, plan, policy).per_root_counts(root_list)
+        counts = FrontierEngine(graph, plan).per_root_counts(root_list)
         for root, count in zip(root_list, counts):
             yield root, int(count)
         return
@@ -376,7 +376,7 @@ def count_multi(
             if plan.num_levels == 1:
                 totals[name] += len(root_list)
                 continue
-            engine = FrontierEngine(graph, plan, policy)
+            engine = FrontierEngine(graph, plan)
             counts = engine.per_root_counts(root_list, shared_level0=shared)
             totals[name] += int(counts.sum())
         return totals

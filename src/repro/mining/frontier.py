@@ -33,10 +33,10 @@ then either count (last level: per-row lengths; penultimate level of a
 chain-shaped schedule: the fused terminal probe, which hoists the
 child-independent ops out of the per-child work) or expand to the
 next level.  Expansion and the fused probe are **memory-bounded**: when
-the materialized result would exceed ``KernelPolicy.
-frontier_budget_bytes``, the frontier is processed in contiguous row
-chunks — identical counts for every budget, only peak memory changes
-(docs/KERNELS.md, "Frontier engine").
+the materialized result would exceed :data:`FRONTIER_BUDGET_BYTES`,
+the frontier is processed in contiguous row chunks — identical counts
+for every budget, only peak memory changes (docs/KERNELS.md, "Frontier
+engine").
 
 The fused probe has two paths.  The element path checks each child's
 candidates one by one through the segmented membership kernels.  The
@@ -56,7 +56,7 @@ filtered extension set without building it: each source row is probed
 only above its lower bound.
 
 Everything here is functional-only: counts are bit-identical to the
-recursive oracle for every policy, and dispatch decisions are pure
+recursive oracle for every budget, and dispatch decisions are pure
 functions of sizes and the graph so sanitized double runs trace
 identically.
 """
@@ -71,9 +71,10 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.pattern.plan import ExecutionPlan, OpKind, SetOp
 from repro.setops import segmented as sg
-from repro.setops.kernels import DEFAULT_POLICY, KernelPolicy, _tally
+from repro.setops.kernels import _tally
 
 __all__ = [
+    "FRONTIER_BUDGET_BYTES",
     "FrontierEngine",
     "carried_states",
     "expand_rows",
@@ -83,6 +84,11 @@ __all__ = [
     "run_level_ops",
 ]
 
+#: Spill budget: when materializing the next level's embedding matrix
+#: (or a fused terminal probe) would exceed this many bytes, the frontier
+#: is processed in contiguous row chunks.  Any budget gives identical
+#: counts; only peak memory changes.
+FRONTIER_BUDGET_BYTES = 128 << 20
 #: Working-set estimate per element of the fused terminal probe's
 #: element path (value, owner, row id, membership keys and mask, slack).
 _FLAT_BYTES = 40
@@ -346,22 +352,16 @@ def expand_rows(
 
 
 class FrontierEngine:
-    """Breadth-batched counting executor for one (graph, plan, policy).
+    """Breadth-batched counting executor for one (graph, plan).
 
     Build once, then :meth:`per_root_counts` any number of root lists.
     Counting only — listing materializes every embedding anyway, so the
     recursive enumerator keeps that job (docs/KERNELS.md).
     """
 
-    def __init__(
-        self,
-        graph: CSRGraph,
-        plan: ExecutionPlan,
-        policy: KernelPolicy | None = None,
-    ) -> None:
+    def __init__(self, graph: CSRGraph, plan: ExecutionPlan) -> None:
         self.graph = graph
         self.plan = plan
-        self.policy = policy if policy is not None else DEFAULT_POLICY
         k = plan.num_levels
         self.k = k
         self.carry_after = carried_states(plan)
@@ -453,9 +453,7 @@ class FrontierEngine:
             sid for sid in self.carry_after[level] if sid in states
         ]
         bytes_per_row = 4 * (len(cols) + 1) + 8 + 8 * len(carried)
-        chunks = _chunk_ranges(
-            lens * bytes_per_row, self.policy.frontier_budget_bytes
-        )
+        chunks = _chunk_ranges(lens * bytes_per_row, FRONTIER_BUDGET_BYTES)
         if len(chunks) > 1:
             _tally("frontier/spill_chunks", len(chunks))
         for a, b in chunks:
@@ -558,9 +556,7 @@ class FrontierEngine:
                 fb, fixed_excludes, self_bound, self_exclude,
             )
             return
-        chunks = _chunk_ranges(
-            weights * _FLAT_BYTES, self.policy.frontier_budget_bytes
-        )
+        chunks = _chunk_ranges(weights * _FLAT_BYTES, FRONTIER_BUDGET_BYTES)
         if len(chunks) > 1:
             _tally("frontier/spill_chunks", len(chunks))
         counts = self._counts
@@ -634,9 +630,7 @@ class FrontierEngine:
         mode = self.terminal.mode
         adj = self.graph.adjacency_bitmap()
         words = adj.shape[1]
-        step = max(
-            1, self.policy.frontier_budget_bytes // (_WORD_BYTES * words)
-        )
+        step = max(1, FRONTIER_BUDGET_BYTES // (_WORD_BYTES * words))
         chunk_starts = range(0, cand.total, step)
         if len(chunk_starts) > 1:
             _tally("frontier/spill_chunks", len(chunk_starts))

@@ -27,12 +27,6 @@ from repro.pattern.ordering import (
     estimate_plan_cost,
     search_vertex_order,
 )
-from repro.pattern.serialize import (
-    dump_plan,
-    load_plan,
-    plan_from_dict,
-    plan_to_dict,
-)
 
 __all__ = [
     "Pattern",
@@ -57,8 +51,4 @@ __all__ = [
     "compile_plan_searched",
     "estimate_plan_cost",
     "search_vertex_order",
-    "dump_plan",
-    "load_plan",
-    "plan_from_dict",
-    "plan_to_dict",
 ]

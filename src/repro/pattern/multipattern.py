@@ -47,10 +47,6 @@ class MultiPlan:
     def num_patterns(self) -> int:
         return len(self.plans)
 
-    @property
-    def max_levels(self) -> int:
-        return max(p.num_levels for p in self.plans)
-
 
 def compile_multi_plan(
     patterns: Sequence[Pattern],

@@ -279,14 +279,6 @@ class ExecutionPlan:
             return fail("INIT_COPY of the level vertex is not the first op")
         return LevelChain(level=level, child_op_index=child_idx, mode=mode)
 
-    def chain_levels(self) -> tuple[int, ...]:
-        """The levels whose schedules are chain-shaped (batchable)."""
-        return tuple(
-            sched.level
-            for sched in self.levels
-            if self.chain_info(sched.level).batchable
-        )
-
     # ------------------------------------------------------------------
     # Static structure queries used by the hardware model
     # ------------------------------------------------------------------

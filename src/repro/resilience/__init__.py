@@ -28,13 +28,11 @@ from repro.resilience.faults import (
     clear,
     corrupt_bytes,
     current_plan,
-    fault_counters,
     in_worker,
     inject,
     install,
     mark_worker,
     plan_active,
-    reset_fault_counters,
 )
 from repro.resilience.retry import RetryPolicy, RetryStats
 
@@ -46,11 +44,9 @@ __all__ = [
     "clear",
     "corrupt_bytes",
     "current_plan",
-    "fault_counters",
     "in_worker",
     "inject",
     "install",
     "mark_worker",
     "plan_active",
-    "reset_fault_counters",
 ]

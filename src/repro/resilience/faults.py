@@ -12,8 +12,7 @@ crashes on every run, on every machine.
 Injection sites reuse the sanitizer's probe seams
 (:mod:`repro.sanitize`): sites are addressed by the same labels the
 sanitizer emits (``pool``, ``cache``, ``cell``), tokens are derived
-with :func:`repro.sanitize.payload_digest`, and every fired fault is
-counted (``fault_counters()``).
+with :func:`repro.sanitize.payload_digest`.
 
 Fault-spec grammar (full reference: docs/RESILIENCE.md)::
 
@@ -54,13 +53,11 @@ __all__ = [
     "clear",
     "corrupt_bytes",
     "current_plan",
-    "fault_counters",
     "in_worker",
     "inject",
     "install",
     "mark_worker",
     "plan_active",
-    "reset_fault_counters",
 ]
 
 ENV_VAR = "REPRO_FAULTS"
@@ -220,8 +217,6 @@ _INSTALLED: FaultPlan | None = None
 _ENV_CACHE: tuple[str, FaultPlan] | None = None
 _IN_WORKER = False
 
-_COUNTERS: dict[str, int] = {}
-
 
 def install(plan: FaultPlan | str) -> FaultPlan:
     """Install a plan process-wide and export it to ``REPRO_FAULTS``.
@@ -278,26 +273,6 @@ def in_worker() -> bool:
     return _IN_WORKER
 
 
-def fault_counters() -> dict[str, int]:
-    """Snapshot of fired-fault counters.
-
-    Keys: ``"<site>:<kind>"`` per fired fault.  Per-process: worker-side firings are
-    visible to the parent only through their effects (crashes, retries).
-    """
-    return dict(_COUNTERS)
-
-
-def reset_fault_counters() -> None:
-    _COUNTERS.clear()
-
-
-def _count(site: str, kind: str) -> None:
-    # Observability only, never results: worker-side firings are counted
-    # in the worker's own copy and reach the parent as crashes/retries.
-    key = f"{site}:{kind}"
-    _COUNTERS[key] = _COUNTERS.get(key, 0) + 1  # noqa: RACE001
-
-
 # ----------------------------------------------------------------------
 # Injection entry points
 # ----------------------------------------------------------------------
@@ -326,7 +301,6 @@ def inject(site: str, token: str, attempt: int = 0) -> None:
         return
     if rule.kind in _WORKER_ONLY and not _IN_WORKER:
         return
-    _count(site, rule.kind)
     if rule.kind == "crash":
         # A real worker death: no exception, no cleanup, no goodbye —
         # exactly what BrokenProcessPool recovery must absorb.
@@ -358,7 +332,6 @@ def corrupt_bytes(
     rule = plan.decide(site, token, attempt)
     if rule is None or rule.kind != "corrupt":
         return data
-    _count(site, "corrupt")
     keep = max(1, len(data) // 2)
     head = bytes(b ^ 0xFF for b in data[: min(8, keep)])
     return head + data[len(head):keep]

@@ -87,32 +87,30 @@ def reset_kernel_counters() -> None:
 class KernelPolicy:
     """Functional execution knobs (see docs/KERNELS.md).
 
+    The frontier engine's spill budget is the module constant
+    :data:`repro.mining.frontier.FRONTIER_BUDGET_BYTES`, and the
+    membership kernel is chosen from the graph alone
+    (:func:`repro.setops.segmented.pick_segment_kernel`).
+
     Attributes
     ----------
     engine:
         Mining execution model: ``"frontier"`` (breadth-batched NumPy
         levels, the default) or ``"recursive"`` (the per-embedding
         merge-based oracle).  Counting only; listing always recurses.
-    frontier_budget_bytes:
-        Spill budget for the frontier engine: when materializing the
-        next level's embedding matrix (or a fused terminal probe) would
-        exceed this many bytes, the frontier is processed in contiguous
-        row chunks instead.  Any budget produces identical counts.
     tuned:
         Opt into the measured-trial auto-tuner (:mod:`repro.tuning`,
         docs/TUNING.md): counting runs resolve the plan's vertex order
         against the persistent tuned-choice store for the (pattern,
         graph signature) at hand, falling back to measured trials on a
-        cold store.  Every trial runs under the remaining fields.  Like
-        every other knob, ``tuned`` is functional-only: resolved choices
-        are verified bit-identical (including per-root sequences) during
-        trials.
+        cold store.  Every trial runs under the same ``engine``, and
+        resolved choices are verified bit-identical (including per-root
+        sequences) during trials.
 
     Every policy produces bit-identical results; only speed changes.
     """
 
     engine: str = "frontier"
-    frontier_budget_bytes: int = 128 << 20
     tuned: bool = False
 
     def __post_init__(self) -> None:
@@ -120,8 +118,6 @@ class KernelPolicy:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {ENGINE_NAMES}"
             )
-        if self.frontier_budget_bytes < 1:
-            raise ValueError("frontier_budget_bytes must be >= 1")
 
 
 #: The library-wide default policy.

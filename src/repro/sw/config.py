@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hw.config import scaled_bytes
+from repro.hw.config import _require_non_negative, scaled_bytes
 
 __all__ = ["SoftwareConfig"]
 
@@ -62,6 +62,9 @@ class SoftwareConfig:
             raise ValueError("granularity must be 'tree' or 'branch'")
         if self.elements_per_cycle <= 0:
             raise ValueError("elements_per_cycle must be positive")
+        _require_non_negative(
+            self, "task_overhead_cycles", "steal_overhead_cycles", "llc_bytes"
+        )
 
     @property
     def design_name(self) -> str:

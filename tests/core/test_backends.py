@@ -12,7 +12,6 @@ from repro.core import (
     backend_for_config,
     backend_names,
     get_backend,
-    register_backend,
 )
 from repro.core.result import RunResult
 from repro.graph import erdos_renyi
@@ -34,19 +33,6 @@ class TestRegistry:
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError, match="unknown backend"):
             get_backend("asic-from-the-future")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend(get_backend("fingers"))
-
-    def test_replace_registration_allowed(self):
-        original = get_backend("fingers")
-        try:
-            replacement = type(original)()
-            assert register_backend(replacement, replace=True) is replacement
-            assert get_backend("fingers") is replacement
-        finally:
-            register_backend(original, replace=True)
 
     def test_backend_for_config_dispatches_on_type(self):
         from repro.hw.config import FingersConfig, FlexMinerConfig

@@ -94,6 +94,7 @@ class TestValidation:
             [{"name": "a"}, {"name": "a"}],          # repeated
             [{"name": "a", "not_a_field": 1}],       # unknown field
             [{"name": "a", "force_kernel": "merge"}],  # retired field
+            [{"name": "a", "frontier_budget_bytes": 4096}],  # retired field
         ):
             with pytest.raises(SpecError):
                 load_spec(_minimal(kernel_policies=policies))
@@ -118,16 +119,38 @@ class TestValidation:
         )
         with pytest.raises(SpecError, match=r"\[configs\.fingers\]"):
             load_spec(data)
-
-    def test_kernel_policy_values_checked_at_load(self):
-        for policy, message in [
-            ({"name": "a", "engine": "bogus"}, "kernel policy 'a'.*bogus"),
-            ({"name": "b", "frontier_budget_bytes": 0},
-             "kernel policy 'b'.*frontier_budget_bytes must be >= 1"),
+        for backend, field, value in [
+            ("fingers", "task_overhead_cycles", -1),
+            ("fingers", "io_cycles_per_item", -2),
+            ("fingers", "private_cache_bytes", -64),
+            ("fingers", "stream_buffer_bytes", -1),
+            ("fingers", "max_task_group_size", 0),
+            ("fingers", "divider_long_heads", 0),
+            ("fingers", "divider_short_heads", 0),
+            ("flexminer", "task_overhead_cycles", -50),
+            ("flexminer", "private_cache_bytes", -1),
+            ("software", "task_overhead_cycles", -1),
+            ("software", "steal_overhead_cycles", -1),
+            ("software", "llc_bytes", -1),
         ]:
-            data = _minimal(kernel_policies=[policy])
+            data = _minimal(
+                sweep={"backends": [backend]},
+                configs={backend: {field: value}},
+            )
+            message = rf"\[configs\.{backend}\] {field} must be >= [01]"
             with pytest.raises(SpecError, match=message):
                 load_spec(data)
+        # zero cycles and bytes stay legal
+        load_spec(_minimal(
+            sweep={"backends": ["flexminer"]},
+            configs={"flexminer": {"task_overhead_cycles": 0,
+                                   "private_cache_bytes": 0}},
+        ))
+
+    def test_kernel_policy_values_checked_at_load(self):
+        data = _minimal(kernel_policies=[{"name": "a", "engine": "bogus"}])
+        with pytest.raises(SpecError, match="kernel policy 'a'.*bogus"):
+            load_spec(data)
 
     def test_available_graphs_override(self):
         data = _minimal(sweep={"graphs": ["tiny"]})
@@ -175,8 +198,7 @@ class TestExpansion:
         data = _minimal(
             sweep={"backends": ["functional", "fingers"]},
             configs={"fingers": {"num_pes": 2}},
-            kernel_policies=[{"name": "small-spill",
-                              "frontier_budget_bytes": 4096}],
+            kernel_policies=[{"name": "oracle", "engine": "recursive"}],
         )
         spec = load_spec(data)
         fingers = spec.config_for(Cell("tc", "As", "fingers"))
@@ -184,9 +206,9 @@ class TestExpansion:
         assert fingers.num_pes == 2
         default = spec.config_for(Cell("tc", "As", "functional"))
         assert default.kernels is None
-        small = spec.config_for(Cell("tc", "As", "functional",
-                                     policy="small-spill"))
-        assert small.kernels.frontier_budget_bytes == 4096
+        oracle = spec.config_for(Cell("tc", "As", "functional",
+                                      policy="oracle"))
+        assert oracle.kernels.engine == "recursive"
 
     def test_cell_label(self):
         assert Cell("tc", "As", "fingers").label == "tc/As/fingers"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.merge import merge_stats
 from repro.graph.datasets import CACHE_SCALE
 from repro.hw.config import (
     FingersConfig,
@@ -9,7 +10,7 @@ from repro.hw.config import (
     MemoryConfig,
     scaled_bytes,
 )
-from repro.hw.stats import PEStats, merge_pe_stats
+from repro.hw.stats import PEStats
 
 
 class TestPEStats:
@@ -45,14 +46,14 @@ class TestPEStats:
                     embeddings_found=7)
         b = PEStats(tasks=2, busy_cycles=20.0, iu_busy_cycles=15.0,
                     embeddings_found=1)
-        merged = merge_pe_stats([a, b])
+        merged = merge_stats([a, b], cls=PEStats)
         assert merged.tasks == 5
         assert merged.busy_cycles == 30.0
         assert merged.iu_busy_cycles == 20.0
         assert merged.embeddings_found == 8
 
     def test_merge_empty(self):
-        assert merge_pe_stats([]).tasks == 0
+        assert merge_stats([], cls=PEStats).tasks == 0
 
 
 class TestConfigHelpers:

@@ -84,6 +84,13 @@ class TestAgainstOracle:
         oracle = count_instances_bruteforce(g, pattern, vertex_induced=False)
         assert got == oracle
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_triangles_on_larger_random_graphs(self, seed):
+        g = erdos_renyi(80, 0.15, seed=seed)
+        assert count(g, "tc") == count_instances_bruteforce(
+            g, named_pattern("tc")
+        )
+
     @pytest.mark.parametrize("name", ["house"])
     def test_five_vertex_pattern(self, name):
         g = erdos_renyi(14, 0.4, seed=9)

@@ -9,6 +9,7 @@ dispatch, the lazy state carry, the set-op trace's leaf counts, and the
 multi-pattern shared level-0 trunk.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.graph.builders import from_edges
 from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.mining import frontier
 from repro.mining.engine import count_embeddings, count_multi, per_root_counts
 from repro.mining.frontier import (
     FrontierEngine,
@@ -44,10 +46,15 @@ GRAPH = erdos_renyi(80, 0.18, seed=21)
 HUBBY = barabasi_albert(90, 6, seed=8)
 
 RECURSIVE = KernelPolicy(engine="recursive")
+FRONTIER = KernelPolicy(engine="frontier")
 
 
-def _frontier(budget: int = 128 << 20) -> KernelPolicy:
-    return KernelPolicy(engine="frontier", frontier_budget_bytes=budget)
+@contextmanager
+def _spill_budget(budget: int):
+    """Patch the frontier's spill budget to ``budget`` bytes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier, "FRONTIER_BUDGET_BYTES", budget)
+        yield
 
 
 def _edgekey_counts(engine: FrontierEngine, roots) -> np.ndarray:
@@ -83,7 +90,8 @@ class TestSpillInvariance:
     def test_any_budget_counts_identically(self, budget):
         plan = compile_plan(named_pattern("tt"))
         expected = count_embeddings(GRAPH, plan, kernels=RECURSIVE)
-        got = count_embeddings(GRAPH, plan, kernels=_frontier(budget))
+        with _spill_budget(budget):
+            got = count_embeddings(GRAPH, plan, kernels=FRONTIER)
         assert got == expected
 
     @given(
@@ -94,13 +102,15 @@ class TestSpillInvariance:
     def test_budget_and_pattern_product(self, budget, pattern):
         plan = compile_plan(named_pattern(pattern))
         a = list(per_root_counts(HUBBY, plan, kernels=RECURSIVE))
-        b = list(per_root_counts(HUBBY, plan, kernels=_frontier(budget)))
+        with _spill_budget(budget):
+            b = list(per_root_counts(HUBBY, plan, kernels=FRONTIER))
         assert a == b
 
     def test_tiny_budget_actually_spills(self):
         plan = compile_plan(named_pattern("house"))
         reset_kernel_counters()
-        count_embeddings(GRAPH, plan, kernels=_frontier(budget=64))
+        with _spill_budget(64):
+            count_embeddings(GRAPH, plan, kernels=FRONTIER)
         assert kernel_counters().get("frontier/spill_chunks", 0) > 1
 
 
@@ -109,7 +119,7 @@ class TestEdgeCases:
         plan = compile_plan(named_pattern("edge"))
         assert plan.num_levels == 2
         a = count_embeddings(GRAPH, plan, kernels=RECURSIVE)
-        b = count_embeddings(GRAPH, plan, kernels=_frontier())
+        b = count_embeddings(GRAPH, plan, kernels=FRONTIER)
         assert a == b
 
     def test_empty_roots(self):
@@ -121,13 +131,13 @@ class TestEdgeCases:
     def test_edgeless_graph(self):
         lonely = from_edges([], num_vertices=5)
         plan = compile_plan(named_pattern("tc"))
-        assert count_embeddings(lonely, plan, kernels=_frontier()) == 0
+        assert count_embeddings(lonely, plan, kernels=FRONTIER) == 0
 
     def test_roots_subset_and_duplicates(self):
         plan = compile_plan(named_pattern("tt"))
         roots = [7, 3, 3, 0, 79, 7]
         a = list(per_root_counts(GRAPH, plan, roots=roots, kernels=RECURSIVE))
-        b = list(per_root_counts(GRAPH, plan, roots=roots, kernels=_frontier()))
+        b = list(per_root_counts(GRAPH, plan, roots=roots, kernels=FRONTIER))
         assert a == b
         assert [r for r, _ in b] == roots
 
@@ -213,9 +223,10 @@ class TestWordProbe:
         plan = _terminal_plan(case)
         roots = range(n)
         oracle = [c for _, c in per_root_counts(graph, plan, kernels=RECURSIVE)]
-        engine = FrontierEngine(graph, plan, _frontier(budget))
-        assert list(engine.per_root_counts(roots)) == oracle
-        assert list(_edgekey_counts(engine, roots)) == oracle
+        engine = FrontierEngine(graph, plan)
+        with _spill_budget(budget):
+            assert list(engine.per_root_counts(roots)) == oracle
+            assert list(_edgekey_counts(engine, roots)) == oracle
 
     @pytest.mark.parametrize("case", _TERMINAL_CASES, ids=_case_id)
     def test_every_case_takes_the_word_path_on_a_dense_graph(
@@ -262,7 +273,8 @@ class TestWordProbe:
         calls = _spy_words(monkeypatch)
         reset_kernel_counters()
         plan = compile_plan(named_pattern("house"))
-        got = count_embeddings(GRAPH, plan, kernels=_frontier(budget=64))
+        with _spill_budget(64):
+            got = count_embeddings(GRAPH, plan, kernels=FRONTIER)
         assert calls
         assert kernel_counters().get("seg_fused/bitmap", 0) > len(calls)
         assert got == count_embeddings(GRAPH, plan, kernels=RECURSIVE)
@@ -275,11 +287,16 @@ class TestSharedTrunk:
 
     def test_count_multi_matches_independent_counts(self):
         multi = self._multi()
-        for policy in (RECURSIVE, _frontier(), _frontier(budget=1), None):
-            got = count_multi(GRAPH, multi, kernels=policy)
+        default = frontier.FRONTIER_BUDGET_BYTES
+        for policy, budget in (
+            (RECURSIVE, default), (FRONTIER, default), (FRONTIER, 1),
+            (None, default),
+        ):
+            with _spill_budget(budget):
+                got = count_multi(GRAPH, multi, kernels=policy)
             for name, plan in zip(multi.names, multi.plans):
                 expected = count_embeddings(GRAPH, plan, kernels=RECURSIVE)
-                assert got[name] == expected, (name, policy)
+                assert got[name] == expected, (name, policy, budget)
 
     def test_trunk_reuses_level0_states(self):
         """The shared trunk must eliminate repeated level-0 INIT_COPY
@@ -287,11 +304,11 @@ class TestSharedTrunk:
         than counting them separately."""
         multi = self._multi()
         reset_kernel_counters()
-        count_multi(GRAPH, multi, kernels=_frontier())
+        count_multi(GRAPH, multi, kernels=FRONTIER)
         fused = dict(kernel_counters())
         reset_kernel_counters()
         for plan in multi.plans:
-            count_embeddings(GRAPH, plan, kernels=_frontier())
+            count_embeddings(GRAPH, plan, kernels=FRONTIER)
         separate = dict(kernel_counters())
         assert fused.get("frontier/runs", 0) == len(
             [p for p in multi.plans if p.num_levels >= 2]
@@ -308,7 +325,7 @@ class TestSharedTrunk:
         multi = self._multi()
         roots = [0, 2, 40, 41]
         a = count_multi(GRAPH, multi, roots=roots, kernels=RECURSIVE)
-        b = count_multi(GRAPH, multi, roots=roots, kernels=_frontier())
+        b = count_multi(GRAPH, multi, roots=roots, kernels=FRONTIER)
         assert a == b
 
     def test_count_multi_jobs_matches_serial(self):

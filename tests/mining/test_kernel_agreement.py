@@ -12,6 +12,7 @@ import pytest
 
 from repro.graph.datasets import load_dataset
 from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.mining import frontier
 from repro.mining.engine import (
     count_embeddings,
     list_embeddings,
@@ -30,28 +31,29 @@ from repro.setops.kernels import (
 #: every level (paper Figure 2).
 ORACLE = KernelPolicy(engine="recursive")
 
-#: name -> (policy, bitmap budget).  A budget of 0 patches the
-#: membership dispatch so every probe takes the edge-key kernel; ``None``
-#: keeps the module default (these test graphs all get the bitmap).
+FRONTIER = KernelPolicy(engine="frontier")
+
+#: name -> (policy, module constants to patch).  A 1-byte spill budget
+#: makes the frontier spill every row; a bitmap budget of 0 sends every
+#: membership probe to the edge-key kernel.  Unpatched constants keep
+#: the module defaults (these test graphs all get the bitmap).
 POLICIES = {
-    "default": (None, None),
-    "recursive": (ORACLE, None),
-    "frontier": (KernelPolicy(engine="frontier"), None),
-    "frontier-tiny-spill": (
-        KernelPolicy(engine="frontier", frontier_budget_bytes=1), None
-    ),
-    "frontier-edgekey": (KernelPolicy(engine="frontier"), 0),
+    "default": (None, {}),
+    "recursive": (ORACLE, {}),
+    "frontier": (FRONTIER, {}),
+    "frontier-tiny-spill": (FRONTIER, {(frontier, "FRONTIER_BUDGET_BYTES"): 1}),
+    "frontier-edgekey": (FRONTIER, {(segmented, "BITMAP_BUDGET_BYTES"): 0}),
 }
 
 
 def _across_policies(run):
     """``(name, run(policy))`` for every entry of :data:`POLICIES`, each
-    run under its bitmap budget."""
+    run with its constants patched."""
     results = []
-    for name, (policy, budget) in POLICIES.items():
+    for name, (policy, patches) in POLICIES.items():
         with pytest.MonkeyPatch.context() as mp:
-            if budget is not None:
-                mp.setattr(segmented, "BITMAP_BUDGET_BYTES", budget)
+            for (module, attr), value in patches.items():
+                mp.setattr(module, attr, value)
             results.append((name, run(policy)))
     return results
 

@@ -1,8 +1,13 @@
 """Public-API surface tests: everything advertised must import and work."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
+
+API_DOC = Path(__file__).resolve().parents[1] / "docs" / "API.md"
 
 
 PACKAGES = [
@@ -80,3 +85,32 @@ class TestReadmeQuickstart:
         fingers = simulate(graph, "tc", FingersConfig(num_pes=1), roots=roots)
         baseline = simulate(graph, "tc", FlexMinerConfig(num_pes=1), roots=roots)
         assert fingers.speedup_over(baseline) > 1.0
+
+
+def _api_doc_imports():
+    """``(module, name)`` for every ``from repro... import`` in the
+    ```` ```python ```` blocks of docs/API.md."""
+    blocks = re.findall(r"```python\n(.*?)```", API_DOC.read_text(), re.S)
+    assert blocks
+    pairs = []
+    for block in blocks:
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith(
+                "repro"
+            ):
+                pairs.extend((node.module, a.name) for a in node.names)
+    return pairs
+
+
+class TestApiDoc:
+    def test_every_documented_import_resolves(self):
+        missing = []
+        for module_name, name in _api_doc_imports():
+            module = importlib.import_module(module_name)
+            if hasattr(module, name):
+                continue
+            try:
+                importlib.import_module(f"{module_name}.{name}")
+            except ImportError:
+                missing.append(f"{module_name}.{name}")
+        assert not missing, missing
