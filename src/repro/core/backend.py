@@ -182,6 +182,8 @@ class Backend(abc.ABC):
         from repro.core.workload import resolve_workload
 
         name, plans, names = resolve_workload(workload)
+        if roots is not None:
+            roots = graph.check_roots(roots)
         if config is None:
             config = self.default_config()
         self.prepare(graph, plans, config)

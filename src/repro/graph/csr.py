@@ -153,6 +153,22 @@ class CSRGraph:
         """Degree of every vertex, as an int64 array."""
         return np.diff(self._indptr)
 
+    def check_roots(self, roots: Iterable[int]) -> list[int]:
+        """``roots`` as a list of ints, each a vertex id of this graph.
+
+        Raises ``ValueError`` naming the first root outside
+        ``[0, |V|)``: a negative id would otherwise index adjacency
+        rows from the end.
+        """
+        out = [int(r) for r in roots]
+        n = self.num_vertices
+        for r in out:
+            if not 0 <= r < n:
+                raise ValueError(
+                    f"root {r} is not a vertex id of a graph with |V| = {n}"
+                )
+        return out
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the undirected edge ``{u, v}`` exists."""
         if u == v:

@@ -17,9 +17,11 @@ when the op that builds the leaf candidates is its level's last (and
 not a copy), :func:`repro.mining.frontier.leaf_counts` probes only each
 source's part above the symmetry-order bound and sums the survivors.
 The op still enters the task's op list with its source, so its IU and
-comparator costs are unchanged.  On the ``sim-chip`` benchmark the
-leaf level probes 2.3× fewer elements than building the result and
-filtering it, and a pass takes 0.8× as long (docs/TIMING_MODEL.md §8).
+comparator costs are unchanged.  Hub rows longer than the bitset width
+take the frontier's word paths: leaf counts popcount bitsets, and wide
+level ops decode ``bits(source) & A[v]`` back to ids.  Where the
+build's time goes on the ``sim-chip`` benchmark is in
+docs/TIMING_MODEL.md §8.
 
 Task and group layout
 ---------------------

@@ -76,7 +76,7 @@ def filtered_candidates(
 def _iter_roots(graph: CSRGraph, roots: Iterable[int] | None) -> Iterable[int]:
     if roots is None:
         return range(graph.num_vertices)
-    return roots
+    return graph.check_roots(roots)
 
 
 class _RecursiveRunner:

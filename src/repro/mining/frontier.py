@@ -50,10 +50,21 @@ mask).  The word path runs when the membership dispatch picks
 ``children × words`` does not exceed the element probes; chunks are
 budgeted at ``4 × words × 8`` bytes per child.
 
+Level ops take a word path of their own for wide rows.  A row whose
+source is longer than ``words`` plus the cost of decoding its result
+(:data:`_DECODE_BITS` per result word that can be nonzero) becomes
+``bits(source) & A[v]`` (``& ~A[v]`` when subtracting), decoded back to
+sorted ids; every other row keeps the element probes.  The rule is a
+pure function of row sizes and the graph, so dense mid-size rows (the
+``count-er`` benchmark's) stay on elements and hub rows of a large
+sparse graph go to words (docs/KERNELS.md, "Word-path rows").
+
 The set-op trace builder (:mod:`repro.hw.optrace`) reuses these level
 functions.  Its leaf level calls :func:`leaf_counts`, which sizes a
 filtered extension set without building it: each source row is probed
-only above its lower bound.
+only above its lower bound, or, when that suffix is longer than
+``words``, counted as ``popcount`` of its bitset against the adjacency
+row and the bound mask, as the fused terminal probe does.
 
 Everything here is functional-only: counts are bit-identical to the
 recursive oracle for every budget, and dispatch decisions are pure
@@ -64,7 +75,7 @@ identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, MutableMapping, Sequence
+from typing import Iterable, Iterator, MutableMapping, Sequence
 
 import numpy as np
 
@@ -95,6 +106,9 @@ _FLAT_BYTES = 40
 #: Working-set estimate per child and bitset word of the word-parallel
 #: terminal probe (parent bitset, adjacency row, bound mask, result).
 _WORD_BYTES = 4 * 8
+#: Word-path cost of decoding one nonzero result word to ids, in
+#: element-probe units (one unpacked bit per id position).
+_DECODE_BITS = 64
 
 
 @dataclass
@@ -168,7 +182,39 @@ def materialize(
     return seg
 
 
-def _set_op(
+def _word_rows(
+    graph: CSRGraph,
+    lens: np.ndarray,
+    kind: OpKind | None = None,
+    verts: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Rows of ``lens`` elements whose set op runs faster on bitsets,
+    or ``None`` for none.
+
+    The element path costs ``lens`` membership probes.  The word path
+    costs ``words`` ANDs plus :data:`_DECODE_BITS` per nonzero result
+    word to decode, and at most ``min(words, bound)`` are nonzero: the
+    result bound is ``min(lens, deg verts)`` for an intersection
+    (``kind``), ``lens`` for a subtraction, and 0 when the result is
+    only counted (``kind=None``).  Pure in the sizes and the graph;
+    word rows need the ``bitmap`` kernel's adjacency bitmap.
+    """
+    words = (graph.num_vertices + 63) >> 6
+    if (
+        lens.size == 0
+        or int(lens.max()) <= words
+        or sg.pick_segment_kernel(graph) != "bitmap"
+    ):
+        return None
+    bound = 0 if kind is None else lens
+    if kind is OpKind.INTERSECT:
+        indptr = graph.indptr
+        bound = np.minimum(lens, indptr[verts + 1] - indptr[verts])
+    wide = words + _DECODE_BITS * np.minimum(words, bound) < lens
+    return wide if wide.any() else None
+
+
+def _element_op(
     kind: OpKind,
     src: sg.SegmentedSet,
     graph: CSRGraph,
@@ -177,6 +223,78 @@ def _set_op(
     if kind is OpKind.INTERSECT:
         return sg.intersect_neighbors(src, graph, verts)
     return sg.subtract_neighbors(src, graph, verts)
+
+
+def _word_pieces(
+    graph: CSRGraph,
+    kind: OpKind,
+    seg: sg.SegmentedSet,
+    seg_rows: np.ndarray,
+    wide: np.ndarray,
+    max_values: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The ``wide`` rows in pieces of ``max_values // words`` rows:
+    each piece's row indices and their sources ``seg[seg_rows]`` as
+    bitsets, every distinct source row packed once.  Tallied as
+    ``seg_<op>/bitmap``, like the element probes they replace."""
+    words = (graph.num_vertices + 63) >> 6
+    label = "intersect" if kind is OpKind.INTERSECT else "subtract"
+    idx = np.flatnonzero(wide)
+    step = max(1, max_values // words)
+    for a in range(0, idx.size, step):
+        _tally(f"seg_{label}/bitmap")
+        piece = idx[a : a + step]
+        distinct, inverse = np.unique(seg_rows[piece], return_inverse=True)
+        yield piece, sg.row_bitsets(seg.take_rows(distinct), words)[inverse]
+
+
+def _set_op(
+    kind: OpKind,
+    src: _State,
+    graph: CSRGraph,
+    verts: np.ndarray,
+    max_values: int | None = None,
+) -> sg.SegmentedSet:
+    """Per-row ``src[r] ∩ N(verts[r])`` (``−`` for a subtraction), read
+    through ``src``'s lazy row map in pieces of about ``max_values``
+    source values (in one piece without it).
+
+    Rows :func:`_word_rows` picks skip the element probes: their result
+    is ``bits(src[r]) & ±A[verts[r]]`` decoded back to ids.
+    """
+    seg, sel = src.seg, src.sel
+    lens = seg.lengths if sel is None else seg.lengths[sel]
+    wide = _word_rows(graph, lens, kind, verts)
+    if wide is None and max_values is None and sel is None:
+        return _element_op(kind, seg, graph, verts)
+    order = np.arange(lens.size) if wide is None else np.flatnonzero(~wide)
+    ranges = (
+        [(0, order.size)] if max_values is None
+        else _chunk_ranges(lens[order], max_values)
+    )
+    parts = []
+    for a, b in ranges:
+        rows = order[a:b]
+        if wide is None and sel is None:
+            piece = seg.slice_rows(a, b)
+        else:
+            piece = seg.take_rows(rows if sel is None else sel[rows])
+        parts.append(_element_op(kind, piece, graph, verts[rows]))
+    if wide is None:
+        return sg.concat(parts)
+    adj = graph.adjacency_bitmap()
+    subtract = kind is not OpKind.INTERSECT
+    pieces = _word_pieces(
+        graph, kind, seg, np.arange(seg.rows) if sel is None else sel, wide,
+        max_values or FRONTIER_BUDGET_BYTES // _WORD_BYTES,
+    )
+    for rows, bits in pieces:
+        parts.append(sg.bitset_rows(_and_rows(bits, adj, verts[rows], subtract)))
+        order = np.concatenate((order, rows))
+    # Back to row order: row ``r`` is row ``where[r]`` of the parts.
+    where = np.empty(lens.size, dtype=np.int64)
+    where[order] = np.arange(lens.size)
+    return sg.concat(parts).take_rows(where)
 
 
 def run_level_ops(
@@ -210,20 +328,11 @@ def run_level_ops(
         src = None
         if op.kind is OpKind.INIT_COPY:
             seg = sg.gather_neighbors(graph, verts)
-        elif max_values is None:
-            src = _State(materialize(states, op.source_state), None)
-            seg = _set_op(op.kind, src.seg, graph, verts)
         else:
             src = states[op.source_state]
-            lens = src.seg.lengths if src.sel is None else src.seg.lengths[src.sel]
-            parts = []
-            for a, b in _chunk_ranges(lens, max_values):
-                rows = (
-                    src.seg.slice_rows(a, b) if src.sel is None
-                    else src.seg.take_rows(src.sel[a:b])
-                )
-                parts.append(_set_op(op.kind, rows, graph, verts[a:b]))
-            seg = sg.concat(parts)
+            if max_values is None:
+                src = _State(materialize(states, op.source_state), None)
+            seg = _set_op(op.kind, src, graph, verts, max_values)
         states[op.result_state] = _State(seg, None)
         if shared is not None:
             shared[op.result_state] = seg
@@ -287,7 +396,9 @@ def leaf_counts(
     ``N(cols[op.operand_level])`` — hits kept for an intersection,
     misses for a subtraction — then the injectivity excludes apply and
     the survivors are summed per row.  Rows are handled in pieces of
-    about ``max_values`` suffix elements.
+    about ``max_values`` suffix elements.  A row whose suffix is longer
+    than ``words`` (:func:`_word_rows`) is counted on bitsets instead,
+    in pieces of ``max_values // words`` rows.
     """
     seg, sel = source.seg, source.sel
     rows = cols[0].size
@@ -305,6 +416,9 @@ def leaf_counts(
     intersect = op.kind is OpKind.INTERSECT
     verts = cols[op.operand_level]
     counts = np.zeros(rows, dtype=np.int64)
+    wide = _word_rows(graph, lens)
+    if wide is not None:
+        lens = np.where(wide, 0, lens)
     for a, b in _chunk_ranges(lens, max_values):
         values, offsets = sg._gather(seg.values, starts[a:b], lens[a:b])
         if values.size == 0:
@@ -320,7 +434,55 @@ def leaf_counts(
         kept = np.zeros(values.size + 1, dtype=np.int64)
         np.cumsum(keep, out=kept[1:])
         counts[a:b] = kept[offsets[1:]] - kept[offsets[:-1]]
+    if wide is None:
+        return counts
+    adj = graph.adjacency_bitmap()
+    pieces = _word_pieces(graph, op.kind, seg, seg_rows, wide, max_values)
+    for rows, bits in pieces:
+        counts[rows] = _word_counts(
+            bits, adj, verts[rows], not intersect,
+            None if bound is None else bound[rows],
+            [cols[d][rows] for d in excludes],
+        )
     return counts
+
+
+def _and_rows(
+    bits: np.ndarray, adj: np.ndarray, verts: np.ndarray, subtract: bool
+) -> np.ndarray:
+    """``bits[i] & A[verts[i]]`` (``& ~A`` when ``subtract``), new rows."""
+    hits = adj[verts]
+    if subtract:
+        np.invert(hits, out=hits)
+    hits &= bits
+    return hits
+
+
+def _word_counts(
+    bits: np.ndarray,
+    adj: np.ndarray,
+    verts: np.ndarray,
+    subtract: bool,
+    bound: np.ndarray | None,
+    excludes: Sequence[np.ndarray],
+    starts: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per row ``i``: ``popcount(bits[i] & A[verts[i]])`` (``& ~A``
+    when ``subtract``) over the ids above ``bound[i]``, not counting
+    any ``excludes[j][i]``; summed over the row groups beginning at
+    ``starts`` when given.
+    """
+    words = adj.shape[1]
+    hits = _and_rows(bits, adj, verts, subtract)
+    if bound is not None:
+        hits &= sg.gt_mask(bound, words)
+    for ex in excludes:
+        sg.clear_bits(hits, ex)
+    if starts is None:
+        starts = np.arange(verts.size)
+    return np.add.reduceat(
+        np.bitwise_count(hits).ravel(), starts * words, dtype=np.int64
+    )
 
 
 def expand_rows(
@@ -520,7 +682,7 @@ class FrontierEngine:
                         local[op.result_state] = resolve(op.source_state)
                     continue
                 local[op.result_state] = _set_op(
-                    op.kind, resolve(op.source_state), graph,
+                    op.kind, _State(resolve(op.source_state), None), graph,
                     cols[op.operand_level],
                 )
             s_prime = local[ops[-1].result_state]
@@ -656,17 +818,11 @@ class FrontierEngine:
                 bits &= sg.gt_mask(fb[parents], words)
             for d in fixed_excludes:
                 sg.clear_bits(bits, cols[d][parents])
-            hits = np.repeat(bits, np.diff(starts, append=cp.size), axis=0)
-            nb = adj[cv]
-            if mode == "subtract":
-                np.invert(nb, out=nb)
-            hits &= nb
-            if self_bound:
-                hits &= sg.gt_mask(cv, words)
-            if self_exclude and mode == "subtract":
-                sg.clear_bits(hits, cv)
             # Popcounts summed per parent, then per root.
-            per_parent = np.add.reduceat(
-                np.bitwise_count(hits).ravel(), starts * words, dtype=np.int64
+            subtract = mode == "subtract"
+            per_parent = _word_counts(
+                np.repeat(bits, np.diff(starts, append=cp.size), axis=0),
+                adj, cv, subtract, cv if self_bound else None,
+                [cv] if self_exclude and subtract else [], starts,
             )
             np.add.at(counts, root_rows[parents], per_parent)

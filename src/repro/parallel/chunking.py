@@ -75,11 +75,9 @@ def shard_roots(
     if roots is None:
         root_arr = np.arange(graph.num_vertices, dtype=np.int64)
     else:
-        root_arr = np.asarray(list(roots), dtype=np.int64)
+        root_arr = np.asarray(graph.check_roots(roots), dtype=np.int64)
     if root_arr.size == 0:
         return []
-    if root_arr.min() < 0 or root_arr.max() >= graph.num_vertices:
-        raise ValueError("root ids out of range")
     num_shards = min(num_shards, root_arr.size)
     if num_shards == 1:
         return [root_arr.tolist()]

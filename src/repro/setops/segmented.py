@@ -22,11 +22,13 @@ two kernels chosen from the graph alone (:func:`pick_segment_kernel`):
     table (:meth:`repro.graph.csr.CSRGraph.edge_keys`) —
     ``O(log |E|)`` per query, no dense storage; every larger graph.
 
-Word-parallel helpers (:func:`row_bitsets`, :func:`gt_mask`,
-:func:`clear_bits`) treat a candidate set as ``ceil(|V| / 64)`` uint64
-words instead of single elements, the bit-vector set-op idea of SISA
-and G2Miner (PAPERS.md); the frontier engine's fused terminal probe
-ANDs and popcounts them against adjacency-bitmap rows.
+Word-parallel helpers (:func:`row_bitsets` and its inverse
+:func:`bitset_rows`, :func:`gt_mask`, :func:`clear_bits`) treat a
+candidate set as ``ceil(|V| / 64)`` uint64 words instead of single
+elements, the bit-vector set-op idea of SISA and G2Miner (PAPERS.md).
+The frontier engine ANDs them against adjacency-bitmap rows: its fused
+terminal probe and the trace's leaf counts popcount the result, and
+wide level ops decode it back to ids.
 
 **Contract (docs/KERNELS.md): kernel choice is functional-only.**  Both
 kernels return the identical membership mask, so counts and the timing
@@ -60,6 +62,7 @@ __all__ = [
     "concat",
     "pick_segment_kernel",
     "row_bitsets",
+    "bitset_rows",
     "gt_mask",
     "clear_bits",
 ]
@@ -173,6 +176,8 @@ def compress(seg: SegmentedSet, keep: np.ndarray) -> SegmentedSet:
 
 def concat(parts: list[SegmentedSet]) -> SegmentedSet:
     """The rows of ``parts``, one after another, as one segmented set."""
+    if not parts:
+        return SegmentedSet.empty()
     if len(parts) == 1:
         return parts[0]
     bases = np.cumsum([0] + [p.total for p in parts[:-1]])
@@ -288,6 +293,28 @@ def row_bitsets(seg: SegmentedSet, words: int) -> np.ndarray:
         )
         out[keys[starts]] = np.bitwise_or.reduceat(bits, starts)
     return out.reshape(seg.rows, words)
+
+
+def bitset_rows(bits: np.ndarray) -> SegmentedSet:
+    """The inverse of :func:`row_bitsets`: row ``r`` of the
+    ``(rows, words)`` uint64 array as a sorted id list.
+
+    Only nonzero words are unpacked, 64 bits each, in row-major word
+    order, so the ids come out sorted within every row.
+    """
+    rows, words = bits.shape
+    flat = bits.ravel()
+    nonzero = np.flatnonzero(flat)
+    unpacked = np.unpackbits(
+        flat[nonzero].astype("<u8", copy=False).view(np.uint8),
+        bitorder="little",
+    ).reshape(nonzero.size, 64)
+    word, bit = np.nonzero(unpacked)
+    key = nonzero[word]
+    values = ((key % words) * 64 + bit).astype(np.int32)
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key // words, minlength=rows), out=offsets[1:])
+    return SegmentedSet(values, offsets)
 
 
 def gt_mask(bounds: np.ndarray, words: int) -> np.ndarray:

@@ -76,3 +76,17 @@ class TestSpeedupGrid:
             roots_for={"g": range(0, 30, 3)},
         )
         assert ("tc", "g") in grid
+
+
+class TestRootValidation:
+    """``simulate`` (the backend front door) refuses out-of-range roots
+    by name, on one chip and sharded."""
+
+    @pytest.mark.parametrize("root", [-1, 40])
+    @pytest.mark.parametrize("config", [FingersConfig(num_pes=2),
+                                        FlexMinerConfig(num_pes=2)])
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_out_of_range_root_names_root_and_size(self, root, config, jobs):
+        g = erdos_renyi(40, 0.1, seed=3)
+        with pytest.raises(ValueError, match=rf"root {root} .*\|V\| = 40"):
+            simulate(g, "tc", config, roots=[0, root], jobs=jobs)

@@ -10,11 +10,13 @@ from repro.mining import count, embeddings
 from repro.mining.api import plan_for
 from repro.mining.engine import (
     count_embeddings,
+    count_multi,
     filtered_candidates,
     list_embeddings,
     per_root_counts,
 )
 from repro.pattern import Pattern, compile_plan, named_pattern
+from repro.pattern.multipattern import compile_multi_plan, motif_patterns
 
 
 class TestFilteredCandidates:
@@ -105,3 +107,40 @@ class TestDegenerateGraphs:
         # always over simple graphs.
         g = from_edges([(0, 0), (0, 1), (1, 2), (0, 2)])
         assert count(g, "tc") == 1
+
+
+class TestRootValidation:
+    """Out-of-range roots are refused by name at every counting front
+    door, serial or sharded, instead of failing deep in an engine or
+    (negative ids) silently reading the last adjacency row."""
+
+    GRAPH = erdos_renyi(30, 0.2, seed=1)
+
+    def _calls(self):
+        g = self.GRAPH
+        tc = compile_plan(named_pattern("tc"))
+        patterns, names = motif_patterns(3)
+        multi = compile_multi_plan(patterns, names=names)
+        return {
+            "count": lambda r, **kw: count_embeddings(g, tc, roots=r, **kw),
+            "per_root": lambda r, **kw: list(
+                per_root_counts(g, tc, roots=r, **kw)
+            ),
+            "multi": lambda r, **kw: count_multi(g, multi, roots=r, **kw),
+            "list": lambda r, **kw: list_embeddings(g, tc, roots=r, **kw),
+        }
+
+    @pytest.mark.parametrize("door", ["count", "per_root", "multi", "list"])
+    @pytest.mark.parametrize("root", [-1, 30, 1000])
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_out_of_range_root_names_root_and_size(self, door, root, jobs):
+        call = self._calls()[door]
+        with pytest.raises(ValueError, match=rf"root {root} .*\|V\| = 30"):
+            call([0, root], jobs=jobs)
+
+    def test_every_vertex_is_a_valid_root(self):
+        g = self.GRAPH
+        tc = compile_plan(named_pattern("tc"))
+        assert count_embeddings(g, tc, roots=[0, 29]) == (
+            count_embeddings(g, tc, roots=[0]) + count_embeddings(g, tc, roots=[29])
+        )

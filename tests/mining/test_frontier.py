@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.builders import from_edges
-from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.graph.builders import from_edges, relabel_by_degree
+from repro.graph.generators import barabasi_albert, erdos_renyi, rmat
 from repro.mining import frontier
 from repro.mining.engine import count_embeddings, count_multi, per_root_counts
 from repro.mining.frontier import (
@@ -349,15 +349,19 @@ class _Filters:
 
 
 @st.composite
-def _leaf_inputs(draw):
+def _leaf_inputs(draw, sizes=st.integers(1, 40), word_edges=False):
     """A graph, a frontier, a (maybe lazily mapped) source state, one
-    non-copy op and its leaf filters."""
-    n = draw(st.integers(1, 40))
+    non-copy op and its leaf filters.  With ``word_edges``, ids (and so
+    bounds and excludes) favour bits 0, 63 and 64 and the last id."""
+    n = draw(sizes)
     graph = erdos_renyi(n, draw(st.sampled_from([0.0, 0.2, 0.6])),
                         seed=draw(st.integers(0, 50)))
     nxt = draw(st.integers(1, 4))
     rows = draw(st.integers(0, 12))
     vertex = st.integers(0, n - 1)
+    if word_edges:
+        edges = sorted({v for v in (0, 63, 64, n - 1) if v < n})
+        vertex = st.one_of(st.sampled_from(edges), vertex)
     cols = [
         np.array(draw(st.lists(vertex, min_size=rows, max_size=rows)),
                  dtype=np.int32)
@@ -415,3 +419,126 @@ class TestLeafCounts:
             leaf_counts(GRAPH, _Filters((), ()), 1, op, _State(seg, None),
                         cols, max_values=2)
             assert set(kernel_counters()) == {label + "bitmap"}
+
+
+@contextmanager
+def _forced_word_rows(pick):
+    """Patch the word-path size rule: ``pick(lens)`` is the wide-row
+    mask (``None``: every row keeps the element path)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier, "_word_rows", lambda graph, lens, *op: pick(lens))
+        yield
+
+
+_WORD_EDGE_INPUTS = _leaf_inputs(
+    sizes=st.sampled_from([1, 63, 64, 65, 100, 129]), word_edges=True
+)
+
+
+def _drawn_mask(seed):
+    """Every row wide (seed 0) or a seeded random subset of them."""
+    rng = np.random.default_rng(seed)
+    return lambda lens: rng.random(lens.size) < (1.0 if seed == 0 else 0.6)
+
+
+class TestWordRows:
+    """The word path of ``leaf_counts`` and of the level ops (bitset AND,
+    then popcount or decode) equals the element path row by row on rows
+    forced wide; the size rule picks hub rows, not dense ER rows."""
+
+    @given(inputs=_WORD_EDGE_INPUTS, max_values=st.integers(1, 300),
+           seed=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_word_leaf_counts_equal_element_path(self, inputs, max_values, seed):
+        graph, plan, nxt, op, seg, sel, cols = inputs
+
+        def counts():
+            return leaf_counts(
+                graph, plan, nxt, op, _State(seg, sel), cols,
+                max_values=max_values,
+            ).tolist()
+
+        with _forced_word_rows(lambda lens: None):
+            want = counts()
+        with _forced_word_rows(_drawn_mask(seed)):
+            assert counts() == want
+
+    @given(inputs=_WORD_EDGE_INPUTS,
+           max_values=st.one_of(st.none(), st.integers(1, 300)),
+           seed=st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_word_level_ops_equal_element_path(self, inputs, max_values, seed):
+        graph, _, _, op, seg, sel, cols = inputs
+
+        def result():
+            states = {0: _State(seg, sel)}
+            run_level_ops(graph, [op], cols, states, max_values=max_values)
+            out = materialize(states, 1)
+            return out.values.tolist(), out.offsets.tolist()
+
+        with _forced_word_rows(lambda lens: None):
+            want = result()
+        with _forced_word_rows(_drawn_mask(seed)):
+            assert result() == want
+
+    def test_word_pieces_tally_and_respect_the_piece_bound(self, monkeypatch):
+        graph = erdos_renyi(129, 0.3, seed=4)  # three words per bitset
+        source = segmented.gather_neighbors(graph, np.arange(8))
+        cols = [np.arange(8, 16, dtype=np.int32)]
+        pieces = []
+        real = frontier._word_pieces
+
+        def spy(*args):
+            for rows, bits in real(*args):
+                pieces.append(rows.size)
+                yield rows, bits
+
+        monkeypatch.setattr(frontier, "_word_pieces", spy)
+        op = SetOp(OpKind.SUBTRACT, 0, 0, 1, (1,), 1)
+        reset_kernel_counters()
+        with _forced_word_rows(lambda lens: np.ones(lens.size, dtype=bool)):
+            run_level_ops(graph, [op], cols, {0: _State(source, None)},
+                          max_values=7)
+        assert pieces == [2, 2, 2, 2]  # 7 // 3 rows per piece
+        assert kernel_counters() == {"seg_subtract/bitmap": 4}
+
+    def test_rule_fires_on_an_lj_like_hub_row(self):
+        lj = rmat(13, 6, seed=1)  # the Lj analog's 8,192 vertices
+        deg = lj.degrees()
+        hub = int(np.argmax(deg))
+        leaf = min(lj.neighbors(hub), key=lambda v: deg[v])
+        lens, verts = deg[[hub]], np.array([leaf])
+        assert frontier._word_rows(lj, lens).tolist() == [True]
+        assert frontier._word_rows(
+            lj, lens, OpKind.INTERSECT, verts
+        ).tolist() == [True]
+        # Decoding a subtraction's result could touch every word.
+        assert frontier._word_rows(lj, lens, OpKind.SUBTRACT, verts) is None
+
+    def test_rule_keeps_dense_er_rows_on_elements(self, monkeypatch):
+        dense = relabel_by_degree(erdos_renyi(200, 0.4, seed=2))
+        deg = dense.degrees()
+        lens = np.repeat(deg, deg)  # N(u) against every v in N(u)
+        for kind in (OpKind.INTERSECT, OpKind.SUBTRACT):
+            assert frontier._word_rows(dense, lens, kind, dense.indices) is None
+        calls = []
+        monkeypatch.setattr(frontier, "_word_pieces",
+                            lambda *a: calls.append(a) or iter(()))
+        for name in ("4cl", "5cl"):
+            plan = compile_plan(named_pattern(name))
+            assert count_embeddings(dense, plan) == count_embeddings(
+                dense, plan, kernels=RECURSIVE
+            )
+        assert not calls
+
+    def test_hub_graph_runs_word_rows_in_the_engine(self, monkeypatch):
+        hub = from_edges([(0, v) for v in range(1, 200)]
+                         + [(v, v + 1) for v in range(1, 199)])
+        calls = []
+        real = frontier._word_pieces
+        monkeypatch.setattr(frontier, "_word_pieces",
+                            lambda *a: calls.append(a) or real(*a))
+        plan = compile_plan(named_pattern("tt"))
+        got = count_embeddings(hub, plan)
+        assert calls
+        assert got == count_embeddings(hub, plan, kernels=RECURSIVE)

@@ -16,6 +16,7 @@ from repro.setops import segmented
 from repro.setops.segmented import (
     SegmentedSet,
     _bitmap_membership,
+    bitset_rows,
     _edgekey_membership,
     clear_bits,
     compress,
@@ -220,6 +221,38 @@ class TestWordHelpers:
         assert _bit_members(full) == [
             [b for b in range(words * 64) if b != v] for v in verts
         ]
+
+    @given(
+        n=st.sampled_from([1, 63, 64, 65, 127, 129]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bitset_rows_inverts_row_bitsets(self, n, data):
+        edge_ids = st.sampled_from([v for v in (0, 63, 64, n - 1) if v < n])
+        rows = data.draw(st.lists(
+            st.sets(st.one_of(edge_ids, st.integers(0, n - 1))).map(sorted),
+            max_size=6,
+        ))
+        seg = _seg_from_rows(rows)
+        words = (n + 63) // 64
+        back = bitset_rows(row_bitsets(seg, words))
+        assert back.values.dtype == np.int32
+        assert back.offsets.tolist() == seg.offsets.tolist()
+        assert back.values.tolist() == seg.values.tolist()
+        # And the other way round, from arbitrary words.
+        raw = np.array(
+            data.draw(st.lists(
+                st.integers(0, 2**64 - 1),
+                min_size=words * len(rows), max_size=words * len(rows),
+            )),
+            dtype=np.uint64,
+        ).reshape(len(rows), words)
+        assert np.array_equal(row_bitsets(bitset_rows(raw), words), raw)
+
+    def test_bitset_rows_of_no_rows_or_words(self):
+        assert bitset_rows(np.zeros((0, 3), dtype=np.uint64)).rows == 0
+        empty = bitset_rows(np.zeros((2, 0), dtype=np.uint64))
+        assert empty.offsets.tolist() == [0, 0, 0]
 
     def test_bit_63_boundary(self):
         mask = gt_mask(np.array([62, 63, 64]), 2)
