@@ -73,10 +73,10 @@ lint:
 		&& mypy --config-file pyproject.toml \
 		|| echo "mypy not installed; skipping"
 
-# Tier C: whole-program dataflow analyzer — call-graph races, policy
-# taint into timing, cache-key completeness (docs/ANALYSIS.md).
+# Tier C: whole-program dataflow analyzer — call-graph races on worker
+# paths, dtype churn into the set-op kernels (docs/ANALYSIS.md).
 lint-flow:
-	$(PYTHON) -m repro lint-flow --check-unused-baseline
+	$(PYTHON) -m repro lint-flow
 
 # Chaos gate: the smoke sweep under ~30% injected shard crashes plus
 # transient faults must exit 0, match the fault-free run bit for bit,

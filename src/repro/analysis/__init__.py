@@ -17,31 +17,26 @@ catalog):
   connectivity (PLAN001-PLAN006).
 
 Both are exposed through ``python -m repro lint`` and
-``python -m repro lint-plan`` and run in CI; intentional findings live
-in a reviewed baseline file (:mod:`repro.analysis.baseline`).
+``python -m repro lint-plan`` and run in CI; an intentional finding
+carries an inline ``# noqa: RULE`` pragma with the reason beside it.
 """
 
-from repro.analysis.baseline import Baseline, load_baseline, write_baseline
 from repro.analysis.codelint import lint_paths, lint_source
 from repro.analysis.engine import ALL_RULES, Rule, rule_catalog
-from repro.analysis.findings import Finding, Severity, fingerprint
+from repro.analysis.findings import Finding, Severity
 from repro.analysis.planlint import verify_all_builtin, verify_plan
 from repro.analysis.report import render_json, render_text
 
 __all__ = [
     "ALL_RULES",
-    "Baseline",
     "Finding",
     "Rule",
     "Severity",
-    "fingerprint",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "render_json",
     "render_text",
     "rule_catalog",
     "verify_all_builtin",
     "verify_plan",
-    "write_baseline",
 ]

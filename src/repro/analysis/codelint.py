@@ -1,4 +1,4 @@
-"""Tier-A orchestration: lint files/trees and apply the baseline.
+"""Tier-A orchestration: lint files and trees.
 
 The CLI and CI entry points live here; rule logic lives in
 :mod:`repro.analysis.rules`, file mechanics in
@@ -53,7 +53,7 @@ def lint_paths(
     """Lint every ``.py`` file under ``paths`` (files or directories).
 
     Paths are reported relative to the current working directory when
-    possible, so baselines are machine-independent.
+    possible.
     """
     rules = list(rules or rule_catalog())
     cwd = Path.cwd()

@@ -3,9 +3,8 @@
 Tier A (:mod:`repro.analysis.rules`) is per-file and syntactic; it
 cannot see facts that flow *across* module boundaries — a mutable
 global written by a function that only *transitively* runs inside a
-pool worker, a ``KernelPolicy`` threshold leaking into the timing
-model two calls deep, or a config field read under ``Backend.run``
-that a hand-rolled ``cache_key`` forgot.  Tier C closes that gap:
+pool worker, or a dtype conversion two calls away from a set-op
+kernel.  Tier C closes that gap:
 
 1. :mod:`~repro.analysis.dataflow.callgraph` parses every module into
    one :class:`ProjectModel` and builds a conservative project-wide
@@ -13,19 +12,16 @@ that a hand-rolled ``cache_key`` forgot.  Tier C closes that gap:
    class hierarchy, duck-typed method-name matching for unknown
    receivers);
 2. :mod:`~repro.analysis.dataflow.facts` propagates context facts over
-   that graph — *runs-in-worker*, *hot-path*, *timing-model*,
-   *cache-key-input*;
-3. :mod:`~repro.analysis.dataflow.flowrules` reports the four
-   interprocedural rule families — RACE001/RACE002 (shared mutable
-   state on worker paths), TAINT001 (kernel-policy dataflow into
-   timing computation), KEY001 (config reads escaping a backend's
-   cache key), DTYPE001 (dtype churn feeding the set-op kernels).
+   that graph — *runs-in-worker* and *hot-path*;
+3. :mod:`~repro.analysis.dataflow.flowrules` reports the
+   interprocedural rules — RACE001/RACE002 (shared mutable state on
+   worker paths) and DTYPE001 (dtype churn feeding the set-op kernels).
 
-Findings reuse the Tier-A value model (:mod:`repro.analysis.findings`)
-and baseline machinery, so ``repro lint-flow`` supports ``# noqa``,
-fingerprint baselines, and the same text/JSON reporters.  The runtime
-counterpart — the determinism sanitizer that validates these static
-verdicts dynamically — lives in :mod:`repro.sanitize`.
+Findings reuse the Tier-A value model (:mod:`repro.analysis.findings`),
+so ``repro lint-flow`` supports ``# noqa`` and the same text/JSON
+reporters.  The runtime counterpart — the determinism sanitizer that
+validates these static verdicts dynamically — lives in
+:mod:`repro.sanitize`.
 
 docs/ANALYSIS.md documents the rule catalog, the call-graph
 construction, and the known soundness limits.
@@ -113,8 +109,7 @@ def lint_flow_paths(
     Unlike Tier A's per-file :func:`repro.analysis.codelint.lint_paths`,
     all files are loaded into a single :class:`ProjectModel` first —
     the rules need the whole call graph.  Paths are reported relative
-    to the current working directory when possible, so baselines stay
-    machine-independent.
+    to the current working directory when possible.
     """
     cwd = Path.cwd()
     modules: dict[str, tuple[str, str]] = {}

@@ -6,8 +6,7 @@ map, and :class:`~repro.analysis.engine.ModuleContext` (source lines,
 
 * ``functions`` — every module-level function and class method, keyed
   by dotted qualname (``repro.hw.pe.BasePE._fetch_shared``);
-* ``classes`` — every class with its raw base names, method table,
-  and (for dataclasses) declared field names;
+* ``classes`` — every class with its raw base names and method table;
 * ``calls`` — the call graph: caller qualname -> callee qualnames.
 
 Resolution is *name-based and conservative* (docs/ANALYSIS.md, "known
@@ -23,7 +22,7 @@ soundness limits"):
   duck-typed dispatch like ``backend.simulate(...)``.
 
 Over-approximation is the right failure mode here: the facts layer
-computes *reachability* (runs-in-worker, under-Backend.run), where a
+computes *reachability* (runs-in-worker), where a
 spurious edge can only add a finding a human then reviews — a missing
 edge would silently hide a race.
 """
@@ -79,15 +78,11 @@ class ClassInfo:
     qualname: str
     module: str
     name: str
-    node: ast.ClassDef
     #: Raw base-name chains as written (``("Backend",)``,
     #: ``("abc", "ABC")``); resolved lazily against the project.
     base_chains: tuple[tuple[str, ...], ...]
     #: method name -> function qualname.
     methods: dict[str, str] = field(default_factory=dict)
-    is_dataclass: bool = False
-    #: Annotated field names, in declaration order (dataclasses).
-    fields: tuple[str, ...] = ()
 
 
 @dataclass
@@ -143,11 +138,9 @@ class ProjectModel:
             if (chain := attr_chain(base))
         )
         info = ClassInfo(
-            qualname=cls_qual, module=mod.name, name=cls.name, node=cls,
+            qualname=cls_qual, module=mod.name, name=cls.name,
             base_chains=chains,
-            is_dataclass=_is_dataclass_def(cls),
         )
-        fields: list[str] = []
         for stmt in cls.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 fn_qual = f"{cls_qual}.{stmt.name}"
@@ -160,11 +153,6 @@ class ProjectModel:
                     self._methods_named.setdefault(stmt.name, set()).add(
                         fn_qual
                     )
-            elif isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.target, ast.Name
-            ):
-                fields.append(stmt.target.id)
-        info.fields = tuple(fields)
         self.classes[cls_qual] = info
         self._module_classes[(mod.name, cls.name)] = cls_qual
 
@@ -206,9 +194,6 @@ class ProjectModel:
 
     def module_function(self, module: str, name: str) -> str | None:
         return self._module_functions.get((module, name))
-
-    def module_class(self, module: str, name: str) -> str | None:
-        return self._module_classes.get((module, name))
 
     def methods_named(self, name: str) -> set[str]:
         return set(self._methods_named.get(name, ()))
@@ -356,14 +341,6 @@ class ProjectModel:
             return set()
         # Unknown receiver: duck-typed method-name matching.
         return self.methods_named(chain[-1])
-
-
-def _is_dataclass_def(cls: ast.ClassDef) -> bool:
-    for dec in cls.decorator_list:
-        chain = attr_chain(dec.func if isinstance(dec, ast.Call) else dec)
-        if chain and chain[-1] == "dataclass":
-            return True
-    return False
 
 
 def build_project(modules: Mapping[str, tuple[str, str]]) -> ProjectModel:

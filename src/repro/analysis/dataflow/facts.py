@@ -10,25 +10,14 @@ syntax to decide what to report:
     ``run_shards(...)``, the ``initializer=`` of a
     ``ProcessPoolExecutor(...)``, and the function argument of pool
     methods (``executor.map(f, ...)``, ``.submit(f, ...)``).
-``timing-model``
-    functions inside the simulator packages whose *name* says they
-    produce time (``…cycles…``, ``…latency…``, ``…stall…``) — the
-    TAINT001 sink vocabulary.
 ``hot-path``
     functions living in :data:`repro.analysis.rules.HOT_PATH_PACKAGES`
     modules (the DTYPE001 scope).
-``under-Backend.run``
-    per backend class, the functions reachable from its effective
-    ``run``/``simulate`` — the KEY001 read scope.  Context-insensitive:
-    ``Backend.run`` dispatches ``self.simulate`` virtually, so each
-    backend's reachable set over-approximates into its siblings'
-    methods.  KEY001 tolerates this (see flowrules).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 
 from repro.analysis.astutils import attr_chain
@@ -37,14 +26,12 @@ from repro.analysis.dataflow.callgraph import (
     ProjectModel,
     reachable,
 )
-from repro.analysis.rules import HOT_PATH_PACKAGES, SIMULATION_PACKAGES
+from repro.analysis.rules import HOT_PATH_PACKAGES
 
 __all__ = [
     "POOL_FANOUT_METHODS",
     "ProjectFacts",
-    "TIMING_NAME_RE",
     "compute_facts",
-    "is_timing_name",
 ]
 
 #: Executor/pool methods whose first argument is a function shipped to
@@ -53,14 +40,6 @@ POOL_FANOUT_METHODS = frozenset({
     "apply", "apply_async", "imap", "imap_unordered", "map", "map_async",
     "starmap", "starmap_async", "submit",
 })
-
-#: Names that denote time/cycle quantities in the simulator packages.
-TIMING_NAME_RE = re.compile(r"cycl|latenc|stall|timing|busy|duration")
-
-
-def is_timing_name(name: str) -> bool:
-    """Whether a bare name denotes a timing quantity (TAINT001 sinks)."""
-    return name == "now" or bool(TIMING_NAME_RE.search(name))
 
 
 def _in_packages(module: str, packages: tuple[str, ...]) -> bool:
@@ -79,12 +58,6 @@ class ProjectFacts:
     worker_paths: dict[str, tuple[str, ...]] = field(default_factory=dict)
     #: Functions in hot-path packages (DTYPE001 scope).
     hot_functions: set[str] = field(default_factory=set)
-    #: Timing-named functions in the simulator packages (TAINT001 sinks).
-    timing_functions: set[str] = field(default_factory=set)
-    #: Backend class qualname -> functions reachable from its run path.
-    backend_run_reachable: dict[str, dict[str, tuple[str, ...]]] = field(
-        default_factory=dict
-    )
 
     def runs_in_worker(self, qualname: str) -> bool:
         return qualname in self.worker_paths
@@ -174,38 +147,8 @@ def compute_facts(model: ProjectModel) -> ProjectFacts:
     for fn in model.functions.values():
         if _in_packages(fn.module, HOT_PATH_PACKAGES):
             facts.hot_functions.add(fn.qualname)
-        if _in_packages(fn.module, SIMULATION_PACKAGES) and is_timing_name(
-            fn.name
-        ):
-            facts.timing_functions.add(fn.qualname)
         for call in model.iter_calls(fn):
             facts.worker_entries.update(_worker_refs(model, fn, call))
 
     facts.worker_paths = reachable(model.calls, set(facts.worker_entries))
-
-    for cls in model.classes.values():
-        # Backend-shaped: named Backend, directly based on something
-        # *called* Backend (even when the base lives outside the
-        # analyzed tree), or a project descendant of such a class.
-        is_backend = (
-            cls.name == "Backend"
-            or any(
-                chain[-1] == "Backend" for chain in cls.base_chains if chain
-            )
-            or any(
-                model.classes[a].name == "Backend"
-                for a in model.ancestors_of(cls.qualname)
-                if a in model.classes
-            )
-        )
-        if not is_backend:
-            continue
-        roots: set[str] = set()
-        for method in ("run", "simulate"):
-            roots.update(model.resolve_method(cls.qualname, method))
-        roots.update(cls.methods.values())
-        if roots:
-            facts.backend_run_reachable[cls.qualname] = reachable(
-                model.calls, roots
-            )
     return facts

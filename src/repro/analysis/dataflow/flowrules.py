@@ -1,10 +1,10 @@
-"""The Tier-C rule families (RACE, TAINT, KEY, DTYPE).
+"""The Tier-C rule families (RACE, DTYPE).
 
 Every rule sees the whole :class:`~repro.analysis.dataflow.callgraph.
 ProjectModel` plus the propagated :class:`~repro.analysis.dataflow.
 facts.ProjectFacts`, and mints findings through the per-module
 :class:`~repro.analysis.engine.ModuleContext` so ``# noqa: RULE``
-pragmas and baseline fingerprints work exactly as in Tier A.
+pragmas work exactly as in Tier A.
 
 RACE001 (error)
     A function reachable from a pool worker entry rebinds a module
@@ -16,20 +16,6 @@ RACE002 (error)
     A worker entry function mutates its *payload* parameter.  The
     payload is shared by reference on the serial path and copied on
     the pool path, so mutation makes the two execution models disagree.
-TAINT001 (error)
-    A :class:`~repro.setops.kernels.KernelPolicy` fact (policy
-    attribute, ``DEFAULT_POLICY``, kernel counters, kernel choice)
-    flows into a timing quantity inside ``repro.hw``/``repro.sw``.
-    Kernel policy may change *how fast the host computes* results, but
-    never the modeled cycle count — docs/KERNELS.md ("timing
-    neutrality").  Note the *results* of kernel dispatch are not
-    tainted: every policy produces bit-identical sets, and those sets
-    legitimately drive the search tree that timing models.
-KEY001 (error)
-    A backend overrides ``cache_key`` without routing the config
-    through :func:`~repro.core.backend.config_signature` (or
-    ``super().cache_key``), and some config field read under its run
-    path never appears in the override — a stale-cache hazard.
 DTYPE001 (warning)
     A copy-inducing NumPy conversion (``.astype``, ``np.array``,
     non-int32 ``np.asarray``) feeds a set-op kernel call on the hot
@@ -54,7 +40,7 @@ from repro.analysis.dataflow.callgraph import (
     ModuleInfo,
     ProjectModel,
 )
-from repro.analysis.dataflow.facts import ProjectFacts, is_timing_name
+from repro.analysis.dataflow.facts import ProjectFacts
 from repro.analysis.findings import Finding, Severity
 
 __all__ = [
@@ -258,325 +244,6 @@ _RACE002 = register_flow_rule(
         severity=Severity.ERROR,
         summary="worker entry function mutates its shared payload",
         check=_check_race002,
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# TAINT001 — kernel policy leaking into the timing model
-# ----------------------------------------------------------------------
-
-_TAINT_SOURCE_NAMES = frozenset({"DEFAULT_POLICY"})
-_TAINT_SOURCE_CALLS = frozenset({"kernel_counters", "pick_segment_kernel"})
-_TAINT_SINK_PACKAGES = ("repro.hw", "repro.sw")
-
-
-def _policy_annotated_params(fn: FunctionInfo) -> set[str]:
-    args = fn.node.args
-    out: set[str] = set()
-    for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
-        ann = arg.annotation
-        if isinstance(ann, ast.Subscript):
-            ann = ann.value
-        chain = attr_chain(ann) if ann is not None else ()
-        if chain and chain[-1] == "KernelPolicy":
-            out.add(arg.arg)
-    return out
-
-
-class _TaintScanner:
-    """Flow-insensitive per-function taint propagation.
-
-    Sources: ``policy`` attribute chains, :data:`_TAINT_SOURCE_NAMES`,
-    :data:`_TAINT_SOURCE_CALLS`, ``KernelPolicy``-annotated parameters,
-    names assigned from ``KernelPolicy(...)``, and calls to functions
-    already known to return tainted values (the interprocedural
-    dimension, resolved to a fixed point by the rule driver).
-    """
-
-    def __init__(
-        self,
-        model: ProjectModel,
-        fn: FunctionInfo,
-        returns_tainted: set[str],
-    ) -> None:
-        self.model = model
-        self.fn = fn
-        self.returns_tainted = returns_tainted
-        self.tainted: set[str] = _policy_annotated_params(fn)
-        self._propagate()
-
-    def _call_returns_taint(self, call: ast.Call) -> bool:
-        chain = attr_chain(call.func)
-        if chain and chain[-1] in _TAINT_SOURCE_CALLS:
-            return True
-        if chain and chain[-1] == "KernelPolicy":
-            return True
-        targets = self.model.resolve_call(self.fn, call)
-        return bool(targets & self.returns_tainted)
-
-    def expr_tainted(self, expr: ast.expr | None) -> bool:
-        if expr is None:
-            return False
-        for node in ast.walk(expr):
-            chain: tuple[str, ...] = ()
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                chain = attr_chain(node)
-            if chain:
-                if "policy" in chain or chain[-1] in _TAINT_SOURCE_NAMES:
-                    return True
-                if chain[0] in self.tainted:
-                    return True
-            if isinstance(node, ast.Call) and self._call_returns_taint(node):
-                return True
-        return False
-
-    def _propagate(self) -> None:
-        for _ in range(len(self.tainted) + 32):
-            before = len(self.tainted)
-            for node in ast.walk(self.fn.node):
-                value: ast.expr | None = None
-                targets: list[ast.expr] = []
-                if isinstance(node, ast.Assign):
-                    value, targets = node.value, list(node.targets)
-                elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-                    value, targets = node.value, [node.target]
-                elif isinstance(node, (ast.For, ast.AsyncFor)):
-                    value, targets = node.iter, [node.target]
-                if value is None or not self.expr_tainted(value):
-                    continue
-                for target in targets:
-                    if isinstance(target, ast.Name):
-                        self.tainted.add(target.id)
-            if len(self.tainted) == before:
-                break
-
-    def returns_taint(self) -> bool:
-        for node in ast.walk(self.fn.node):
-            if isinstance(node, ast.Return) and self.expr_tainted(node.value):
-                return True
-        return False
-
-
-def _in_sink_packages(module: str) -> bool:
-    return any(
-        module == pkg or module.startswith(pkg + ".")
-        for pkg in _TAINT_SINK_PACKAGES
-    )
-
-
-def _check_taint001(
-    model: ProjectModel, facts: ProjectFacts
-) -> Iterable[Finding]:
-    # Interprocedural fixed point: which functions return tainted values.
-    returns_tainted: set[str] = set()
-    for _ in range(len(model.functions) + 1):
-        changed = False
-        for qualname in sorted(model.functions):
-            if qualname in returns_tainted:
-                continue
-            fn = model.functions[qualname]
-            if _TaintScanner(model, fn, returns_tainted).returns_taint():
-                returns_tainted.add(qualname)
-                changed = True
-        if not changed:
-            break
-
-    for qualname in sorted(model.functions):
-        fn = model.functions[qualname]
-        if not _in_sink_packages(fn.module):
-            continue
-        mod = model.modules[fn.module]
-        scan = _TaintScanner(model, fn, returns_tainted)
-        for node in ast.walk(fn.node):
-            sink: str | None = None
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = (
-                    node.targets
-                    if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                named = [
-                    chain[-1]
-                    for t in targets
-                    if (chain := attr_chain(t)) and is_timing_name(chain[-1])
-                ]
-                if named and scan.expr_tainted(node.value):
-                    sink = f"timing assignment to `{named[0]}`"
-            elif isinstance(node, ast.Call):
-                chain = attr_chain(node.func)
-                callee_is_timing = bool(chain) and (
-                    is_timing_name(chain[-1])
-                    or bool(
-                        model.resolve_call(fn, node)
-                        & facts.timing_functions
-                    )
-                )
-                if callee_is_timing and any(
-                    scan.expr_tainted(a) for a in node.args
-                ) or (
-                    callee_is_timing
-                    and any(
-                        scan.expr_tainted(kw.value) for kw in node.keywords
-                    )
-                ):
-                    sink = f"argument of timing function `{chain[-1]}`"
-            elif isinstance(node, ast.Return) and is_timing_name(fn.name):
-                if scan.expr_tainted(node.value):
-                    sink = f"return value of timing function `{fn.name}`"
-            if sink is not None:
-                finding = mod.ctx.finding(
-                    _TAINT001,
-                    node,
-                    "kernel-policy value reaches the {} in `{}`; kernel "
-                    "selection must be timing-neutral (docs/KERNELS.md) — "
-                    "derive modeled cycles from set sizes, never from how "
-                    "the host computed them".format(sink, fn.name),
-                )
-                if finding is not None:
-                    yield finding
-
-
-_TAINT001 = register_flow_rule(
-    FlowRule(
-        id="TAINT001",
-        severity=Severity.ERROR,
-        summary="kernel-policy dataflow into the timing model",
-        check=_check_taint001,
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# KEY001 — config reads escaping a hand-rolled cache key
-# ----------------------------------------------------------------------
-
-
-def _cache_key_is_delegating(node: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
-    """Whether a ``cache_key`` override routes through the safe helpers."""
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Call):
-            continue
-        chain = attr_chain(sub.func)
-        if chain and chain[-1] == "config_signature":
-            return True
-        func = sub.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "cache_key"
-            and isinstance(func.value, ast.Call)
-            and attr_chain(func.value.func) == ("super",)
-        ):
-            return True
-    return False
-
-
-def _mentioned_names(node: ast.AST) -> set[str]:
-    """Every identifier a cache-key body could cover a field with."""
-    out: set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
-        elif isinstance(sub, ast.Name):
-            out.add(sub.id)
-        elif isinstance(sub, ast.keyword) and sub.arg:
-            out.add(sub.arg)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            out.add(sub.value)
-    return out
-
-
-def _config_class_of(
-    model: ProjectModel, cls_qualname: str
-) -> str | None:
-    """Resolve a backend class's ``config_type`` binding, if any."""
-    info = model.classes[cls_qualname]
-    mod = model.modules[info.module]
-    for stmt in info.node.body:
-        target: ast.expr | None = None
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target, value = stmt.targets[0], stmt.value
-        elif isinstance(stmt, ast.AnnAssign):
-            target, value = stmt.target, stmt.value
-        if (
-            not isinstance(target, ast.Name)
-            or target.id != "config_type"
-            or value is None
-        ):
-            continue
-        chain = attr_chain(value)
-        if not chain:
-            return None
-        local = model.module_class(info.module, chain[-1])
-        if local is not None:
-            return local
-        origin = mod.imports.from_import(chain[0])
-        if origin is not None:
-            candidate = f"{origin[0]}.{origin[1]}"
-            if candidate in model.classes:
-                return candidate
-    return None
-
-
-def _check_key001(
-    model: ProjectModel, facts: ProjectFacts
-) -> Iterable[Finding]:
-    for cls_qualname in sorted(facts.backend_run_reachable):
-        info = model.classes[cls_qualname]
-        key_qual = info.methods.get("cache_key")
-        if key_qual is None:
-            continue  # inherits the signature-complete base key
-        key_fn = model.functions[key_qual]
-        if _cache_key_is_delegating(key_fn.node):
-            continue
-        config_cls = _config_class_of(model, cls_qualname)
-        if config_cls is None:
-            continue
-        config = model.classes[config_cls]
-        if not config.is_dataclass or not config.fields:
-            continue
-        covered = _mentioned_names(key_fn.node)
-        field_set = set(config.fields)
-        reads: dict[str, tuple[str, ast.Attribute]] = {}
-        for qualname in sorted(facts.backend_run_reachable[cls_qualname]):
-            fn = model.functions.get(qualname)
-            if fn is None or qualname == key_qual:
-                continue
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.ctx, ast.Load)
-                    and node.attr in field_set
-                    and node.attr not in reads
-                ):
-                    reads[node.attr] = (qualname, node)
-        mod = model.modules[key_fn.module]
-        for field_name in sorted(reads):
-            if field_name in covered:
-                continue
-            read_at, _node = reads[field_name]
-            finding = mod.ctx.finding(
-                _KEY001,
-                key_fn.node,
-                "`{}.cache_key` omits config field `{}` of `{}`, which is "
-                "read under the backend's run path (in `{}`); cached "
-                "results will be reused across configs that differ in "
-                "that field — route through config_signature() "
-                "instead".format(
-                    info.name, field_name, config.name, read_at
-                ),
-            )
-            if finding is not None:
-                yield finding
-
-
-_KEY001 = register_flow_rule(
-    FlowRule(
-        id="KEY001",
-        severity=Severity.ERROR,
-        summary="config field read under run() but missing from cache_key",
-        check=_check_key001,
     )
 )
 

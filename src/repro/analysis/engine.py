@@ -6,10 +6,8 @@ every module).  The engine parses each file once, builds a
 :class:`ModuleContext` (module name, source lines, ``noqa`` pragmas,
 parent links), and hands the same tree to every in-scope rule.
 
-Suppression happens at two layers:
-
-* inline — a ``# noqa: RULEID`` comment on the offending line;
-* reviewed baseline — :mod:`repro.analysis.baseline`.
+A finding is suppressed by a ``# noqa: RULEID`` comment on the
+offending line, with the reason after it.
 """
 
 from __future__ import annotations
@@ -186,11 +184,20 @@ def run_rules(
 
 
 def iter_python_files(paths: Iterable[Path]) -> Iterator[Path]:
-    """Expand files/directories into sorted ``.py`` file paths."""
+    """Expand files/directories into sorted ``.py`` file paths.
+
+    Raises :class:`FileNotFoundError` for a path that is neither a
+    directory nor a ``.py`` file, so a mistyped target fails instead of
+    linting nothing.
+    """
     for path in paths:
         if path.is_dir():
             yield from sorted(
                 p for p in path.rglob("*.py") if "__pycache__" not in p.parts
             )
-        elif path.suffix == ".py":
+        elif path.suffix == ".py" and path.is_file():
             yield path
+        else:
+            raise FileNotFoundError(
+                f"not a directory or .py file: {path}"
+            )

@@ -1,19 +1,16 @@
-"""The finding/severity model shared by both analysis tiers.
+"""The finding/severity model shared by every analysis tier.
 
 A :class:`Finding` is one rule violation at one location.  Findings are
-value objects: sortable (report order), hashable, and fingerprintable
-for the baseline file.  Fingerprints deliberately hash the *stripped
-source line text* instead of the line number, so unrelated edits above a
-baselined finding do not invalidate the baseline (the same scheme ruff
-and ESLint use for their suppression files).
+value objects: sortable (report order) and hashable.  The one way to
+accept a finding is an inline ``# noqa: RULE`` pragma with a reason
+(:meth:`repro.analysis.engine.ModuleContext.suppressed`).
 """
 
 from __future__ import annotations
 
 import enum
-import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class Severity(enum.Enum):
@@ -52,7 +49,7 @@ class Finding:
         Human-readable description of the violation.
     snippet:
         Stripped text of the offending source line (empty for plan
-        findings); feeds the baseline fingerprint.
+        findings); the text reporter prints it under the finding.
     """
 
     rule: str
@@ -74,33 +71,3 @@ def sort_findings(findings: Iterable[Finding]) -> list[Finding]:
     """Findings in stable report order (path, line, col, rule)."""
     return sorted(findings, key=Finding.sort_key)
 
-
-def fingerprint(finding: Finding, occurrence: int = 0) -> str:
-    """Stable identity of a finding for the baseline file.
-
-    Hashes ``(rule, path, snippet, occurrence)`` — line numbers are
-    excluded on purpose (see module docstring).  ``occurrence``
-    disambiguates identical findings on identical source lines in the
-    same file.
-    """
-    payload = "\x1f".join(
-        [finding.rule, finding.path, finding.snippet, str(occurrence)]
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
-
-def fingerprint_all(findings: Sequence[Finding]) -> list[tuple[Finding, str]]:
-    """Pair every finding with its occurrence-disambiguated fingerprint.
-
-    Deterministic: findings are processed in sorted order, and the n-th
-    finding with the same ``(rule, path, snippet)`` gets occurrence
-    ``n`` — so the mapping is reproducible across runs and machines.
-    """
-    counts: dict[tuple[str, str, str], int] = {}
-    out: list[tuple[Finding, str]] = []
-    for f in sort_findings(findings):
-        key = (f.rule, f.path, f.snippet)
-        n = counts.get(key, 0)
-        counts[key] = n + 1
-        out.append((f, fingerprint(f, n)))
-    return out

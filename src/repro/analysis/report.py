@@ -1,7 +1,6 @@
 """Reporters: human-readable text and machine-readable JSON.
 
-Both render the same partitioned result — fresh findings, suppressed
-(baselined) findings, and counts — so CI log output and tooling
+Both render the same findings and counts, so CI log output and tooling
 consumers agree on what a run saw.
 """
 
@@ -15,41 +14,26 @@ from repro.analysis.findings import Finding, Severity, sort_findings
 __all__ = ["render_json", "render_text"]
 
 
-def render_text(
-    fresh: Sequence[Finding],
-    suppressed: Sequence[Finding] = (),
-    *,
-    verbose_suppressed: bool = False,
-) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     """GCC-style ``path:line:col: SEVERITY RULE message`` lines."""
     lines: list[str] = []
-    for f in sort_findings(fresh):
+    for f in sort_findings(findings):
         lines.append(
             f"{f.location()}: {f.severity.value} {f.rule}: {f.message}"
         )
         if f.snippet:
             lines.append(f"    {f.snippet}")
-    if suppressed:
-        if verbose_suppressed:
-            for f in sort_findings(suppressed):
-                lines.append(
-                    f"{f.location()}: baselined {f.rule}: {f.message}"
-                )
-        lines.append(f"({len(suppressed)} baselined finding"
-                     f"{'' if len(suppressed) == 1 else 's'} suppressed)")
-    errors = sum(1 for f in fresh if f.severity is Severity.ERROR)
-    warnings = len(fresh) - errors
-    if fresh:
+    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
+    warnings = len(findings) - errors
+    if findings:
         lines.append(f"{errors} error{'' if errors == 1 else 's'}, "
                      f"{warnings} warning{'' if warnings == 1 else 's'}")
     else:
-        lines.append("clean: no findings outside the baseline")
+        lines.append("clean: no findings")
     return "\n".join(lines)
 
 
-def render_json(
-    fresh: Sequence[Finding], suppressed: Sequence[Finding] = ()
-) -> str:
+def render_json(findings: Sequence[Finding]) -> str:
     """Stable JSON document (findings sorted, keys ordered)."""
 
     def encode(f: Finding) -> dict[str, object]:
@@ -64,16 +48,14 @@ def render_json(
         }
 
     doc = {
-        "findings": [encode(f) for f in sort_findings(fresh)],
-        "suppressed": [encode(f) for f in sort_findings(suppressed)],
+        "findings": [encode(f) for f in sort_findings(findings)],
         "counts": {
             "errors": sum(
-                1 for f in fresh if f.severity is Severity.ERROR
+                1 for f in findings if f.severity is Severity.ERROR
             ),
             "warnings": sum(
-                1 for f in fresh if f.severity is Severity.WARNING
+                1 for f in findings if f.severity is Severity.WARNING
             ),
-            "suppressed": len(suppressed),
         },
     }
     return json.dumps(doc, indent=2)

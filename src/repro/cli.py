@@ -18,6 +18,7 @@ Subcommands
                result store, generate reports, diff runs against
                baselines (docs/BENCHMARKS.md).
 ``lint``       Static determinism/parallel-safety linter (docs/ANALYSIS.md).
+``lint-flow``  Whole-program dataflow analyzer (docs/ANALYSIS.md Tier C).
 ``lint-plan``  Statically verify compiled execution plans.
 ``tune``       Measure and persist the tuned vertex order for one
                (pattern, graph) cell (docs/TUNING.md).
@@ -234,42 +235,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_sub = p.add_subparsers(dest="exp_command", required=True)
 
-    def _add_lint_args(p, default_baseline: str) -> None:
+    def _add_lint_args(p) -> None:
         p.add_argument(
             "paths", nargs="*",
             help="files or directories to lint (default: the repro package)",
         )
         p.add_argument(
             "--json", action="store_true", help="machine-readable output"
-        )
-        p.add_argument(
-            "--baseline", metavar="FILE", default=None,
-            help=f"baseline suppression file "
-                 f"(default: ./{default_baseline} if present)",
-        )
-        p.add_argument(
-            "--no-baseline", action="store_true",
-            help="report every finding, ignoring the baseline file",
-        )
-        p.add_argument(
-            "--write-baseline", action="store_true",
-            help="snapshot current findings into the baseline file and "
-                 "exit 0 (requires --reason)",
-        )
-        p.add_argument(
-            "--reason", metavar="TEXT", default=None,
-            help="with --write-baseline: the documented justification "
-                 "applied to every written entry (required; edit the "
-                 "file for per-entry reasons)",
-        )
-        p.add_argument(
-            "--show-suppressed", action="store_true",
-            help="also list baselined findings individually",
-        )
-        p.add_argument(
-            "--check-unused-baseline", action="store_true",
-            help="fail when the baseline carries entries no current "
-                 "finding matches (stale suppressions)",
         )
 
     q = exp_sub.add_parser(
@@ -347,15 +319,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="determinism/parallel-safety linter (rule catalog: "
              "docs/ANALYSIS.md)",
     )
-    _add_lint_args(p, ".repro-lint-baseline.json")
+    _add_lint_args(p)
 
     p = sub.add_parser(
         "lint-flow",
         help="whole-program dataflow analyzer: races on worker paths, "
-             "kernel-policy taint, cache-key escapes (docs/ANALYSIS.md "
-             "Tier C)",
+             "dtype churn into set-op kernels (docs/ANALYSIS.md Tier C)",
     )
-    _add_lint_args(p, ".repro-flow-baseline.json")
+    _add_lint_args(p)
 
     p = sub.add_parser(
         "lint-plan", help="statically verify compiled execution plans"
@@ -607,118 +578,30 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _finish_lint(args, findings, default_baseline_name: str) -> int:
-    """Baseline handling + reporting shared by ``lint`` and ``lint-flow``."""
-    from pathlib import Path
+def _finish_lint(args, lint, default_root) -> int:
+    """Run ``lint`` over the targets and report (``lint``/``lint-flow``)."""
+    from repro.analysis import render_json, render_text
 
-    from repro.analysis import (
-        load_baseline,
-        render_json,
-        render_text,
-        write_baseline,
-    )
-    from repro.analysis.baseline import (
-        Baseline,
-        partition,
-        undocumented_entries,
-        unused_entries,
-    )
-
-    baseline_path = Path(args.baseline) if args.baseline else Path(
-        default_baseline_name
-    )
-    if args.write_baseline:
-        if args.reason is None:
-            print(
-                "error: --write-baseline requires --reason TEXT (the "
-                "documented justification for the suppressed findings)",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            written = write_baseline(baseline_path, findings,
-                                     reason=args.reason)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"wrote {len(written)} finding{'' if len(written) == 1 else 's'} "
-            f"to {baseline_path}; refine per-entry reasons in the file"
-        )
-        return 0
-
-    if args.no_baseline:
-        baseline = Baseline()
-    else:
-        try:
-            baseline = load_baseline(baseline_path)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    fresh, suppressed = partition(findings, baseline)
-    if args.json:
-        print(render_json(fresh, suppressed))
-    else:
-        print(render_text(fresh, suppressed,
-                          verbose_suppressed=args.show_suppressed))
-    status = 1 if fresh else 0
-    if args.check_unused_baseline:
-        stale = unused_entries(findings, baseline)
-        for fp in sorted(stale):
-            entry = stale[fp]
-            print(
-                "stale baseline entry {}: {} {} ({!r})".format(
-                    fp, entry.get("rule", "?"), entry.get("path", "?"),
-                    entry.get("snippet", ""),
-                ),
-                file=sys.stderr,
-            )
-        if stale:
-            print(
-                f"error: {len(stale)} baseline entr"
-                f"{'y is' if len(stale) == 1 else 'ies are'} no longer "
-                f"matched by any finding; prune {baseline_path}",
-                file=sys.stderr,
-            )
-            status = max(status, 1)
-        undocumented = undocumented_entries(baseline)
-        for fp in sorted(undocumented):
-            entry = undocumented[fp]
-            print(
-                "undocumented baseline entry {}: {} {} (reason: {!r})".format(
-                    fp, entry.get("rule", "?"), entry.get("path", "?"),
-                    entry.get("reason", ""),
-                ),
-                file=sys.stderr,
-            )
-        if undocumented:
-            print(
-                f"error: {len(undocumented)} baseline entr"
-                f"{'y carries' if len(undocumented) == 1 else 'ies carry'} "
-                f"an empty or TODO reason; document them in "
-                f"{baseline_path}",
-                file=sys.stderr,
-            )
-            status = max(status, 1)
-    return status
+    try:
+        findings = lint(args.paths or [default_root()])
+    except FileNotFoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(render_json(findings) if args.json else render_text(findings))
+    return 1 if findings else 0
 
 
 def _cmd_lint(args) -> int:
     from repro.analysis import lint_paths
     from repro.analysis.codelint import default_lint_root
 
-    targets = args.paths or [default_lint_root()]
-    findings = lint_paths(targets)
-    return _finish_lint(args, findings, ".repro-lint-baseline.json")
+    return _finish_lint(args, lint_paths, default_lint_root)
 
 
 def _cmd_lint_flow(args) -> int:
-    from repro.analysis.baseline import DEFAULT_FLOW_BASELINE_NAME
     from repro.analysis.dataflow import default_flow_root, lint_flow_paths
 
-    targets = args.paths or [default_flow_root()]
-    findings = lint_flow_paths(targets)
-    return _finish_lint(args, findings, DEFAULT_FLOW_BASELINE_NAME)
+    return _finish_lint(args, lint_flow_paths, default_flow_root)
 
 
 def _cmd_lint_plan(args) -> int:
@@ -898,9 +781,25 @@ _COMMANDS = {
 }
 
 
+#: Subcommands whose pattern argument may also name the multi-pattern
+#: ``3mc`` workload (:func:`repro.core.workload.resolve_workload`).
+_WORKLOAD_COMMANDS = frozenset({"simulate", "compare"})
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns a process exit code."""
+    from repro.pattern.pattern import all_named_patterns
+
     args = build_parser().parse_args(argv)
+    pattern = getattr(args, "pattern", None)
+    if pattern is not None:
+        known = sorted(all_named_patterns())
+        if args.command in _WORKLOAD_COMMANDS:
+            known.append("3mc")
+        if pattern not in known:
+            print(f"error: unknown pattern {pattern!r}; known: "
+                  f"{', '.join(known)}", file=sys.stderr)
+            return 2
     return _COMMANDS[args.command](args)
 
 

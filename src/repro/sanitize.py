@@ -26,7 +26,10 @@ attribute read when the sanitizer is off:
   run that reads the clock a different number of times does.
 
 Two runs of the same cell also assert result equality (count, counts,
-cycles) — the sanitizer subsumes a plain double-run check.
+cycles) — the sanitizer subsumes a plain double-run check.  Both runs
+use the same set-op kernels; that the kernel choice never moves a
+modelled cycle is pinned by ``tests/hw/test_golden_cycles.py``, which
+runs every case under both kernels.
 
 This module deliberately depends on nothing inside ``repro`` (stdlib +
 numpy only), so every package — including :mod:`repro.setops` at the

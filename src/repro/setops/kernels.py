@@ -17,8 +17,10 @@ of :mod:`repro.setops.merge` (via :class:`KernelContext`, which only
 counts the dispatch), so it is the plain paper-Figure-2 oracle.
 
 **Contract (docs/KERNELS.md): every policy is functional-only.**  Counts
-are bit-identical for every policy, and no policy-derived value may
-reach the timing models (machine-checked by lint rule TAINT001).
+are bit-identical for every policy, and no policy-derived value or
+kernel choice may reach the timing models: ``tests/hw/test_golden_cycles.py``
+runs every pinned case under both segmented kernels and requires the
+same cycles.
 """
 
 from __future__ import annotations

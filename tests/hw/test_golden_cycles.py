@@ -8,6 +8,12 @@ the timing model's arithmetic, traversal order or memory-system state
 shows up as a diff.  ``tests/hw/data/golden_cycles.json`` holds the
 expected values.
 
+Every case runs twice against the same golden entry: once as the host
+picks its set-op kernels, and once with
+:data:`repro.setops.segmented.BITMAP_BUDGET_BYTES` at 0, which selects
+the edge-key membership kernel and turns off the word-parallel rows.
+The modelled cycles must not depend on how the host computed the sets.
+
 Regenerate (only when a timing change is intended, and say so in the
 change description)::
 
@@ -31,6 +37,7 @@ from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig, simulate
 from repro.hw.area import iso_area_segment_length
 from repro.hw.noc import NoCConfig
 from repro.hw.trace import Tracer
+from repro.setops import segmented
 from repro.sw.config import SoftwareConfig
 from repro.sw.miner import simulate_software
 
@@ -207,8 +214,18 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_golden_cycles(name):
+#: Host set-op kernel choices every case runs under (module docstring).
+KERNELS = ("default", "edgekey")
+_KERNEL_CASES = [(name, k) for name in sorted(CASES) for k in KERNELS]
+
+
+@pytest.mark.parametrize(
+    "name, kernel", _KERNEL_CASES,
+    ids=[n if k == "default" else f"{n}-{k}" for n, k in _KERNEL_CASES],
+)
+def test_golden_cycles(name, kernel, monkeypatch):
+    if kernel == "edgekey":
+        monkeypatch.setattr(segmented, "BITMAP_BUDGET_BYTES", 0)
     expected = _golden()[name]
     got = run_case(name)
     for key in expected:

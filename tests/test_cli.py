@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -137,6 +139,33 @@ class TestCommands:
     def test_bench_unknown_rejected(self):
         with pytest.raises(SystemExit):
             main(["bench", "fig99"])
+
+    def test_unknown_pattern_rejected_by_every_pattern_command(self, capsys):
+        """One stderr line listing the known names, exit 2, no traceback;
+        ``3mc`` is a known name only where a workload is accepted."""
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        with_pattern = {
+            name for name, p in sub.choices.items()
+            if any(a.dest == "pattern" for a in p._actions)
+        }
+        graph = ["--dataset", "As"]
+        extra = {
+            "plan": [], "lint-plan": [], "count": graph, "simulate": graph,
+            "validate": graph, "compare": graph, "tune": graph,
+        }
+        assert with_pattern == set(extra)
+        bad = [(cmd, "nosuch") for cmd in extra]
+        bad += [(cmd, "3mc") for cmd in extra
+                if cmd not in ("simulate", "compare")]
+        for cmd, name in bad:
+            assert main([cmd, name, *extra[cmd]]) == 2, cmd
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1, (cmd, err)
+            assert f"unknown pattern {name!r}" in err and "tc, tt" in err
 
 
 class TestValidateCommand:
