@@ -7,9 +7,8 @@ catalog):
   that mechanically enforce the determinism/parallel-safety contract of
   docs/PARALLELISM.md — unseeded randomness (DET001), wall-clock reads
   in simulation paths (DET002), iteration over unordered sets in hot
-  paths (DET003), unpicklable worker dispatch (PAR001), config fields
-  escaping the cache schema hash (CACHE001), plus mutable default
-  arguments (HYG001).
+  paths (DET003), unpicklable worker dispatch (PAR001), plus mutable
+  default arguments (HYG001).
 * **Tier B — plan verifier** (:mod:`repro.analysis.planlint`): static
   legality checks over compiled :class:`~repro.pattern.plan.ExecutionPlan`
   IR — state def-before-use, level coverage, restriction partial order

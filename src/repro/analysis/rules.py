@@ -7,7 +7,6 @@ DET001     error     unseeded randomness in ``repro.*``
 DET002     error     wall-clock reads inside simulation/mining/bench paths
 DET003     error     order-sensitive iteration over unordered sets in hot paths
 PAR001     error     lambda / nested-function handed to the worker pool
-CACHE001   error     config dataclass field escaping the cache schema hash
 ARCH001    error     simulator entry point imported around the backend registry
 PERF001    error     ``np.delete``/``np.append`` inside a loop in a hot path
 STORE001   error     result file written around the experiment store
@@ -345,72 +344,6 @@ PAR001 = register(
         summary="lambda/closure handed to the process pool",
         scope=("repro",),
         check=_check_par001,
-    )
-)
-
-
-# ----------------------------------------------------------------------
-# CACHE001 — config fields escaping the cache schema hash
-# ----------------------------------------------------------------------
-
-
-def _is_dataclass_decorated(cls: ast.ClassDef) -> bool:
-    for dec in cls.decorator_list:
-        chain = attr_chain(dec.func if isinstance(dec, ast.Call) else dec)
-        if chain and chain[-1] == "dataclass":
-            return True
-    return False
-
-
-def _check_cache001(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        if not node.name.endswith("Config") or not _is_dataclass_decorated(node):
-            continue
-        for stmt in node.body:
-            if isinstance(stmt, ast.AnnAssign) and isinstance(
-                stmt.value, ast.Call
-            ):
-                chain = attr_chain(stmt.value.func)
-                if chain and chain[-1] == "field":
-                    for kw in stmt.value.keywords:
-                        if (
-                            kw.arg == "repr"
-                            and isinstance(kw.value, ast.Constant)
-                            and kw.value.value is False
-                        ):
-                            found = ctx.finding(
-                                CACHE001,
-                                stmt,
-                                f"`{node.name}` field declared with "
-                                "`repr=False`: cache keys hash the config's "
-                                "repr (repro.cache.make_key), so this field "
-                                "silently escapes the schema hash",
-                            )
-                            if found is not None:
-                                yield found
-            elif (
-                isinstance(stmt, ast.FunctionDef) and stmt.name == "__repr__"
-            ):
-                found = ctx.finding(
-                    CACHE001,
-                    stmt,
-                    f"`{node.name}` overrides `__repr__`: cache keys hash "
-                    "the dataclass-generated repr; a custom repr can omit "
-                    "simulate-relevant fields from the schema hash",
-                )
-                if found is not None:
-                    yield found
-
-
-CACHE001 = register(
-    Rule(
-        id="CACHE001",
-        severity=Severity.ERROR,
-        summary="config dataclass field escapes the cache schema hash",
-        scope=("repro.hw", "repro.sw"),
-        check=_check_cache001,
     )
 )
 

@@ -154,10 +154,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--design", choices=backend_names(), default="fingers",
     )
-    p.add_argument("--pes", type=int, default=None, help="PE / core count")
-    p.add_argument("--ius", type=int, default=24)
-    p.add_argument("--group-size", type=int, default=None)
-    p.add_argument("--root-stride", type=int, default=1)
+    p.add_argument(
+        "--pes", type=_positive_int, default=None, help="PE / core count"
+    )
+    p.add_argument("--ius", type=_positive_int, default=24)
+    p.add_argument("--group-size", type=_positive_int, default=None)
+    p.add_argument("--root-stride", type=_positive_int, default=1)
     p.add_argument(
         "--schedule", choices=["dynamic", "static_interleave", "static_block"],
         default="dynamic",
@@ -174,8 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="FINGERS vs FlexMiner on one job")
     p.add_argument("pattern")
     _add_graph_args(p)
-    p.add_argument("--pes", type=int, default=1, help="FINGERS PEs (baseline x2)")
-    p.add_argument("--root-stride", type=int, default=1)
+    p.add_argument(
+        "--pes", type=_positive_int, default=1, help="FINGERS PEs (baseline x2)"
+    )
+    p.add_argument("--root-stride", type=_positive_int, default=1)
     _add_parallel_args(p)
 
     from repro.bench import EXPERIMENTS

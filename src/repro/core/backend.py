@@ -23,8 +23,7 @@ fixed table of the four built-ins (``repro.core.backends.BACKENDS``).
 
 Cache keys render **every** dataclass field of the configuration
 explicitly (:func:`config_signature`), so a field can never silently
-escape the schema hash — the failure class the CACHE001 lint rule
-guards against is closed by construction on this path.
+escape the schema hash, whatever its ``repr`` shows.
 """
 
 from __future__ import annotations

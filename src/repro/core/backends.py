@@ -17,7 +17,6 @@ otherwise each import them again for every pool.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.backend import Backend
@@ -31,7 +30,6 @@ __all__ = [
     "FingersBackend",
     "FlexMinerBackend",
     "FunctionalBackend",
-    "FunctionalConfig",
     "SoftwareBackend",
 ]
 
@@ -155,24 +153,16 @@ class SoftwareBackend(Backend):
         return lines
 
 
-@dataclass(frozen=True)
-class FunctionalConfig:
-    """Reference-engine knobs: no microarchitecture, only the set-op
-    kernel policy (``None`` means the process-wide default policy)."""
-
-    kernels: KernelPolicy | None = None
-
-    @property
-    def design_name(self) -> str:
-        return "functional"
-
-
 class FunctionalBackend(Backend):
-    """The pure reference engine: exact counts, no timing model."""
+    """The pure reference engine: exact counts, no timing model.
+
+    Its config is :class:`~repro.setops.kernels.KernelPolicy`: the
+    engine (frontier or the recursive oracle) and the tuner opt-in.
+    """
 
     name = "functional"
     description = "pure reference engine (exact counts, no timing)"
-    config_type = FunctionalConfig
+    config_type = KernelPolicy
 
     def simulate(
         self,
@@ -195,9 +185,7 @@ class FunctionalBackend(Backend):
             list(range(graph.num_vertices)) if roots is None else list(roots)
         )
         counts = tuple(
-            count_embeddings(
-                graph, plan, roots=root_list, kernels=config.kernels
-            )
+            count_embeddings(graph, plan, roots=root_list, kernels=config)
             for plan in plans
         )
         return RunResult(
@@ -207,21 +195,18 @@ class FunctionalBackend(Backend):
             counts=counts,
         )
 
-    def config_from_args(self, args):
-        return FunctionalConfig()
-
     def prepare(self, graph, plans, config) -> None:
         """Warm the tuned-choice store at the driver for tuned runs.
 
         Sharded workers then resolve ``KernelPolicy(tuned=True)`` with a
         store hit apiece instead of each re-running measured trials.
         """
-        if config.kernels is None or not config.kernels.tuned:
+        if not config.tuned:
             return
         from repro.tuning import tune_plan
 
         for plan in plans:
-            tune_plan(graph, plan, config.kernels)
+            tune_plan(graph, plan, config)
 
     def summary(self, result: RunResult) -> list[str]:
         lines = [

@@ -158,7 +158,6 @@ def _list_worker(
         payload["plan"],
         roots=chunk,
         limit=payload["limit"],
-        kernels=payload["kernels"],
     )
 
 
@@ -231,8 +230,6 @@ def list_embeddings_parallel(
     roots: Iterable[int] | None,
     limit: int | None,
     jobs: int,
-    *,
-    kernels=None,
 ) -> list[tuple[int, ...]]:
     """Embeddings in serial order; ``limit`` truncates after the merge.
 
@@ -241,7 +238,7 @@ def list_embeddings_parallel(
     enumerate unboundedly just to be truncated at the end.
     """
     chunks = _chunked(graph, roots, jobs)
-    payload = {"graph": graph, "plan": plan, "limit": limit, "kernels": kernels}
+    payload = {"graph": graph, "plan": plan, "limit": limit}
     parts = run_shards(_list_worker, payload, chunks, jobs)
     out = [emb for part in parts for emb in part]
     if limit is not None:

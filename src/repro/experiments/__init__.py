@@ -5,7 +5,7 @@ This package turns "run the benchmarks and eyeball the text files" into
 a closed loop (docs/BENCHMARKS.md):
 
 1. **Describe** a sweep declaratively — patterns × graphs × backends ×
-   schedules × jobs (× kernel policies for the functional backend) — in
+   config variants × schedules × jobs — in
    TOML/JSON/dict form, validated by :func:`load_spec` into a
    deterministic run matrix.
 2. **Execute** it resumably with :func:`run_sweep`: every cell goes

@@ -1,8 +1,8 @@
 """Declarative sweep specifications.
 
-A sweep is the cross product *patterns × graphs × backends × schedules ×
-jobs* (plus a kernel-policy axis applied to the ``functional`` backend
-only, since no other backend executes Python set-op kernels).  Specs are
+A sweep is the cross product *patterns × graphs × backends × configs ×
+schedules × jobs*, where each backend contributes its own named config
+variants (one, ``default``, unless the spec lists several).  Specs are
 plain dicts — typically loaded from a TOML or JSON file — validated in
 one pass that gathers **every** problem before raising, then expanded
 into a deterministic, duplicate-free list of :class:`Cell` rows.  The
@@ -17,10 +17,12 @@ TOML layout (see ``examples/sweeps/smoke.toml``)::
     graphs   = ["As"]
     backends = ["functional", "fingers"]
 
-    [configs.fingers]        # per-backend config overrides
+    [configs.fingers]        # one table: the "default" config variant
     num_pes = 1
 
-    [[kernel_policies]]      # optional extra functional-only axis
+    [[configs.functional]]   # an array of named tables: one variant each
+    name = "default"
+    [[configs.functional]]
     name = "recursive"
     engine = "recursive"
 """
@@ -36,7 +38,6 @@ from typing import Any, Mapping, Sequence
 
 from repro.core.workload import resolve_workload
 from repro.graph.datasets import bench_graph_names, dataset_names
-from repro.setops.kernels import KernelPolicy
 
 __all__ = ["Cell", "SpecError", "SweepSpec", "load_spec", "load_spec_file"]
 
@@ -46,8 +47,8 @@ NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
 _SCHEDULES = ("dynamic", "static_interleave", "static_block")
 
-#: The policy label for "whatever the backend's default configuration
-#: does" — present in every sweep, never user-definable.
+#: The config-variant name of a backend whose ``[configs.<backend>]`` is
+#: one table (or absent); an array of named tables names its own.
 DEFAULT_POLICY = "default"
 
 
@@ -104,27 +105,25 @@ class SweepSpec:
     backends: tuple[str, ...] = ()
     jobs: tuple[int, ...] = (0,)
     schedules: tuple[str, ...] = ("dynamic",)
-    configs: Mapping[str, Mapping[str, Any]] = field(default_factory=dict)
-    kernel_policies: Mapping[str, Mapping[str, Any]] = field(
+    #: backend -> config-variant name -> config field overrides.
+    configs: Mapping[str, Mapping[str, Mapping[str, Any]]] = field(
         default_factory=dict
     )
+
+    def _variants(self, backend: str) -> Mapping[str, Mapping[str, Any]]:
+        return self.configs.get(backend, {DEFAULT_POLICY: {}})
 
     def expand(self) -> list[Cell]:
         """The deterministic run matrix.
 
-        Iteration order is patterns → graphs → backends → policies →
-        schedules → jobs, exactly as written in the spec; the kernel
-        policy axis contributes ``default`` plus every named policy for
-        ``functional`` cells and only ``default`` elsewhere.
+        Iteration order is patterns → graphs → backends → config
+        variants → schedules → jobs, exactly as written in the spec.
         """
         cells = []
         for pattern in self.patterns:
             for graph in self.graphs:
                 for backend in self.backends:
-                    policies = [DEFAULT_POLICY]
-                    if backend == "functional":
-                        policies += list(self.kernel_policies)
-                    for policy in policies:
+                    for policy in self._variants(backend):
                         for schedule in self.schedules:
                             for jobs in self.jobs:
                                 cells.append(Cell(
@@ -138,17 +137,12 @@ class SweepSpec:
         return cells
 
     def config_for(self, cell: Cell):
-        """Build the backend config object for one cell: per-backend
-        overrides from ``configs``, plus the cell's kernel policy for
-        functional cells."""
+        """Build the backend config object for one cell: its config
+        variant's overrides from ``configs``."""
         from repro.core.backend import get_backend
 
-        backend = get_backend(cell.backend)
-        overrides = dict(self.configs.get(cell.backend, {}))
-        if cell.backend == "functional" and cell.policy != DEFAULT_POLICY:
-            policy = KernelPolicy(**self.kernel_policies[cell.policy])
-            overrides["kernels"] = policy
-        return backend.config_type(**overrides)
+        overrides = self._variants(cell.backend)[cell.policy]
+        return get_backend(cell.backend).config_type(**overrides)
 
 
 def _check_names(problems, label, values, known, *, hint=""):
@@ -159,13 +153,53 @@ def _check_names(problems, label, values, known, *, hint=""):
             )
 
 
-def _try_build(problems, label, factory, overrides):
-    """Construct ``factory(**overrides)`` once so a bad field value is a
-    spec problem now, not a failed cell mid-sweep."""
+def _check_overrides(problems, label, config_type, overrides):
+    """Check one config variant: every key names a field, then build
+    ``config_type(**overrides)`` once so a bad field value is a spec
+    problem now, not a failed cell mid-sweep."""
+    valid = {f.name for f in dataclasses.fields(config_type)}
+    unknown = [key for key in overrides if key not in valid]
+    for key in unknown:
+        problems.append(
+            f"{label} unknown field {key!r} "
+            f"(valid: {', '.join(sorted(valid))})"
+        )
+    if unknown:
+        return
     try:
-        factory(**overrides)
+        config_type(**overrides)
     except (TypeError, ValueError) as exc:
         problems.append(f"{label} {exc}")
+
+
+def _config_variants(problems, label, entry):
+    """``{variant name: overrides}`` of one ``[configs.<backend>]``
+    entry: one table is the ``default`` variant, an array of tables
+    names one variant per entry.  ``None`` when the entry is malformed."""
+    if isinstance(entry, Mapping):
+        return {DEFAULT_POLICY: dict(entry)}
+    if (
+        not isinstance(entry, (list, tuple)) or not entry
+        or not all(isinstance(item, Mapping) for item in entry)
+    ):
+        problems.append(
+            f"{label} must be a table of config fields or a non-empty "
+            "array of named tables"
+        )
+        return None
+    variants: dict[str, dict[str, Any]] = {}
+    for item in entry:
+        name = item.get("name")
+        if not (isinstance(name, str) and NAME_RE.match(name)):
+            problems.append(
+                f"each [{label}] entry needs a 'name' matching "
+                f"{NAME_RE.pattern}, not {name!r}"
+            )
+        elif name in variants:
+            problems.append(f"{label} repeats the name {name!r}")
+        else:
+            variants[name] = {k: v for k, v in item.items() if k != "name"}
+    return variants
 
 
 def load_spec(
@@ -178,14 +212,14 @@ def load_spec(
 
     Collects every problem and raises one :class:`SpecError`; a returned
     spec is guaranteed to expand and execute without name errors, and
-    every swept backend config and kernel policy has been built once.
+    every config variant of every swept backend has been built once.
     ``available_graphs`` overrides the dataset catalog (tests inject
     synthetic graphs through the executor's ``graphs=`` mapping).
     """
     from repro.core.backend import backend_names, get_backend
 
     problems: list[str] = []
-    known_keys = {"sweep", "configs", "kernel_policies"}
+    known_keys = {"sweep", "configs"}
     for key in data:
         if key not in known_keys:
             problems.append(f"unknown top-level section {key!r}")
@@ -262,11 +296,11 @@ def load_spec(
             )
 
     configs = data.get("configs", {})
-    clean_configs: dict[str, dict[str, Any]] = {}
+    clean_configs: dict[str, dict[str, dict[str, Any]]] = {}
     if not isinstance(configs, Mapping):
         problems.append("[configs] must be a table of backend names")
         configs = {}
-    for backend_name, overrides in configs.items():
+    for backend_name, entry in configs.items():
         if backend_name not in backends:
             problems.append(
                 f"[configs.{backend_name}] does not match a swept backend"
@@ -274,59 +308,17 @@ def load_spec(
             continue
         if backend_name not in backend_names():
             continue  # already reported as an unknown backend
-        if not isinstance(overrides, Mapping):
-            problems.append(
-                f"[configs.{backend_name}] must be a table of config fields"
-            )
+        label = f"[configs.{backend_name}]"
+        variants = _config_variants(problems, label, entry)
+        if variants is None:
             continue
         config_type = get_backend(backend_name).config_type
-        valid = {f.name for f in dataclasses.fields(config_type)}
-        unknown = [key for key in overrides if key not in valid]
-        for key in unknown:
-            problems.append(
-                f"[configs.{backend_name}] unknown field {key!r} "
-                f"(valid: {', '.join(sorted(valid))})"
+        for variant, overrides in variants.items():
+            where = label if isinstance(entry, Mapping) else (
+                f"[{label}] {variant!r}"
             )
-        if not unknown:
-            _try_build(
-                problems, f"[configs.{backend_name}]", config_type, overrides
-            )
-        clean_configs[backend_name] = dict(overrides)
-
-    policies = data.get("kernel_policies", [])
-    clean_policies: dict[str, dict[str, Any]] = {}
-    if not isinstance(policies, Sequence) or isinstance(policies, str):
-        problems.append("kernel_policies must be an array of tables")
-        policies = []
-    if policies and "functional" not in backends:
-        problems.append(
-            "kernel_policies requires the 'functional' backend "
-            "(no other backend runs the Python set-op kernels)"
-        )
-    policy_fields = {f.name for f in dataclasses.fields(KernelPolicy)}
-    for entry in policies:
-        if not isinstance(entry, Mapping) or "name" not in entry:
-            problems.append("each [[kernel_policies]] entry needs a 'name'")
-            continue
-        policy_name = entry["name"]
-        if policy_name == DEFAULT_POLICY or policy_name in clean_policies:
-            problems.append(
-                f"kernel policy name {policy_name!r} is reserved or repeated"
-            )
-            continue
-        overrides = {k: v for k, v in entry.items() if k != "name"}
-        unknown = [key for key in overrides if key not in policy_fields]
-        for key in unknown:
-            problems.append(
-                f"kernel policy {policy_name!r}: unknown field {key!r} "
-                f"(valid: {', '.join(sorted(policy_fields))})"
-            )
-        if not unknown:
-            _try_build(
-                problems, f"kernel policy {policy_name!r}:", KernelPolicy,
-                overrides,
-            )
-        clean_policies[policy_name] = overrides
+            _check_overrides(problems, where, config_type, overrides)
+        clean_configs[backend_name] = variants
 
     if problems:
         raise SpecError(problems)
@@ -339,7 +331,6 @@ def load_spec(
         jobs=tuple(jobs),
         schedules=tuple(schedules),
         configs=clean_configs,
-        kernel_policies=clean_policies,
     )
 
 

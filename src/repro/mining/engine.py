@@ -79,12 +79,34 @@ def _iter_roots(graph: CSRGraph, roots: Iterable[int] | None) -> Iterable[int]:
     return graph.check_roots(roots)
 
 
+def _apply_ops(
+    graph: CSRGraph,
+    ctx: KernelContext,
+    ops: Iterable[SetOp],
+    embedding: Sequence[int],
+    states: dict[int, np.ndarray],
+    preset: Mapping[int, np.ndarray] | None = None,
+) -> None:
+    """Run plan ops one at a time for ``embedding``, storing each result
+    in ``states``; an op whose result state is in ``preset`` takes the
+    precomputed value instead of re-executing."""
+    for op in ops:
+        if preset is not None and op.result_state in preset:
+            states[op.result_state] = preset[op.result_state]
+            continue
+        operand = graph.neighbors(embedding[op.operand_level])
+        source = (
+            states[op.source_state] if op.source_state is not None else None
+        )
+        states[op.result_state] = ctx.apply_op(op.kind, source, operand)
+
+
 class _RecursiveRunner:
     """The per-embedding oracle executor, reusable across roots.
 
     One instance holds the mutable embedding/state scratch, so
     multi-pattern counting can drive many roots and inject precomputed
-    level-0 trunk states.
+    level-0 trunk states, and listing can walk the same search tree.
     """
 
     def __init__(
@@ -114,40 +136,65 @@ class _RecursiveRunner:
         self._preset = preset
         self.embedding.append(int(root))
         try:
-            return self._explore(0)
+            return self._count(0)
         finally:
             self.embedding.pop()
             self._preset = None
 
-    def _explore(self, level: int) -> int:
+    def list_root(
+        self, root: int, out: list[tuple[int, ...]], limit: int | None
+    ) -> bool:
+        """Append the embeddings of one search tree to ``out``; ``True``
+        once ``out`` holds ``limit`` of them."""
+        self.embedding.append(int(root))
+        try:
+            if self.k == 1:
+                out.append((int(root),))
+                return limit is not None and len(out) >= limit
+            return self._list(0, out, limit)
+        finally:
+            self.embedding.pop()
+
+    def _candidates(self, level: int) -> np.ndarray:
         # ``u_level`` was just appended to ``embedding``; run the level's
-        # schedule and extend (or count) the next level.
-        plan = self.plan
-        states = self.states
-        embedding = self.embedding
-        sched = plan.levels[level]
-        preset = self._preset if level == 0 else None
-        for op in sched.ops:
-            if preset is not None and op.result_state in preset:
-                states[op.result_state] = preset[op.result_state]
-                continue
-            operand = self.graph.neighbors(embedding[op.operand_level])
-            source = (
-                states[op.source_state] if op.source_state is not None else None
-            )
-            states[op.result_state] = self.ctx.apply_op(op.kind, source, operand)
-        nxt = level + 1
-        cand = filtered_candidates(
-            plan, nxt, states[sched.extend_state], embedding
+        # schedule and filter the next level's candidates.
+        sched = self.plan.levels[level]
+        _apply_ops(
+            self.graph, self.ctx, sched.ops, self.embedding, self.states,
+            self._preset if level == 0 else None,
         )
-        if nxt == self.k - 1:
+        return filtered_candidates(
+            self.plan, level + 1, self.states[sched.extend_state],
+            self.embedding,
+        )
+
+    def _count(self, level: int) -> int:
+        cand = self._candidates(level)
+        if level + 2 == self.k:
             return int(cand.size)
         subtotal = 0
         for v in cand:
-            embedding.append(int(v))
-            subtotal += self._explore(nxt)
-            embedding.pop()
+            self.embedding.append(int(v))
+            subtotal += self._count(level + 1)
+            self.embedding.pop()
         return subtotal
+
+    def _list(
+        self, level: int, out: list[tuple[int, ...]], limit: int | None
+    ) -> bool:
+        cand = self._candidates(level)
+        leaf = level + 2 == self.k
+        for v in cand:
+            self.embedding.append(int(v))
+            if leaf:
+                out.append(tuple(self.embedding))
+                stop = limit is not None and len(out) >= limit
+            else:
+                stop = self._list(level + 1, out, limit)
+            self.embedding.pop()
+            if stop:
+                return True
+        return False
 
 
 def count_embeddings(
@@ -244,7 +291,6 @@ def list_embeddings(
     roots: Iterable[int] | None = None,
     limit: int | None = None,
     jobs: int | None = None,
-    kernels: KernelPolicy | None = None,
 ) -> list[tuple[int, ...]]:
     """All embeddings as level-ordered vertex tuples (one per class).
 
@@ -255,65 +301,18 @@ def list_embeddings(
     contiguous in root order, so the merged list (and ``limit``
     truncation applied after the merge) equals the serial list exactly.
 
-    Listing materializes every embedding, so the frontier engine stands
-    aside — enumeration always recurses through the merge primitives,
-    whatever the policy.  ``tuned=True`` policies fall back to their
-    base fields here: embeddings are level-ordered tuples, so a tuned
-    plan swap would reorder every tuple.
+    Listing materializes every embedding, so it always walks the
+    recursive oracle's search tree in the given plan's vertex order —
+    no engine choice or tuned plan swap applies here.
     """
-    if kernels is not None and kernels.tuned:
-        from dataclasses import replace as _replace
-
-        kernels = _replace(kernels, tuned=False)
     if jobs is not None and jobs > 1:
         from repro.core.sharded import list_embeddings_parallel
 
-        return list_embeddings_parallel(
-            graph, plan, roots, limit, jobs, kernels=kernels
-        )
-    k = plan.num_levels
+        return list_embeddings_parallel(graph, plan, roots, limit, jobs)
+    runner = _RecursiveRunner(graph, plan, KernelContext())
     out: list[tuple[int, ...]] = []
-    if k == 1:
-        for root in _iter_roots(graph, roots):
-            out.append((int(root),))
-            if limit is not None and len(out) >= limit:
-                break
-        return out
-    ctx = KernelContext()
-    states: dict[int, np.ndarray] = {}
-    embedding: list[int] = []
-
-    def explore(level: int) -> bool:
-        sched = plan.levels[level]
-        for op in sched.ops:
-            operand = graph.neighbors(embedding[op.operand_level])
-            source = (
-                states[op.source_state] if op.source_state is not None else None
-            )
-            states[op.result_state] = ctx.apply_op(op.kind, source, operand)
-        nxt = level + 1
-        cand = filtered_candidates(
-            plan, nxt, states[sched.extend_state], embedding
-        )
-        if nxt == k - 1:
-            for v in cand:
-                out.append(tuple(embedding) + (int(v),))
-                if limit is not None and len(out) >= limit:
-                    return True
-            return False
-        for v in cand:
-            embedding.append(int(v))
-            stop = explore(nxt)
-            embedding.pop()
-            if stop:
-                return True
-        return False
-
     for root in _iter_roots(graph, roots):
-        embedding.append(int(root))
-        stop = explore(0)
-        embedding.pop()
-        if stop:
+        if runner.list_root(root, out, limit):
             break
     return out
 
@@ -392,14 +391,7 @@ def count_multi(
     trunk = _shared_level0_ops(multi.plans)
     for root in root_list:
         preset: dict[int, np.ndarray] = {}
-        operand = graph.neighbors(root)
-        for op in trunk:
-            source = (
-                preset[op.source_state]
-                if op.source_state is not None
-                else None
-            )
-            preset[op.result_state] = ctx.apply_op(op.kind, source, operand)
+        _apply_ops(graph, ctx, trunk, [root], preset)
         for name, runner in runners.items():
             totals[name] += runner.count_root(root, preset)
     return totals

@@ -2,11 +2,11 @@
 
 Two things live here:
 
-* :class:`KernelPolicy` — the knobs of the functional counting engines:
-  which engine runs (the frontier engine or the recursive oracle), the
-  frontier's spill budget, and the auto-tuner opt-in (the segmented
-  membership kernel of :mod:`repro.setops.segmented` is chosen from the
-  graph alone);
+* :class:`KernelPolicy` — the functional backend's configuration
+  (``BACKENDS["functional"].config_type``): which engine runs (the
+  frontier engine or the recursive oracle) and the auto-tuner opt-in
+  (the segmented membership kernel of :mod:`repro.setops.segmented` is
+  chosen from the graph alone);
 * the process-wide dispatch counters (:func:`kernel_counters`) that the
   frontier engine, the segmented kernels and :class:`KernelContext`
   tally into, recorded per sweep cell (the ``dispatch`` column of
@@ -87,7 +87,10 @@ def reset_kernel_counters() -> None:
 
 @dataclass(frozen=True)
 class KernelPolicy:
-    """Functional execution knobs (see docs/KERNELS.md).
+    """The functional backend's configuration (see docs/KERNELS.md).
+
+    A sweep spec sets these fields in ``[configs.functional]``, like
+    any other backend's config fields.
 
     The frontier engine's spill budget is the module constant
     :data:`repro.mining.frontier.FRONTIER_BUDGET_BYTES`, and the
@@ -120,6 +123,8 @@ class KernelPolicy:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {ENGINE_NAMES}"
             )
+        if not isinstance(self.tuned, bool):
+            raise ValueError(f"tuned must be a bool, not {self.tuned!r}")
 
 
 #: The library-wide default policy.

@@ -18,8 +18,9 @@ factors when made per (pattern, graph).  This package closes that loop
     signature, tuner version), riding the versioned disk cache.
 
 Opt in with ``KernelPolicy(tuned=True)`` anywhere a policy goes —
-``count_embeddings``, ``FunctionalConfig``, sweep specs — or drive the
-tuner directly with ``python -m repro tune``.
+``count_embeddings``, the functional backend (whose config it is),
+``tuned = true`` in a sweep spec's ``[configs.functional]`` — or drive
+the tuner directly with ``python -m repro tune``.
 """
 
 from repro.tuning.candidates import (

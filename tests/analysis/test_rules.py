@@ -181,43 +181,6 @@ def test_par001_module_level_worker_is_clean():
 
 
 # ----------------------------------------------------------------------
-# CACHE001 — cache schema-hash escapes
-# ----------------------------------------------------------------------
-
-
-def test_cache001_repr_false_field():
-    src = (
-        "from dataclasses import dataclass, field\n"
-        "@dataclass(frozen=True)\n"
-        "class ThingConfig:\n"
-        "    knob: int = field(default=3, repr=False)\n"
-    )
-    assert rules_fired(src, module="repro.hw.snippet") == ["CACHE001"]
-
-
-def test_cache001_custom_repr():
-    src = (
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class ThingConfig:\n"
-        "    knob: int = 3\n"
-        "    def __repr__(self):\n"
-        "        return 'ThingConfig()'\n"
-    )
-    assert rules_fired(src, module="repro.sw.snippet") == ["CACHE001"]
-
-
-def test_cache001_plain_config_is_clean():
-    src = (
-        "from dataclasses import dataclass\n"
-        "@dataclass(frozen=True)\n"
-        "class ThingConfig:\n"
-        "    knob: int = 3\n"
-    )
-    assert rules_fired(src, module="repro.hw.snippet") == []
-
-
-# ----------------------------------------------------------------------
 # ARCH001 — registry bypass
 # ----------------------------------------------------------------------
 
@@ -537,7 +500,7 @@ def test_rule_catalog_ids_unique_and_documented():
     rules = rule_catalog()
     ids = [r.id for r in rules]
     assert len(ids) == len(set(ids))
-    assert {"DET001", "DET002", "DET003", "PAR001", "CACHE001",
+    assert {"DET001", "DET002", "DET003", "PAR001",
             "ARCH001", "PERF001", "STORE001", "HYG001"} <= set(ids)
     assert all(r.summary for r in rules)
 

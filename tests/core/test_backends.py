@@ -5,6 +5,8 @@ path is a registry lookup away, and that all backends agree on counts
 for the same job.
 """
 
+from dataclasses import dataclass, field
+
 import pytest
 
 from repro.core import (
@@ -15,6 +17,7 @@ from repro.core import (
 )
 from repro.core.result import RunResult
 from repro.graph import erdos_renyi
+from repro.setops.kernels import KernelPolicy
 
 
 class TestRegistry:
@@ -41,6 +44,12 @@ class TestRegistry:
         assert backend_for_config(FingersConfig()).name == "fingers"
         assert backend_for_config(FlexMinerConfig()).name == "flexminer"
         assert backend_for_config(SoftwareConfig()).name == "software"
+        assert backend_for_config(KernelPolicy()).name == "functional"
+
+    def test_functional_config_is_the_kernel_policy(self):
+        backend = get_backend("functional")
+        assert backend.config_type is KernelPolicy
+        assert backend.default_config(units=4) == KernelPolicy()
 
     def test_backend_for_config_unknown_type(self):
         with pytest.raises(TypeError, match="no registered backend"):
@@ -110,3 +119,24 @@ class TestCacheKeys:
         a = backend.cache_key(g, "tc", backend.default_config(units=2))
         b = backend.cache_key(g, "tc", backend.default_config(units=2))
         assert a == b
+
+
+@dataclass(frozen=True)
+class HiddenConfig:
+    """A config whose one field neither ``repr`` nor a custom
+    ``__repr__`` shows."""
+
+    knob: int = field(default=1, repr=False)
+
+    def __repr__(self):
+        return "HiddenConfig()"
+
+
+def test_cache_key_sees_fields_repr_hides():
+    """Cache keys render every dataclass field (``config_signature``),
+    so a field ``repr`` hides cannot alias two configs' entries."""
+    g = erdos_renyi(20, 0.3, seed=18)
+    one, two = HiddenConfig(knob=1), HiddenConfig(knob=2)
+    assert repr(one) == repr(two)
+    backend = get_backend("fingers")
+    assert backend.cache_key(g, "tc", one) != backend.cache_key(g, "tc", two)

@@ -103,6 +103,24 @@ class TestRunSweep:
         for row in outcome.rows:
             assert row.wall_time_s > 0
 
+    def test_functional_config_selects_the_engine(self, tmp_path):
+        """``[configs.functional] engine = "recursive"`` runs the oracle:
+        its cell tallies per-op merges and no frontier levels."""
+        data = {
+            "sweep": {
+                "name": "exec-test", "patterns": ["tc"],
+                "graphs": ["tiny"], "backends": ["functional"],
+            },
+            "configs": {"functional": {"engine": "recursive"}},
+        }
+        spec = load_spec(data, available_graphs=["tiny"])
+        store = ResultStore(tmp_path / "store")
+        (row,) = run_sweep(spec, store=store, graphs=GRAPHS).rows
+        assert row.policy == "default"
+        assert row.count == count(GRAPHS["tiny"], "tc")
+        assert row.dispatch.get("intersect/merge", 0) > 0
+        assert not any(key.startswith("frontier/") for key in row.dispatch)
+
     def test_progress_callback_sees_both_actions(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         events = []

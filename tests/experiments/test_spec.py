@@ -7,6 +7,7 @@ import pytest
 
 from repro.experiments import Cell, SpecError, load_spec, load_spec_file
 from repro.hw.api import FingersConfig
+from repro.setops.kernels import KernelPolicy
 
 
 def _minimal(**overrides):
@@ -80,24 +81,38 @@ class TestValidation:
             load_spec(_minimal(sweep={"jobs": [True]}))
 
     def test_kernel_policy_needs_functional_backend(self):
+        """``engine`` is a field of the functional config only."""
+        for entry in (
+            {"engine": "recursive"},
+            [{"name": "recursive", "engine": "recursive"}],
+        ):
+            data = _minimal(
+                sweep={"backends": ["fingers"]}, configs={"fingers": entry}
+            )
+            with pytest.raises(SpecError, match="unknown field 'engine'"):
+                load_spec(data)
+
+    def test_kernel_policy_section_is_retired(self):
         data = _minimal(
-            sweep={"backends": ["fingers"]},
-            kernel_policies=[{"name": "recursive", "engine": "recursive"}],
+            kernel_policies=[{"name": "recursive", "engine": "recursive"}]
         )
-        with pytest.raises(SpecError, match="functional"):
+        with pytest.raises(SpecError, match="'kernel_policies'"):
             load_spec(data)
 
     def test_kernel_policy_name_rules(self):
-        for policies in (
+        for variants in (
             [{"engine": "recursive"}],               # missing name
-            [{"name": "default"}],                   # reserved
+            [{"name": 3}],                           # not a string
+            [{"name": "a/b"}],                       # not a store-safe name
             [{"name": "a"}, {"name": "a"}],          # repeated
             [{"name": "a", "not_a_field": 1}],       # unknown field
             [{"name": "a", "force_kernel": "merge"}],  # retired field
             [{"name": "a", "frontier_budget_bytes": 4096}],  # retired field
+            [],                                      # no variant
+            [{"name": "a"}, 3],                      # not a table
         ):
             with pytest.raises(SpecError):
-                load_spec(_minimal(kernel_policies=policies))
+                load_spec(_minimal(configs={"functional": variants}))
 
     def test_non_table_config_is_a_problem(self):
         data = _minimal(sweep={"backends": ["fingers"]}, configs={"fingers": 3})
@@ -148,9 +163,24 @@ class TestValidation:
         ))
 
     def test_kernel_policy_values_checked_at_load(self):
-        data = _minimal(kernel_policies=[{"name": "a", "engine": "bogus"}])
-        with pytest.raises(SpecError, match="kernel policy 'a'.*bogus"):
-            load_spec(data)
+        for field, value, message in [
+            ("engine", "bogus", "unknown engine 'bogus'"),
+            ("engine", "nosuch", "unknown engine 'nosuch'"),
+            ("tuned", "no", "tuned must be a bool, not 'no'"),
+            ("tuned", 0, "tuned must be a bool, not 0"),
+        ]:
+            one_table = _minimal(configs={"functional": {field: value}})
+            with pytest.raises(
+                SpecError, match=rf"\[configs\.functional\] {message}"
+            ):
+                load_spec(one_table)
+            array = _minimal(
+                configs={"functional": [{"name": "a", field: value}]}
+            )
+            with pytest.raises(
+                SpecError, match=rf"\[\[configs\.functional\]\] 'a' {message}"
+            ):
+                load_spec(array)
 
     def test_available_graphs_override(self):
         data = _minimal(sweep={"graphs": ["tiny"]})
@@ -180,35 +210,46 @@ class TestExpansion:
         assert [c.jobs for c in spec.expand()] == [None, 4]
 
     def test_policy_axis_applies_to_functional_only(self):
+        """An array of named tables gives its own backend one cell per
+        entry, in array order; other backends keep ``default``."""
         data = _minimal(
             sweep={"backends": ["functional", "fingers"]},
-            kernel_policies=[
+            configs={"functional": [
                 {"name": "recursive", "engine": "recursive"},
-            ],
+                {"name": "default"},
+            ]},
         )
         cells = load_spec(data).expand()
-        policies = {(c.backend, c.policy) for c in cells}
-        assert policies == {
-            ("functional", "default"),
+        assert [(c.backend, c.policy) for c in cells] == [
             ("functional", "recursive"),
+            ("functional", "default"),
             ("fingers", "default"),
-        }
+        ]
 
     def test_config_for_builds_overridden_config(self):
         data = _minimal(
             sweep={"backends": ["functional", "fingers"]},
-            configs={"fingers": {"num_pes": 2}},
-            kernel_policies=[{"name": "oracle", "engine": "recursive"}],
+            configs={
+                "fingers": {"num_pes": 2},
+                "functional": [{"name": "default"},
+                               {"name": "oracle", "engine": "recursive"}],
+            },
         )
         spec = load_spec(data)
         fingers = spec.config_for(Cell("tc", "As", "fingers"))
         assert isinstance(fingers, FingersConfig)
         assert fingers.num_pes == 2
         default = spec.config_for(Cell("tc", "As", "functional"))
-        assert default.kernels is None
+        assert default == KernelPolicy()
         oracle = spec.config_for(Cell("tc", "As", "functional",
                                       policy="oracle"))
-        assert oracle.kernels.engine == "recursive"
+        assert oracle == KernelPolicy(engine="recursive")
+
+    def test_one_table_functional_config(self):
+        spec = load_spec(_minimal(configs={"functional": {"engine": "recursive"}}))
+        (cell,) = spec.expand()
+        assert cell.policy == "default"
+        assert spec.config_for(cell) == KernelPolicy(engine="recursive")
 
     def test_cell_label(self):
         assert Cell("tc", "As", "fingers").label == "tc/As/fingers"
@@ -237,6 +278,21 @@ class TestSpecFiles:
         spec = load_spec_file("examples/sweeps/smoke.toml")
         assert spec.name == "smoke"
         assert len(spec.expand()) == 2
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="tomllib is stdlib from 3.11"
+    )
+    @pytest.mark.parametrize("stem, policies", [
+        ("engine_frontier", ("default", "recursive")),
+        ("engine_autotune", ("default", "tuned")),
+    ])
+    def test_committed_variant_tomls_expand(self, stem, policies):
+        spec = load_spec_file(f"examples/sweeps/{stem}.toml")
+        cells = spec.expand()
+        assert [c.policy for c in cells] == list(policies) * len(spec.patterns)
+        assert [c.pattern for c in cells] == [
+            p for p in spec.patterns for _ in policies
+        ]
 
     @pytest.mark.skipif(
         sys.version_info >= (3, 11), reason="exercises the pre-3.11 gate"

@@ -168,6 +168,30 @@ class TestCommands:
             assert f"unknown pattern {name!r}" in err and "tc, tt" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pes", "0"],
+    ["simulate", "--pes", "-3"],
+    ["simulate", "--ius", "0"],
+    ["simulate", "--group-size", "0"],
+    ["simulate", "--root-stride", "0"],
+    ["simulate", "--root-stride", "-1"],
+    ["compare", "--pes", "0"],
+    ["compare", "--root-stride", "0"],
+])
+def test_numeric_flags_must_be_positive(argv, capsys):
+    """A non-positive count or stride is a usage error (exit 2, one
+    error line, no traceback), never a silent default or an empty run."""
+    command, flag, value = argv
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "tc", "--dataset", "As", flag, value])
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"repro {command}: error: argument {flag}: must be >= 1"]
+
+
 class TestValidateCommand:
     def test_validate_consistent(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
