@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
 Every benchmark regenerates one table/figure of the paper, writes the
-rendered text to ``benchmarks/results/``, and echoes it to the terminal.
+rendered text to ``benchmarks/results/paper/<name>.txt`` (the pinned
+texts ``repro bench`` must reproduce), and echoes it to the terminal.
 Run the full harness with::
 
     pytest benchmarks/ --benchmark-only
@@ -32,10 +33,12 @@ def results_dir() -> pathlib.Path:
 
 @pytest.fixture
 def publish(results_dir, capsys):
-    """Write a rendered experiment to results/ and the terminal."""
+    """Write a rendered experiment to results/paper/ and the terminal."""
 
     def _publish(name: str, text: str) -> None:
-        (results_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        paper = results_dir / "paper"
+        paper.mkdir(exist_ok=True)
+        (paper / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
         with capsys.disabled():
             print(f"\n{text}\n")
 

@@ -12,7 +12,7 @@ def test_fig10_overall(benchmark, publish):
     result = benchmark.pedantic(
         experiments.fig10, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("fig10_overall", result.render())
+    publish("fig10", result.render())
 
     grid = result.grid
     assert 1.5 < result.mean < 9.0, result.mean

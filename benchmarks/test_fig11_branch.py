@@ -12,7 +12,7 @@ def test_fig11_branch(benchmark, publish):
     result = benchmark.pedantic(
         experiments.fig11, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("fig11_branch", result.render())
+    publish("fig11", result.render())
 
     grid = result.grid
     assert all(v > 0.7 for v in grid.values()), "pseudo-DFS should rarely hurt"

@@ -13,7 +13,7 @@ def test_fig12_iu_scaling(benchmark, publish):
     result = benchmark.pedantic(
         experiments.fig12, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("fig12_iu_scaling", result.render())
+    publish("fig12", result.render())
 
     s = result.series
 

@@ -13,7 +13,7 @@ def test_fig13_cache(benchmark, publish):
     result = benchmark.pedantic(
         experiments.fig13, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("fig13_cache", result.render())
+    publish("fig13", result.render())
 
     c = result.curves
     caps = result.capacities_mb

@@ -12,7 +12,7 @@ def test_fig9_single_pe(benchmark, publish):
     result = benchmark.pedantic(
         experiments.fig9, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("fig9_single_pe", result.render())
+    publish("fig9", result.render())
 
     grid = result.grid
     # Headline shape: a clear multi-x mean win, with several-x spread.

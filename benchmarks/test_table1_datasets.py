@@ -8,7 +8,7 @@ def test_table1_datasets(benchmark, publish):
     result = benchmark.pedantic(
         experiments.table1, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("table1_datasets", result.render())
+    publish("table1", result.render())
 
     rows = {r[0].split(" (")[1].rstrip(")"): r for r in result.rows}
     assert set(rows) == set(dataset_names())

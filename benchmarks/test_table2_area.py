@@ -9,7 +9,7 @@ def test_table2_area(benchmark, publish):
     result = benchmark.pedantic(
         experiments.table2, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("table2_area", result.render())
+    publish("table2", result.render())
 
     # The paper's headline numbers.
     assert result.total_mm2 == pytest.approx(0.934, rel=0.01)

@@ -11,7 +11,7 @@ def test_table3_utilization(benchmark, publish):
     result = benchmark.pedantic(
         experiments.table3, rounds=1, iterations=1, warmup_rounds=0
     )
-    publish("table3_utilization", result.render())
+    publish("table3", result.render())
 
     rows = result.rows
     for pattern, (active, balance) in rows.items():

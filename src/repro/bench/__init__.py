@@ -3,8 +3,12 @@
 Each experiment function returns structured data *and* renders the same
 rows/series the paper reports.  :data:`EXPERIMENTS` is the one registry
 of them: ``repro bench [names...]`` runs it, and ``benchmarks/`` wraps
-the same functions in pytest-benchmark entry points.  See EXPERIMENTS.md
-for paper-vs-measured records.
+the same functions in pytest-benchmark entry points.  Every simulated
+experiment is a set of sweep specs run through
+:func:`repro.experiments.run_sweep` into the store run ``paper-<name>``
+and rendered from those rows (:mod:`repro.bench.paper`); the rendered
+texts are pinned in ``benchmarks/results/paper/<name>.txt``.  See
+EXPERIMENTS.md for paper-vs-measured records.
 
 Root sampling: the Lj/Or/Pa analogs are mined from a deterministic stride
 of root vertices (see :data:`repro.bench.workloads.ROOT_STRIDE`) to keep
@@ -18,22 +22,14 @@ from repro.bench.workloads import (
     ROOT_STRIDE,
     roots_for,
 )
-from repro.bench.runner import (
-    PairResult,
-    RunnerStats,
-    configure,
-    run_cached,
-    run_pair,
-    run_software_cached,
-    runner_stats,
-)
+from repro.bench.runner import RunnerStats, configure, runner_stats
 from repro.bench import ablations, experiments, sensitivity, software
 from repro.bench.report import format_table, format_grid, geometric_mean
 
 #: Every table, figure, ablation, software study and sensitivity sweep,
 #: by the name ``repro bench`` accepts (the same names as
-#: ``benchmarks/results/<name>.txt``), in the order a full run prints
-#: them.
+#: ``benchmarks/results/paper/<name>.txt``), in the order a full run
+#: prints them.
 EXPERIMENTS = {
     "table1": experiments.table1,
     "table2": experiments.table2,
@@ -62,13 +58,9 @@ __all__ = [
     "BENCHMARK_GRAPHS",
     "ROOT_STRIDE",
     "roots_for",
-    "run_pair",
-    "run_cached",
-    "run_software_cached",
     "configure",
     "runner_stats",
     "RunnerStats",
-    "PairResult",
     "experiments",
     "format_table",
     "format_grid",

@@ -17,14 +17,10 @@ contribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.report import format_table
-from repro.bench.runner import run_cached
-from repro.bench.workloads import roots_for
-from repro.graph.datasets import load_dataset
-from repro.hw.api import FingersConfig
+from repro.bench.paper import run_paper, speedup, sweep_spec
+from repro.bench.report import TableResult
 
 __all__ = [
     "ablation_scheduling",
@@ -36,52 +32,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AblationResult:
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    data: dict
+def _fingers_sweep(name, graph_name, pattern, field_name, values, **fixed):
+    """One single-graph FINGERS sweep over ``field_name``: the row of
+    each value, keyed by value (``None`` leaves the field at its
+    default)."""
+    variants = [
+        {
+            "name": f"{field_name}-{value}",
+            **fixed,
+            **({} if value is None else {field_name: value}),
+        }
+        for value in values
+    ]
+    row = run_paper(name, sweep_spec(
+        name, [pattern], [graph_name], {"fingers": variants}
+    ))
+    return {
+        value: row(pattern, graph_name, "fingers", f"{field_name}-{value}")
+        for value in values
+    }
 
-    def render(self) -> str:
-        return format_table(self.headers, self.rows, title=self.title)
+
+def _cycles_table(title, headers, data, *, label=lambda value: value,
+                  effective=False, imbalance=False) -> TableResult:
+    """Rows of ``label(value)``, [the effective task-group size],
+    cycles, speedup over the first value, [load imbalance]."""
+    base = next(iter(data.values())).cycles
+    rows = tuple(
+        (
+            label(value),
+            *([res.extras["task_group_size"]] if effective else []),
+            f"{res.cycles:,.0f}",
+            f"{base / res.cycles:.2f}",
+            *([f"{res.extras['load_imbalance']:.2f}"] if imbalance else []),
+        )
+        for value, res in data.items()
+    )
+    return TableResult(title, tuple(headers), rows, data)
 
 
 def ablation_scheduling(
     graph_name: str = "Lj",
     pattern: str = "tc",
     num_pes: int = 8,
-) -> AblationResult:
+) -> TableResult:
     """Global root-scheduling policies on a power-law graph."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for policy in ("dynamic", "static_interleave", "static_block"):
-        res = run_cached(
-            graph, graph_name, pattern, FingersConfig(num_pes=num_pes),
-            None, roots, schedule=policy,
-        )
-        if base is None:
-            base = res.cycles
-        data[policy] = res
-        rows.append(
-            (
-                policy,
-                f"{res.cycles:,.0f}",
-                f"{base / res.cycles:.2f}",
-                f"{res.chip.load_imbalance:.2f}",
-            )
-        )
-    return AblationResult(
-        title=(
-            f"Ablation: root scheduling policy ({pattern} on {graph_name}, "
-            f"{num_pes} PEs)"
-        ),
-        headers=("policy", "cycles", "speedup vs dynamic", "imbalance"),
-        rows=tuple(rows),
-        data=data,
+    policies = ("dynamic", "static_interleave", "static_block")
+    row = run_paper("ablation_scheduling", sweep_spec(
+        "ablation_scheduling", [pattern], [graph_name],
+        {"fingers": {"num_pes": num_pes}}, schedules=list(policies),
+    ))
+    return _cycles_table(
+        f"Ablation: root scheduling policy ({pattern} on {graph_name}, "
+        f"{num_pes} PEs)",
+        ("policy", "cycles", "speedup vs dynamic", "imbalance"),
+        {p: row(pattern, graph_name, "fingers", schedule=p) for p in policies},
+        imbalance=True,
     )
 
 
@@ -89,28 +95,15 @@ def ablation_max_load(
     graph_name: str = "Or",
     pattern: str = "tt",
     values: Sequence[int] = (1, 2, 3, 6, 12),
-) -> AblationResult:
+) -> TableResult:
     """Task-divider max-load threshold (splitting granularity)."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for value in values:
-        res = run_cached(
-            graph, graph_name, pattern,
-            FingersConfig(num_pes=1, max_load=value),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[value] = res
-        rows.append((value, f"{res.cycles:,.0f}", f"{base / res.cycles:.2f}"))
-    return AblationResult(
-        title=f"Ablation: divider max-load threshold ({pattern} on {graph_name})",
-        headers=("max_load", "cycles", "speedup vs max_load=1"),
-        rows=tuple(rows),
-        data=data,
+    return _cycles_table(
+        f"Ablation: divider max-load threshold ({pattern} on {graph_name})",
+        ("max_load", "cycles", "speedup vs max_load=1"),
+        _fingers_sweep(
+            "ablation_max_load", graph_name, pattern, "max_load", values,
+            num_pes=1,
+        ),
     )
 
 
@@ -118,28 +111,15 @@ def ablation_dividers(
     graph_name: str = "Or",
     pattern: str = "tt",
     values: Sequence[int] = (1, 3, 6, 12, 24),
-) -> AblationResult:
+) -> TableResult:
     """How many parallel task dividers one PE needs (default 12)."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for value in values:
-        res = run_cached(
-            graph, graph_name, pattern,
-            FingersConfig(num_pes=1, num_dividers=value),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[value] = res
-        rows.append((value, f"{res.cycles:,.0f}", f"{base / res.cycles:.2f}"))
-    return AblationResult(
-        title=f"Ablation: task-divider count ({pattern} on {graph_name})",
-        headers=("dividers", "cycles", "speedup vs 1"),
-        rows=tuple(rows),
-        data=data,
+    return _cycles_table(
+        f"Ablation: task-divider count ({pattern} on {graph_name})",
+        ("dividers", "cycles", "speedup vs 1"),
+        _fingers_sweep(
+            "ablation_dividers", graph_name, pattern, "num_dividers", values,
+            num_pes=1,
+        ),
     )
 
 
@@ -147,76 +127,50 @@ def ablation_group_size(
     graph_name: str = "Pa",
     pattern: str = "tc",
     values: Sequence[int | None] = (1, 2, 4, 8, 16, None),
-) -> AblationResult:
+) -> TableResult:
     """Task-group size sweep (None = the paper's automatic policy)."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for value in values:
-        res = run_cached(
-            graph, graph_name, pattern,
-            FingersConfig(num_pes=1, task_group_size=value),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[value] = res
-        label = "auto" if value is None else str(value)
-        rows.append(
-            (
-                label,
-                res.chip.task_group_size,
-                f"{res.cycles:,.0f}",
-                f"{base / res.cycles:.2f}",
-            )
-        )
-    return AblationResult(
-        title=f"Ablation: task-group size ({pattern} on {graph_name})",
-        headers=("requested", "effective", "cycles", "speedup vs 1"),
-        rows=tuple(rows),
-        data=data,
+    return _cycles_table(
+        f"Ablation: task-group size ({pattern} on {graph_name})",
+        ("requested", "effective", "cycles", "speedup vs 1"),
+        _fingers_sweep(
+            "ablation_group_size", graph_name, pattern, "task_group_size",
+            values, num_pes=1,
+        ),
+        label=lambda value: "auto" if value is None else str(value),
+        effective=True,
     )
 
 
 def ablation_edge_induced(
     graph_name: str = "As",
     patterns: Sequence[str] = ("tt", "cyc", "dia"),
-) -> AblationResult:
+) -> TableResult:
     """Vertex- vs edge-induced semantics (paper section 2.1).
 
     Edge-induced plans drop the subtraction ops (no exact non-edge
     matching), which removes exactly the large-set operations that give
     FINGERS its biggest wins on tt/cyc — so the speedup over FlexMiner
     shrinks, while counts grow (more embeddings match).  Supporting both
-    modes is the capability TrieJax lacks (section 2.2).
+    modes is the capability TrieJax lacks (section 2.2).  ``"tt:edge"``
+    names tt's edge-induced plan.
     """
-    from repro.hw.api import FlexMinerConfig
-    from repro.pattern.compiler import compile_plan
-    from repro.pattern.pattern import named_pattern
-
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
+    modes = (("vertex", ""), ("edge", ":edge"))
+    row = run_paper("ablation_edge_induced", sweep_spec(
+        "ablation_edge_induced",
+        [p + suffix for p in patterns for _, suffix in modes], [graph_name],
+        {"fingers": {"num_pes": 1}, "flexminer": {"num_pes": 1}},
+    ))
     data: dict = {}
     rows = []
     for pattern in patterns:
-        row: list = [pattern]
-        for vertex_induced in (True, False):
-            plan = compile_plan(
-                named_pattern(pattern), vertex_induced=vertex_induced
-            )
-            fing = run_cached(
-                graph, graph_name, plan, FingersConfig(num_pes=1), None, roots
-            )
-            flex = run_cached(
-                graph, graph_name, plan, FlexMinerConfig(num_pes=1), None, roots
-            )
-            mode = "vertex" if vertex_induced else "edge"
+        line: list = [pattern]
+        for mode, suffix in modes:
+            fing = row(pattern + suffix, graph_name, "fingers")
+            flex = row(pattern + suffix, graph_name, "flexminer")
             data[(pattern, mode)] = (fing, flex)
-            row.extend([f"{fing.count:,}", f"{fing.speedup_over(flex):.2f}"])
-        rows.append(tuple(row))
-    return AblationResult(
+            line.extend([f"{fing.count:,}", f"{speedup(fing, flex):.2f}"])
+        rows.append(tuple(line))
+    return TableResult(
         title=f"Ablation: vertex- vs edge-induced semantics ({graph_name}, 1 PE)",
         headers=(
             "pattern", "v-induced count", "v-induced speedup",
@@ -231,40 +185,18 @@ def ablation_imbalance(
     graph_name: str = "Lj",
     pattern: str = "tc",
     pe_counts: Sequence[int] = (1, 2, 4, 8, 16),
-) -> AblationResult:
+) -> TableResult:
     """Coarse-grained load imbalance vs PE count (paper section 2.3).
 
     On power-law graphs the hub-rooted trees serialize; adding PEs stops
     helping once the largest tree dominates — the motivation for strong
     single-PE performance.
     """
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data = {}
-    rows = []
-    base = None
-    for num_pes in pe_counts:
-        res = run_cached(
-            graph, graph_name, pattern, FingersConfig(num_pes=num_pes),
-            None, roots,
-        )
-        if base is None:
-            base = res.cycles
-        data[num_pes] = res
-        rows.append(
-            (
-                num_pes,
-                f"{res.cycles:,.0f}",
-                f"{base / res.cycles:.2f}",
-                f"{res.chip.load_imbalance:.2f}",
-            )
-        )
-    return AblationResult(
-        title=(
-            f"Ablation: PE scaling and load imbalance ({pattern} on "
-            f"{graph_name})"
+    return _cycles_table(
+        f"Ablation: PE scaling and load imbalance ({pattern} on {graph_name})",
+        ("PEs", "cycles", "scaling vs 1 PE", "imbalance"),
+        _fingers_sweep(
+            "ablation_imbalance", graph_name, pattern, "num_pes", pe_counts
         ),
-        headers=("PEs", "cycles", "scaling vs 1 PE", "imbalance"),
-        rows=tuple(rows),
-        data=data,
+        imbalance=True,
     )

@@ -2,25 +2,23 @@
 
 Every function returns a small result object carrying the structured data
 plus ``render()`` producing the same rows/series the paper reports.  The
-per-experiment index lives in DESIGN.md; paper-vs-measured records live in
-EXPERIMENTS.md.
+simulated ones build their sweep specs here, beside the renderer, run
+them into the store run ``paper-<name>`` (:func:`repro.bench.paper.run_paper`)
+and render from its rows.  The per-experiment index lives in DESIGN.md;
+paper-vs-measured records live in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
+from repro.bench.paper import run_paper, speedup, sweep_spec
 from repro.bench.report import format_grid, format_table, geometric_mean
-from repro.bench.runner import run_cached, run_pair
-from repro.bench.workloads import (
-    BENCHMARK_GRAPHS,
-    BENCHMARK_PATTERNS,
-    roots_for,
-)
+from repro.bench.workloads import BENCHMARK_GRAPHS, BENCHMARK_PATTERNS
 from repro.graph.datasets import CACHE_SCALE, DATASET_SPECS, load_dataset
 from repro.graph.stats import graph_stats
-from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
+from repro.hw.api import FingersConfig
 from repro.hw.area import (
     fingers_pe_area,
     fingers_pe_power_mw,
@@ -171,22 +169,19 @@ class SpeedupGridResult:
         )
 
 
-def _speedup_grid(
-    title: str,
-    fingers: FingersConfig,
-    flexminer: FlexMinerConfig,
-    patterns: Sequence[str],
-    graphs: Sequence[str],
-) -> SpeedupGridResult:
-    grid = {}
-    for gname in graphs:
-        graph = load_dataset(gname)
-        roots = roots_for(gname, graph)
-        for pattern in patterns:
-            pair = run_pair(
-                graph, gname, pattern, fingers, flexminer, roots=roots
-            )
-            grid[(pattern, gname)] = pair.speedup
+def _speedup_grid(name, title, patterns, graphs, configs,
+                  ours=("fingers", "default"), baseline=("flexminer", "default")):
+    """Speedup of the ``ours`` cell over the ``baseline`` cell, each a
+    ``(backend, config variant)`` of ``configs``, on every (pattern,
+    graph)."""
+    row = run_paper(name, sweep_spec(name, patterns, graphs, configs))
+    grid = {
+        (pattern, gname): speedup(
+            row(pattern, gname, *ours), row(pattern, gname, *baseline)
+        )
+        for gname in graphs
+        for pattern in patterns
+    }
     return SpeedupGridResult(
         title=title,
         grid=grid,
@@ -204,11 +199,11 @@ def fig9(
     Paper: 6.2x geometric mean, up to 13.2x.
     """
     return _speedup_grid(
+        "fig9",
         "Figure 9: single-PE speedup, FINGERS vs FlexMiner",
-        FingersConfig(num_pes=1),
-        FlexMinerConfig(num_pes=1),
         patterns or BENCHMARK_PATTERNS,
         graphs or BENCHMARK_GRAPHS,
+        {"fingers": {"num_pes": 1}, "flexminer": {"num_pes": 1}},
     )
 
 
@@ -221,11 +216,11 @@ def fig10(
     Paper: 2.8x geometric mean, up to 8.9x.
     """
     return _speedup_grid(
+        "fig10",
         "Figure 10: overall speedup, 20-PE FINGERS vs 40-PE FlexMiner",
-        FingersConfig(num_pes=20),
-        FlexMinerConfig(num_pes=40),
         patterns or BENCHMARK_PATTERNS,
         graphs or BENCHMARK_GRAPHS,
+        {"fingers": {"num_pes": 20}, "flexminer": {"num_pes": 40}},
     )
 
 
@@ -244,26 +239,16 @@ def fig11(
     same PE with group size 1 (no branch-level parallelism).  Paper: up to
     5x, biggest for the clique patterns.
     """
-    patterns = patterns or BENCHMARK_PATTERNS
-    graphs = graphs or ["As", "Yo", "Lj"]
-    grid = {}
-    for gname in graphs:
-        graph = load_dataset(gname)
-        roots = roots_for(gname, graph)
-        for pattern in patterns:
-            on = run_cached(
-                graph, gname, pattern, FingersConfig(num_pes=1), None, roots
-            )
-            off = run_cached(
-                graph, gname, pattern,
-                FingersConfig(num_pes=1, task_group_size=1), None, roots,
-            )
-            grid[(pattern, gname)] = on.speedup_over(off)
-    return SpeedupGridResult(
-        title="Figure 11: speedup from branch-level parallelism (pseudo-DFS)",
-        grid=grid,
-        patterns=tuple(patterns),
-        graphs=tuple(graphs),
+    return _speedup_grid(
+        "fig11",
+        "Figure 11: speedup from branch-level parallelism (pseudo-DFS)",
+        patterns or BENCHMARK_PATTERNS,
+        graphs or ["As", "Yo", "Lj"],
+        {"fingers": [
+            {"name": "default", "num_pes": 1},
+            {"name": "group1", "num_pes": 1, "task_group_size": 1},
+        ]},
+        baseline=("fingers", "group1"),
     )
 
 
@@ -309,32 +294,42 @@ def fig12(
     Includes the paper's ``tt-unlimited`` series (segment length pinned at
     16 while IUs grow, i.e. area allowed to increase).
     """
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    series: dict = {}
-    bases: dict = {}
-    for pattern in patterns:
-        base = None
-        for n in iu_counts:
-            cfg = FingersConfig(
-                num_pes=1, num_ius=n,
-                long_segment_len=iso_area_segment_length(n),
-            )
-            res = run_cached(graph, graph_name, pattern, cfg, None, roots)
-            if base is None:
-                base = res.cycles
-                bases[pattern] = base
-            series[(pattern, n)] = base / res.cycles
     # tt-unlimited: fixed 16-wide segments regardless of the IU count,
     # normalized against the *same* 1-IU baseline as the iso-area series
     # of the matching pattern, so the two curves are directly comparable
     # (as in the paper).  Falls back to the first requested pattern when
     # tt is not in the sweep.
     unlimited = "tt" if "tt" in patterns else patterns[0]
+
+    def variants(segment_len):
+        return {"fingers": [
+            {"name": f"ius{n}-s{segment_len(n)}", "num_pes": 1, "num_ius": n,
+             "long_segment_len": segment_len(n)}
+            for n in iu_counts
+        ]}
+
+    row = run_paper(
+        "fig12",
+        sweep_spec(
+            "fig12", patterns, [graph_name], variants(iso_area_segment_length)
+        ),
+        sweep_spec("fig12", [unlimited], [graph_name], variants(lambda n: 16)),
+    )
+
+    def cycles(pattern, n, seg):
+        return row(pattern, graph_name, "fingers", f"ius{n}-s{seg}").cycles
+
+    series: dict = {}
+    bases: dict = {}
+    for pattern in patterns:
+        for n in iu_counts:
+            res = cycles(pattern, n, iso_area_segment_length(n))
+            base = bases.setdefault(pattern, res)
+            series[(pattern, n)] = base / res
     for n in iu_counts:
-        cfg = FingersConfig(num_pes=1, num_ius=n, long_segment_len=16)
-        res = run_cached(graph, graph_name, unlimited, cfg, None, roots)
-        series[(f"{unlimited}-unlimited", n)] = bases[unlimited] / res.cycles
+        series[(f"{unlimited}-unlimited", n)] = (
+            bases[unlimited] / cycles(unlimited, n, 16)
+        )
     return Fig12Result(
         graph=graph_name, iu_counts=tuple(iu_counts), series=series
     )
@@ -378,22 +373,23 @@ def fig13(
     pattern: str = "cyc",
 ) -> Fig13Result:
     """Figure 13: miss-rate curves for both designs (chip configs of Fig 10)."""
+    def variants(num_pes):
+        return [
+            {"name": f"{cap:g}MB", "num_pes": num_pes, "memory": {
+                "shared_cache_bytes": int(cap * 1024 * 1024) // CACHE_SCALE,
+            }}
+            for cap in capacities_mb
+        ]
+
+    row = run_paper("fig13", sweep_spec("fig13", [pattern], graphs, {
+        "fingers": variants(20), "flexminer": variants(40),
+    }))
     curves: dict = {}
     for gname in graphs:
-        graph = load_dataset(gname)
-        roots = roots_for(gname, graph)
         for cap in capacities_mb:
-            mem = MemoryConfig().with_shared_cache(
-                int(cap * 1024 * 1024) // CACHE_SCALE
-            )
-            fing = run_cached(
-                graph, gname, pattern, FingersConfig(num_pes=20), mem, roots
-            )
-            flex = run_cached(
-                graph, gname, pattern, FlexMinerConfig(num_pes=40), mem, roots
-            )
-            curves[(gname, "FINGERS", cap)] = fing.chip.shared_cache.miss_rate
-            curves[(gname, "FlexMiner", cap)] = flex.chip.shared_cache.miss_rate
+            for design in ("FINGERS", "FlexMiner"):
+                result = row(pattern, gname, design.lower(), f"{cap:g}MB")
+                curves[(gname, design, cap)] = result.extras["shared_miss_rate"]
     return Fig13Result(
         pattern=pattern,
         capacities_mb=tuple(capacities_mb),
@@ -430,15 +426,11 @@ def table3(
 ) -> Table3Result:
     """Table 3: active rate and balance rate per pattern on one PE."""
     patterns = list(patterns or BENCHMARK_PATTERNS)
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    cfg = FingersConfig(num_pes=1)
+    row = run_paper("table3", sweep_spec("table3", patterns, [graph_name], {
+        "fingers": {"num_pes": 1},
+    }))
     rows = {}
     for pattern in patterns:
-        res = run_cached(graph, graph_name, pattern, cfg, None, roots)
-        combined = res.chip.combined
-        rows[pattern] = (
-            combined.active_rate(cfg.num_ius),
-            combined.balance_rate,
-        )
+        extras = row(pattern, graph_name, "fingers").extras
+        rows[pattern] = (extras["iu_active_rate"], extras["iu_balance_rate"])
     return Table3Result(graph=graph_name, rows=rows)

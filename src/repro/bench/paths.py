@@ -1,10 +1,7 @@
 """Canonical locations for benchmark artifacts.
 
-Before this module existed, bench outputs were written relative to the
-current working directory — running ``repro bench --out results/`` from
-anywhere but the repo root scattered files across the filesystem, and
-pytest-invoked benchmarks and CLI sweeps disagreed about where "the"
-results lived.  Everything now resolves through :func:`results_dir`:
+Everything resolves through :func:`results_dir`, so ``repro bench``,
+``repro exp`` and pytest agree on one place from any working directory:
 
 * ``$REPRO_RESULTS_DIR``, when set, wins (tests point it at tmp dirs);
 * otherwise the checkout's ``benchmarks/results/`` when this package is

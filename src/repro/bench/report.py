@@ -3,9 +3,24 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-__all__ = ["format_table", "format_grid", "geometric_mean"]
+__all__ = ["TableResult", "format_table", "format_grid", "geometric_mean"]
+
+
+@dataclass(frozen=True)
+class TableResult:
+    """One titled text table and the data behind its rows (the
+    ablations, software studies and sensitivity sweeps)."""
+
+    title: str
+    headers: tuple[str, ...]
+    rows: tuple[tuple, ...]
+    data: dict
+
+    def render(self) -> str:
+        return format_table(self.headers, self.rows, title=self.title)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -12,12 +12,12 @@ processes, so simulation results are memoized twice:
    signature, schedule, root-array hash, and execution model — so a
    warm ``repro bench`` sweep performs zero simulator calls.
 
-Every backend runs through the same :func:`run_backend_cached` path;
-``run_cached`` (configuration-dispatched) and ``run_software_cached``
-are thin front ends over it.  ``configure(jobs=..., disk_cache=...)``
-sets process-wide defaults (the CLI's ``--jobs`` / ``--no-cache`` flags
-land here); ``runner_stats()`` reports hit/miss/simulate counters for
-the run report.
+Every backend runs through this one :func:`run_backend_cached` path:
+the sweep executor (and through it every ``repro bench`` figure), the
+single-run CLI commands and the tests.  ``configure(jobs=...,
+disk_cache=...)`` sets process-wide defaults (the CLI's ``--jobs`` /
+``--no-cache`` flags land here); ``runner_stats()`` reports
+hit/miss/simulate counters for the run report.
 """
 
 from __future__ import annotations
@@ -26,20 +26,18 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from repro.cache import default_cache
-from repro.core.backend import Backend, backend_for_config, get_backend
+from repro.core.backend import Backend, get_backend
 from repro.core.result import RunResult
 from repro.graph.csr import CSRGraph
-from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
+from repro.hw.api import MemoryConfig
 
 __all__ = [
-    "PairResult",
     "RunnerStats",
-    "run_pair",
     "run_backend_cached",
-    "run_cached",
-    "run_software_cached",
     "clear_cache",
     "configure",
+    "default_jobs",
+    "disk_cache_enabled",
     "reset_stats",
     "runner_stats",
 ]
@@ -91,18 +89,15 @@ def configure(*, jobs=_UNSET, disk_cache=_UNSET) -> None:
         _DISK_ENABLED = bool(disk_cache)
 
 
-@dataclass(frozen=True)
-class PairResult:
-    """One grid cell: a design run, its baseline run, and the speedup."""
+def default_jobs() -> int | None:
+    """The worker count :func:`configure` installed; ``None`` is the
+    single-chip model."""
+    return _DEFAULT_JOBS
 
-    workload: str
-    graph: str
-    ours: RunResult
-    baseline: RunResult
 
-    @property
-    def speedup(self) -> float:
-        return self.ours.speedup_over(self.baseline)
+def disk_cache_enabled() -> bool:
+    """Whether :func:`configure` left the on-disk cache on."""
+    return _DISK_ENABLED
 
 
 def _cached(key: str, compute, use_disk: bool) -> RunResult:
@@ -177,69 +172,7 @@ def run_backend_cached(
     )
 
 
-def run_cached(
-    graph: CSRGraph,
-    graph_name: str,
-    workload: str,
-    config: FingersConfig | FlexMinerConfig,
-    memory: MemoryConfig | None = None,
-    roots: Iterable[int] | None = None,
-    *,
-    schedule: str = "dynamic",
-    jobs: int | None = None,
-    disk: bool | None = None,
-) -> RunResult:
-    """Memoized :func:`repro.hw.api.simulate`: the backend is selected by
-    the configuration's type through the registry."""
-    return run_backend_cached(
-        backend_for_config(config), graph, graph_name, workload, config,
-        memory=memory, roots=roots, schedule=schedule, jobs=jobs, disk=disk,
-    )
-
-
-def run_software_cached(
-    graph: CSRGraph,
-    graph_name: str,
-    workload,
-    config,
-    roots: Iterable[int] | None = None,
-    *,
-    jobs: int | None = None,
-    disk: bool | None = None,
-) -> RunResult:
-    """Memoized software-model run — same cache layers, key scheme, and
-    stats accounting as :func:`run_cached`."""
-    return run_backend_cached(
-        "software", graph, graph_name, workload, config,
-        roots=roots, jobs=jobs, disk=disk,
-    )
-
-
 def clear_cache() -> None:
     """Drop the in-process memo (the disk cache is managed separately via
     :mod:`repro.cache` / ``python -m repro cache clear``)."""
     _MEMO.clear()
-
-
-def run_pair(
-    graph: CSRGraph,
-    graph_name: str,
-    workload: str,
-    config: FingersConfig | FlexMinerConfig,
-    baseline: FingersConfig | FlexMinerConfig,
-    *,
-    memory: MemoryConfig | None = None,
-    roots: Iterable[int] | None = None,
-    jobs: int | None = None,
-) -> PairResult:
-    """Run one workload on two designs over identical roots."""
-    roots_list = list(roots) if roots is not None else None
-    ours = run_cached(
-        graph, graph_name, workload, config, memory, roots_list, jobs=jobs
-    )
-    theirs = run_cached(
-        graph, graph_name, workload, baseline, memory, roots_list, jobs=jobs
-    )
-    return PairResult(
-        workload=workload, graph=graph_name, ours=ours, baseline=theirs
-    )

@@ -15,70 +15,56 @@ direction the mechanism predicts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Sequence
 
-from repro.bench.report import format_table
-from repro.bench.runner import run_cached
-from repro.bench.workloads import roots_for
-from repro.graph.datasets import load_dataset
-from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig
-from repro.hw.noc import NoCConfig
+from repro.bench.paper import run_paper, speedup, sweep_spec
+from repro.bench.report import TableResult
 
 __all__ = [
-    "SensitivityResult",
     "sensitivity_dram_latency",
     "sensitivity_hit_latency",
     "sensitivity_noc_bandwidth",
 ]
 
 
-@dataclass(frozen=True)
-class SensitivityResult:
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    speedups: dict
-
-    def render(self) -> str:
-        return format_table(self.headers, self.rows, title=self.title)
-
-
 def _sweep(
+    name: str,
     title: str,
     param_name: str,
     values: Sequence,
     make_memory,
     graph_name: str,
     pattern: str,
-) -> SensitivityResult:
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
+) -> TableResult:
+    """Single-PE FINGERS vs FlexMiner with the memory system built by
+    ``make_memory(value)`` (a ``memory`` table) for each value; ``data``
+    maps each value to the speedup."""
+    variants = [
+        {"name": f"v{value}", "num_pes": 1, "memory": make_memory(value)}
+        for value in values
+    ]
+    row = run_paper(name, sweep_spec(name, [pattern], [graph_name], {
+        "fingers": variants, "flexminer": variants,
+    }))
     speedups: dict = {}
     rows = []
     for value in values:
-        mem = make_memory(value)
-        fing = run_cached(
-            graph, graph_name, pattern, FingersConfig(num_pes=1), mem, roots
-        )
-        flex = run_cached(
-            graph, graph_name, pattern, FlexMinerConfig(num_pes=1), mem, roots
-        )
-        speedup = fing.speedup_over(flex)
-        speedups[value] = speedup
+        fing = row(pattern, graph_name, "fingers", f"v{value}")
+        flex = row(pattern, graph_name, "flexminer", f"v{value}")
+        speedups[value] = speedup(fing, flex)
         rows.append(
             (
                 value,
                 f"{fing.cycles:,.0f}",
                 f"{flex.cycles:,.0f}",
-                f"{speedup:.2f}",
+                f"{speedups[value]:.2f}",
             )
         )
-    return SensitivityResult(
+    return TableResult(
         title=title,
         headers=(param_name, "FINGERS cycles", "FlexMiner cycles", "speedup"),
         rows=tuple(rows),
-        speedups=speedups,
+        data=speedups,
     )
 
 
@@ -86,13 +72,14 @@ def sensitivity_dram_latency(
     latencies: Sequence[int] = (50, 100, 200, 400, 800),
     graph_name: str = "Pa",
     pattern: str = "tc",
-) -> SensitivityResult:
+) -> TableResult:
     """Single-PE speedup vs DRAM latency on a memory-bound job."""
     return _sweep(
+        "sensitivity_dram_latency",
         f"Sensitivity: DRAM latency ({pattern} on {graph_name}, 1 PE)",
         "dram_latency",
         latencies,
-        lambda v: replace(MemoryConfig(), dram_latency=v),
+        lambda v: {"dram_latency": v},
         graph_name,
         pattern,
     )
@@ -102,13 +89,14 @@ def sensitivity_hit_latency(
     latencies: Sequence[int] = (2, 4, 8, 16, 32),
     graph_name: str = "As",
     pattern: str = "tc",
-) -> SensitivityResult:
+) -> TableResult:
     """Single-PE speedup vs shared-cache hit latency (cache-resident job)."""
     return _sweep(
+        "sensitivity_hit_latency",
         f"Sensitivity: shared-cache hit latency ({pattern} on {graph_name})",
         "hit_latency",
         latencies,
-        lambda v: replace(MemoryConfig(), shared_cache_hit_latency=v),
+        lambda v: {"shared_cache_hit_latency": v},
         graph_name,
         pattern,
     )
@@ -118,15 +106,14 @@ def sensitivity_noc_bandwidth(
     bandwidths: Sequence[float] = (1, 4, 16, 64, 256),
     graph_name: str = "Or",
     pattern: str = "tc",
-) -> SensitivityResult:
+) -> TableResult:
     """Single-PE speedup vs NoC bandwidth (bytes/cycle)."""
     return _sweep(
+        "sensitivity_noc_bandwidth",
         f"Sensitivity: NoC bandwidth ({pattern} on {graph_name})",
         "noc_B/cyc",
         bandwidths,
-        lambda v: replace(
-            MemoryConfig(), noc=NoCConfig(bytes_per_cycle=float(v))
-        ),
+        lambda v: {"noc": {"bytes_per_cycle": float(v)}},
         graph_name,
         pattern,
     )

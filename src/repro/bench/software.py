@@ -14,52 +14,47 @@ Two questions the paper raises but defers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from repro.bench.report import format_table
-from repro.bench.runner import run_cached, run_software_cached
-from repro.bench.workloads import roots_for
-from repro.graph.datasets import load_dataset
+from repro.bench.paper import run_paper, sweep_spec
+from repro.bench.report import TableResult
 from repro.hw.api import FingersConfig, FlexMinerConfig
 from repro.sw import SoftwareConfig
 
-__all__ = ["software_comparison", "software_scaling", "SoftwareBenchResult"]
-
-
-@dataclass(frozen=True)
-class SoftwareBenchResult:
-    title: str
-    headers: tuple[str, ...]
-    rows: tuple[tuple, ...]
-    data: dict
-
-    def render(self) -> str:
-        return format_table(self.headers, self.rows, title=self.title)
+__all__ = ["software_comparison", "software_scaling"]
 
 
 def software_scaling(
     graph_name: str = "Lj",
     pattern: str = "tc",
     core_counts: Sequence[int] = (1, 2, 4, 8, 16),
-) -> SoftwareBenchResult:
+) -> TableResult:
     """Core scaling: tree vs branch granularity on a power-law graph."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data: dict = {}
+    granularities = ("tree", "branch")
+    row = run_paper("software_scaling", sweep_spec(
+        "software_scaling", [pattern], [graph_name], {"software": [
+            {"name": f"{gran}{cores}", "num_cores": cores, "granularity": gran}
+            for cores in core_counts
+            for gran in granularities
+        ]},
+    ))
+    data: dict = {
+        (gran, cores): row(pattern, graph_name, "software", f"{gran}{cores}")
+        for cores in core_counts
+        for gran in granularities
+    }
+    base = data[(granularities[0], core_counts[0])].cycles
     rows = []
-    base = None
     for cores in core_counts:
-        row = [cores]
-        for gran in ("tree", "branch"):
-            cfg = SoftwareConfig(num_cores=cores, granularity=gran)
-            res = run_software_cached(graph, graph_name, pattern, cfg, roots)
-            data[(gran, cores)] = res
-            if base is None:
-                base = res.cycles
-            row.extend([f"{base / res.cycles:.2f}", f"{res.load_imbalance:.2f}"])
-        rows.append(tuple(row))
-    return SoftwareBenchResult(
+        line = [cores]
+        for gran in granularities:
+            res = data[(gran, cores)]
+            line.extend([
+                f"{base / res.cycles:.2f}",
+                f"{res.extras['load_imbalance']:.2f}",
+            ])
+        rows.append(tuple(line))
+    return TableResult(
         title=(
             f"Software scaling ({pattern} on {graph_name}): tree vs "
             "branch granularity (speedup over 1 core / load imbalance)"
@@ -73,43 +68,41 @@ def software_scaling(
 def software_comparison(
     graph_name: str = "Mi",
     pattern: str = "tc",
-) -> SoftwareBenchResult:
+) -> TableResult:
     """Wall-clock comparison: 16-core CPU vs the two accelerator chips."""
-    graph = load_dataset(graph_name)
-    roots = roots_for(graph_name, graph)
-    data: dict = {}
-    rows = []
-
-    sw_cfg = SoftwareConfig(num_cores=16, granularity="branch")
-    sw = run_software_cached(graph, graph_name, pattern, sw_cfg, roots)
-    sw_time = sw.cycles / sw_cfg.frequency_ghz
-    data["software"] = sw
-
-    flex_cfg = FlexMinerConfig(num_pes=40)
-    flex = run_cached(graph, graph_name, pattern, flex_cfg, None, roots)
-    flex_time = flex.cycles / flex_cfg.frequency_ghz
-    data["flexminer"] = flex
-
-    fing_cfg = FingersConfig(num_pes=20)
-    fing = run_cached(graph, graph_name, pattern, fing_cfg, None, roots)
-    fing_time = fing.cycles / fing_cfg.frequency_ghz
-    data["fingers"] = fing
-
-    assert sw.counts == flex.counts == fing.counts
-    for name, cycles, time in (
-        ("16-core CPU (branch WS)", sw.cycles, sw_time),
-        ("FlexMiner (40 PEs)", flex.cycles, flex_time),
-        ("FINGERS (20 PEs)", fing.cycles, fing_time),
-    ):
-        rows.append(
-            (
-                name,
-                f"{cycles:,.0f}",
-                f"{time:,.0f}",
-                f"{sw_time / time:.1f}",
-            )
+    configs = {
+        "software": {"num_cores": 16, "granularity": "branch"},
+        "flexminer": {"num_pes": 40},
+        "fingers": {"num_pes": 20},
+    }
+    row = run_paper("software_comparison", sweep_spec(
+        "software_comparison", [pattern], [graph_name], configs
+    ))
+    data = {backend: row(pattern, graph_name, backend) for backend in configs}
+    if len({tuple(res.counts) for res in data.values()}) != 1:
+        raise ValueError(
+            "refusing to compare runs with different functional results: "
+            + " vs ".join(str(res.counts) for res in data.values())
         )
-    return SoftwareBenchResult(
+    designs = (
+        ("16-core CPU (branch WS)", "software", SoftwareConfig),
+        ("FlexMiner (40 PEs)", "flexminer", FlexMinerConfig),
+        ("FINGERS (20 PEs)", "fingers", FingersConfig),
+    )
+    times = {
+        backend: data[backend].cycles / config(**configs[backend]).frequency_ghz
+        for _, backend, config in designs
+    }
+    rows = [
+        (
+            name,
+            f"{data[backend].cycles:,.0f}",
+            f"{times[backend]:,.0f}",
+            f"{times['software'] / times[backend]:.1f}",
+        )
+        for name, backend, _ in designs
+    ]
+    return TableResult(
         title=(
             f"Accelerators vs software ({pattern} on {graph_name}; "
             "time in ns at each design's clock)"

@@ -12,7 +12,8 @@ Subcommands
 ``compare``    Both accelerator designs on one job, with the speedup.
 ``bench``      Run the named experiments (table1 ... fig13, table3,
                ablation_*, software_*, sensitivity_*; all when none is
-               named) and print the paper-shaped output.
+               named) into the store runs ``paper-<name>`` and print
+               the paper-shaped output; ``--no-cache`` replaces the runs.
 ``cache``      Inspect or clear the persistent result cache.
 ``exp``        Experiment platform: run declarative sweeps into the
                result store, generate reports, diff runs against
@@ -157,12 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--pes", type=_positive_int, default=None, help="PE / core count"
     )
-    p.add_argument("--ius", type=_positive_int, default=24)
+    p.add_argument("--ius", type=_positive_int, default=None)
     p.add_argument("--group-size", type=_positive_int, default=None)
     p.add_argument("--root-stride", type=_positive_int, default=1)
     p.add_argument(
         "--schedule", choices=["dynamic", "static_interleave", "static_block"],
-        default="dynamic",
+        default=None, help="root schedule (default: dynamic)",
     )
     p.add_argument("--trace", action="store_true", help="print a text Gantt")
     _add_parallel_args(p)
@@ -408,6 +409,12 @@ def _cmd_simulate(args) -> int:
     from repro.core.backend import get_backend
 
     backend = get_backend(args.design)
+    for flag in ("pes", "ius", "group_size", "schedule"):
+        if getattr(args, flag) is not None and flag not in backend.cli_flags:
+            print(f"error: the {backend.name} backend does not read "
+                  f"--{flag.replace('_', '-')}", file=sys.stderr)
+            return 2
+    schedule = args.schedule or "dynamic"
     graph = _load_graph(args)
     roots = list(range(0, graph.num_vertices, args.root_stride))
     config = backend.config_from_args(args)
@@ -427,7 +434,7 @@ def _cmd_simulate(args) -> int:
         tracer = Tracer()
         res = backend.run(
             graph, args.pattern, config,
-            roots=roots, schedule=args.schedule, tracer=tracer,
+            roots=roots, schedule=schedule, tracer=tracer,
         )
         for line in backend.summary(res):
             print(line)
@@ -435,7 +442,7 @@ def _cmd_simulate(args) -> int:
         return 0
     res = run_backend_cached(
         backend, graph, _graph_label(args), args.pattern, config,
-        roots=roots, schedule=args.schedule, jobs=args.jobs,
+        roots=roots, schedule=schedule, jobs=args.jobs,
         disk=not args.no_cache,
     )
     for line in backend.summary(res):
@@ -520,19 +527,20 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from repro.bench.runner import run_cached
+    from repro.bench.runner import run_backend_cached
     from repro.hw.api import FingersConfig, FlexMinerConfig
 
     graph = _load_graph(args)
     label = _graph_label(args)
     roots = list(range(0, graph.num_vertices, args.root_stride))
-    fingers = run_cached(
-        graph, label, args.pattern, FingersConfig(num_pes=args.pes),
-        None, roots, jobs=args.jobs, disk=not args.no_cache,
+    fingers = run_backend_cached(
+        "fingers", graph, label, args.pattern, FingersConfig(num_pes=args.pes),
+        roots=roots, jobs=args.jobs, disk=not args.no_cache,
     )
-    flex = run_cached(
-        graph, label, args.pattern, FlexMinerConfig(num_pes=2 * args.pes),
-        None, roots, jobs=args.jobs, disk=not args.no_cache,
+    flex = run_backend_cached(
+        "flexminer", graph, label, args.pattern,
+        FlexMinerConfig(num_pes=2 * args.pes),
+        roots=roots, jobs=args.jobs, disk=not args.no_cache,
     )
     print(f"count: {fingers.count:,}")
     print(f"FINGERS   ({args.pes:3d} PEs): {fingers.cycles:14,.0f} cycles")
@@ -652,12 +660,17 @@ def _cmd_bench(args) -> int:
     from repro.bench import EXPERIMENTS
     from repro.bench import runner as _runner
     from repro.cache import cache_dir
+    from repro.errors import CellFailed
 
     _runner.configure(jobs=args.jobs, disk_cache=not args.no_cache)
     _runner.reset_stats()
     for name in args.experiments or EXPERIMENTS:
         start = time.perf_counter()
-        text = EXPERIMENTS[name]().render()
+        try:
+            text = EXPERIMENTS[name]().render()
+        except CellFailed as exc:
+            print(f"error: {name}: {exc}: {exc.__cause__!r}", file=sys.stderr)
+            return 1
         elapsed = time.perf_counter() - start
         print(f"\n=== {name} ({elapsed:.1f}s) ===")
         print(text)

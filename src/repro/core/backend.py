@@ -77,6 +77,9 @@ class Backend(abc.ABC):
     unit_field: str | None = None
     #: Whether ``simulate`` accepts a tracer (event-level Gantt traces).
     supports_trace: bool = False
+    #: The ``repro simulate`` options this backend reads (``pes``,
+    #: ``ius``, ``group_size``, ``schedule``); the CLI rejects the rest.
+    cli_flags: tuple[str, ...] = ()
     #: Bump whenever this backend's ``simulate`` changes observable
     #: results for the same inputs; every cached entry then misses.
     cache_key_version: int = 1
@@ -207,6 +210,11 @@ class Backend(abc.ABC):
                 jobs=jobs or 1, num_shards=shards,
             )
         return replace(res, workload=name, pattern_names=names)
+
+    def extras(self, result: RunResult, config) -> dict:
+        """Figures of one run that its sweep row keeps beside count and
+        cycles (``ResultRow.extras``); none by default."""
+        return {}
 
     def summary(self, result: RunResult) -> list[str]:
         """Human-readable lines for the CLI ``simulate`` subcommand."""

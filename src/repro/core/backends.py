@@ -39,6 +39,7 @@ class _HardwareBackend(Backend):
 
     unit_field = "num_pes"
     supports_trace = True
+    cli_flags = ("pes", "schedule")
 
     def simulate(
         self,
@@ -55,6 +56,13 @@ class _HardwareBackend(Backend):
             graph, plans, config, memory,
             roots=roots, schedule=schedule, tracer=tracer,
         )
+
+    def extras(self, result: RunResult, config) -> dict:
+        return {
+            "load_imbalance": result.load_imbalance,
+            "task_group_size": result.task_group_size,
+            "shared_miss_rate": result.shared_cache.miss_rate,
+        }
 
     def summary(self, result: RunResult) -> list[str]:
         lines = [
@@ -76,6 +84,7 @@ class FingersBackend(_HardwareBackend):
 
     name = "fingers"
     description = "FINGERS chip timing model (fine-grained parallel PEs)"
+    cli_flags = ("pes", "ius", "group_size", "schedule")
 
     @property
     def config_type(self):
@@ -83,11 +92,18 @@ class FingersBackend(_HardwareBackend):
 
         return FingersConfig
 
+    def extras(self, result: RunResult, config) -> dict:
+        combined = result.combined
+        return {
+            **super().extras(result, config),
+            "iu_active_rate": combined.active_rate(config.num_ius),
+            "iu_balance_rate": combined.balance_rate,
+        }
+
     def config_from_args(self, args):
+        ius = {} if args.ius is None else {"num_ius": args.ius}
         return self.default_config(
-            units=args.pes or 20,
-            num_ius=args.ius,
-            task_group_size=args.group_size,
+            units=args.pes or 20, task_group_size=args.group_size, **ius
         )
 
 
@@ -113,6 +129,7 @@ class SoftwareBackend(Backend):
     name = "software"
     description = "multi-core software miner (work-stealing CPU model)"
     unit_field = "num_cores"
+    cli_flags = ("pes",)
 
     @property
     def config_type(self):
@@ -139,6 +156,9 @@ class SoftwareBackend(Backend):
 
     def config_from_args(self, args):
         return self.default_config(units=args.pes or 8)
+
+    def extras(self, result: RunResult, config) -> dict:
+        return {"load_imbalance": result.load_imbalance}
 
     def summary(self, result: RunResult) -> list[str]:
         lines = [

@@ -1,7 +1,8 @@
 """Workload normalization shared by every backend.
 
 A *workload* names the functional job: a benchmark pattern name
-(including the multi-pattern ``"3mc"`` census), a :class:`Pattern`, a
+(including the multi-pattern ``"3mc"`` census, and ``"<name>:edge"`` for
+a pattern's edge-induced plan, e.g. ``"tt:edge"``), a :class:`Pattern`, a
 pre-compiled :class:`ExecutionPlan`, or a :class:`MultiPlan`.  Backends
 only ever see the normalized ``(name, plans, per-plan names)`` triple,
 so every execution path — chip, software, functional — interprets
@@ -39,5 +40,9 @@ def resolve_workload(
             patterns, names = motif_patterns(3)
             multi = compile_multi_plan(patterns, names=names)
             return "3mc", list(multi.plans), tuple(names)
+        base, _, mode = workload.partition(":")
+        if mode == "edge":
+            plan = compile_plan(named_pattern(base), vertex_induced=False)
+            return workload, [plan], (workload,)
         return workload, [compile_plan(named_pattern(workload))], (workload,)
     raise TypeError(f"cannot interpret workload {workload!r}")

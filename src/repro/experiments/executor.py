@@ -33,12 +33,12 @@ from __future__ import annotations
 import hashlib
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from typing import Callable, Mapping
 
 from repro import sanitize as _sanitize
-from repro.bench.runner import run_backend_cached, runner_stats
+from repro.bench.runner import default_jobs, run_backend_cached, runner_stats
 from repro.bench.workloads import roots_for
 from repro.core.backend import Backend, config_signature, get_backend
 from repro.core.provenance import environment_provenance
@@ -59,6 +59,8 @@ class SweepOutcome:
 
     ``executed`` counts successful cell measurements; ``failed`` counts
     cells isolated into failure rows (both appear in ``rows``).
+    ``keys`` maps every cell of the spec, as expanded, to the cache
+    identity it ran (or resumed) under: the ``cell_key`` of its row.
     """
 
     run: str
@@ -66,6 +68,7 @@ class SweepOutcome:
     resumed: int
     rows: tuple[ResultRow, ...]
     failed: int = 0
+    keys: Mapping[Cell, str] = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -87,6 +90,7 @@ def sanitized_cell_check(
     cell: Cell,
     config: object,
     roots,
+    memory=None,
 ) -> None:
     """Run one cell twice with sanitizer probes armed and compare.
 
@@ -102,7 +106,7 @@ def sanitized_cell_check(
         with _sanitize.capture() as trace:
             results.append(
                 backend.run(
-                    graph, cell.pattern, config,
+                    graph, cell.pattern, config, memory=memory,
                     roots=roots, schedule=cell.schedule, jobs=cell.jobs,
                 )
             )
@@ -126,6 +130,12 @@ def sanitized_cell_check(
             )
             + "\n  ".join(problems)
         )
+
+
+def _stamped(provenance: Mapping) -> dict:
+    """``provenance`` plus the UTC timestamp of this row."""
+    now = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return {**provenance, "timestamp": now}
 
 
 def _error_record(exc: BaseException, attempt: int) -> dict:
@@ -206,17 +216,33 @@ def run_sweep(
     resumed = 0
     failed = 0
     rows: list[ResultRow] = []
-    for cell in cells:
+    keys: dict[Cell, str] = {}
+    for spec_cell in cells:
+        # jobs=0 in a spec runs the process default model (configure's
+        # jobs), so resolve it: the row and its key name what runs.
+        cell = spec_cell
+        if cell.jobs is None and default_jobs() is not None:
+            cell = replace(cell, jobs=default_jobs())
         if cell.graph not in loaded:
             loaded[cell.graph] = load_dataset(cell.graph)
         graph = loaded[cell.graph]
         backend = get_backend(cell.backend)
         config = spec.config_for(cell)
+        memory = spec.memory_for(cell)
+        signature = config_signature(config)
+        if memory is not None:
+            signature += " + " + config_signature(memory)
         roots = roots_for(cell.graph, graph)
         cell_key = backend.cache_key(
             graph, cell.pattern, config,
-            roots=roots, schedule=cell.schedule,
+            memory=memory, roots=roots, schedule=cell.schedule,
             model="single-chip" if cell.jobs is None else "sharded",
+        )
+        keys[spec_cell] = cell_key
+        identity = dict(
+            run=run_name, cell_key=cell_key, pattern=cell.pattern,
+            graph=cell.graph, backend=cell.backend, policy=cell.policy,
+            jobs=cell.jobs, schedule=cell.schedule, config_signature=signature,
         )
         if cell_key in seen:
             resumed += 1
@@ -239,91 +265,56 @@ def run_sweep(
             if faults.plan_active():
                 faults.inject("cell", cell_key, attempt)
             if sanitizing:
-                sanitized_cell_check(backend, graph, cell, config, roots)
+                sanitized_cell_check(
+                    backend, graph, cell, config, roots, memory=memory
+                )
             result = run_backend_cached(
                 backend, graph, cell.graph, cell.pattern, config,
-                roots=roots, schedule=cell.schedule, jobs=cell.jobs,
-                disk=disk,
+                memory=memory, roots=roots, schedule=cell.schedule,
+                jobs=cell.jobs, disk=disk,
             )
         except _sanitize.SanitizerError:
             # Determinism violations poison the run; never isolate.
             raise
         except Exception as exc:
-            wall_time = time.perf_counter() - start
-            label = f"{cell.pattern}/{cell.graph}/{cell.backend}"
             if not isolate:
-                raise CellFailed(label, attempts=attempt + 1) from exc
+                raise CellFailed(cell.label, attempts=attempt + 1) from exc
             row = ResultRow(
-                run=run_name,
-                cell_key=cell_key,
-                pattern=cell.pattern,
-                graph=cell.graph,
-                backend=cell.backend,
-                policy=cell.policy,
-                jobs=cell.jobs,
-                schedule=cell.schedule,
-                config_signature=config_signature(config),
-                wall_time_s=wall_time,
+                **identity,
+                wall_time_s=time.perf_counter() - start,
                 status="failed",
                 error=_error_record(exc, attempt + 1),
-                provenance={
-                    **shared_provenance,
-                    "timestamp": datetime.now(timezone.utc).isoformat(
-                        timespec="seconds"
-                    ),
-                },
+                provenance=_stamped(shared_provenance),
             )
-            store.append(row)
-            seen.add(cell_key)
             prior_failures[cell_key] = attempt + 1
-            rows.append(row)
             failed += 1
-            if progress is not None:
-                progress(cell, "fail")
-            continue
-        wall_time = time.perf_counter() - start
-        stats_after = runner_stats()
-        kernels_after = kernel_counters()
-        retry_delta = _pool.retry_stats().delta(retry_before)
-
-        row = ResultRow(
-            run=run_name,
-            cell_key=cell_key,
-            pattern=cell.pattern,
-            graph=cell.graph,
-            backend=cell.backend,
-            policy=cell.policy,
-            jobs=cell.jobs,
-            schedule=cell.schedule,
-            workload=result.workload,
-            config_signature=config_signature(config),
-            count=result.count,
-            counts=tuple(int(c) for c in result.counts),
-            cycles=float(result.cycles),
-            wall_time_s=wall_time,
-            retry=retry_delta.as_dict() if retry_delta.recovered else {},
-            dispatch=_counter_delta(kernels_before, kernels_after),
-            cache={
-                "memo_hits": stats_after.memo_hits - stats_before.memo_hits,
-                "disk_hits": stats_after.disk_hits - stats_before.disk_hits,
-                "simulate_calls": (
-                    stats_after.simulate_calls - stats_before.simulate_calls
-                ),
-            },
-            provenance={
-                **shared_provenance,
-                "timestamp": datetime.now(timezone.utc).isoformat(
-                    timespec="seconds"
-                ),
-            },
-        )
+        else:
+            wall_time = time.perf_counter() - start
+            stats_after = runner_stats()
+            retry_delta = _pool.retry_stats().delta(retry_before)
+            row = ResultRow(
+                **identity,
+                workload=result.workload,
+                count=result.count,
+                counts=tuple(int(c) for c in result.counts),
+                cycles=float(result.cycles),
+                wall_time_s=wall_time,
+                extras=backend.extras(result, config),
+                retry=retry_delta.as_dict() if retry_delta.recovered else {},
+                dispatch=_counter_delta(kernels_before, kernel_counters()),
+                cache={
+                    name: getattr(stats_after, name) - getattr(stats_before, name)
+                    for name in ("memo_hits", "disk_hits", "simulate_calls")
+                },
+                provenance=_stamped(shared_provenance),
+            )
+            executed += 1
         store.append(row)
         seen.add(cell_key)
         rows.append(row)
-        executed += 1
         if progress is not None:
-            progress(cell, "run")
+            progress(cell, "run" if row.ok else "fail")
     return SweepOutcome(
         run=run_name, executed=executed, resumed=resumed, rows=tuple(rows),
-        failed=failed,
+        failed=failed, keys=keys,
     )

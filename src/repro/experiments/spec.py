@@ -25,6 +25,13 @@ TOML layout (see ``examples/sweeps/smoke.toml``)::
     [[configs.functional]]
     name = "recursive"
     engine = "recursive"
+
+A ``fingers`` or ``flexminer`` variant may carry a ``memory`` table of
+:class:`~repro.hw.config.MemoryConfig` fields (its ``noc`` a table of
+:class:`~repro.hw.noc.NoCConfig` fields); the cell then runs on that
+memory system, and the memory is part of its cache identity.  A
+pattern name ``"<name>:edge"`` (``"tt:edge"``) selects the pattern's
+edge-induced plan (:func:`repro.core.workload.resolve_workload`).
 """
 
 from __future__ import annotations
@@ -94,8 +101,9 @@ class Cell:
 class SweepSpec:
     """A validated sweep: construct via :func:`load_spec`, not directly.
 
-    ``jobs`` uses ``0`` for the single-chip (unsharded) model, matching
-    the TOML surface where ``None`` cannot be written.
+    ``jobs`` uses ``0`` for the process default model (single-chip
+    unless ``configure(jobs=N)`` / ``--jobs N`` set one), matching the
+    TOML surface where ``None`` cannot be written.
     """
 
     name: str
@@ -142,7 +150,31 @@ class SweepSpec:
         from repro.core.backend import get_backend
 
         overrides = self._variants(cell.backend)[cell.policy]
-        return get_backend(cell.backend).config_type(**overrides)
+        return _build(
+            get_backend(cell.backend).config_type,
+            {k: v for k, v in overrides.items() if k != "memory"},
+        )
+
+    def memory_for(self, cell: Cell):
+        """The cell's :class:`~repro.hw.config.MemoryConfig`, or ``None``
+        (the model's default memory system) when its variant has no
+        ``memory`` table."""
+        from repro.hw.config import MemoryConfig
+
+        table = self._variants(cell.backend)[cell.policy].get("memory")
+        return None if table is None else _build(MemoryConfig, table)
+
+
+def _build(config_type, overrides):
+    """``config_type(**overrides)``, building a dataclass-valued field
+    (the memory table's ``noc``) from a nested table."""
+    kwargs = dict(overrides)
+    for f in dataclasses.fields(config_type):
+        if isinstance(kwargs.get(f.name), Mapping) and (
+            dataclasses.is_dataclass(f.default)
+        ):
+            kwargs[f.name] = _build(type(f.default), kwargs[f.name])
+    return config_type(**kwargs)
 
 
 def _check_names(problems, label, values, known, *, hint=""):
@@ -167,9 +199,25 @@ def _check_overrides(problems, label, config_type, overrides):
     if unknown:
         return
     try:
-        config_type(**overrides)
+        _build(config_type, overrides)
     except (TypeError, ValueError) as exc:
         problems.append(f"{label} {exc}")
+
+
+def _check_memory(problems, label, backend_name, memory):
+    """Check one variant's ``memory`` table: the two chip models share
+    one memory-system description; the other backends take none."""
+    from repro.hw.config import MemoryConfig
+
+    if backend_name not in ("fingers", "flexminer"):
+        problems.append(
+            f"{label} memory: only the fingers and flexminer chip models "
+            f"take a memory table, not {backend_name}"
+        )
+    elif not isinstance(memory, Mapping):
+        problems.append(f"{label} memory must be a table of MemoryConfig fields")
+    else:
+        _check_overrides(problems, f"{label} memory", MemoryConfig, memory)
 
 
 def _config_variants(problems, label, entry):
@@ -283,7 +331,7 @@ def load_spec(
     ) or not jobs:
         problems.append(
             "sweep.jobs must be a non-empty list of ints >= 0 "
-            "(0 = unsharded single-chip model)"
+            "(0 = the process default model)"
         )
         jobs = (0,)
     schedules = _strings(
@@ -317,7 +365,13 @@ def load_spec(
             where = label if isinstance(entry, Mapping) else (
                 f"[{label}] {variant!r}"
             )
-            _check_overrides(problems, where, config_type, overrides)
+            memory = overrides.get("memory")
+            if memory is not None:
+                _check_memory(problems, where, backend_name, memory)
+            _check_overrides(
+                problems, where, config_type,
+                {k: v for k, v in overrides.items() if k != "memory"},
+            )
         clean_configs[backend_name] = variants
 
     if problems:

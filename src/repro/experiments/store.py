@@ -1,12 +1,12 @@
 """The schema'd result store: versioned JSONL, one file per run.
 
-Every measurement the experiment executor (or the legacy-results
-migration) produces becomes one :class:`ResultRow` appended to
-``<store>/<run>.jsonl``.  Rows are self-describing: each line carries
-``schema`` (:data:`STORE_SCHEMA_VERSION`) plus full provenance — git
-hash, config signature, hostname, python/numpy versions, timestamp — so
-any number in a generated report traces back to the commit and machine
-that produced it (docs/BENCHMARKS.md, "Row schema").
+Every measurement the experiment executor produces becomes one
+:class:`ResultRow` appended to ``<store>/<run>.jsonl``.  Rows are
+self-describing: each line carries ``schema``
+(:data:`STORE_SCHEMA_VERSION`) plus full provenance — git hash, config
+signature, hostname, python/numpy versions, timestamp — so any number
+in a generated report traces back to the commit and machine that
+produced it (docs/BENCHMARKS.md, "Row schema").
 
 Append-only JSONL keeps the store diff-friendly in git and makes the
 executor interrupt-safe: a killed sweep has complete rows for every
@@ -169,14 +169,6 @@ class ResultStore:
                 rows.append(row)
         return rows
 
-    def keys(self, run: str) -> set[str]:
-        """The cache identities already measured in one run (empty set
-        for an absent run — resuming into a fresh run is not an error)."""
-        try:
-            return {row.cell_key for row in self.load(run)}
-        except FileNotFoundError:
-            return set()
-
     def statuses(self, run: str) -> dict[str, str]:
         """Last-row-wins status per cell identity (empty for an absent
         run).  This is what resume decisions read: a cell whose latest
@@ -199,9 +191,6 @@ class ResultStore:
             if row.status == "failed":
                 counts[row.cell_key] = counts.get(row.cell_key, 0) + 1
         return counts
-
-    def has(self, run: str, cell_key: str) -> bool:
-        return cell_key in self.keys(run)
 
     def delete(self, run: str) -> bool:
         """Remove one run file; returns whether it existed."""

@@ -5,7 +5,9 @@ import argparse
 import pytest
 
 import repro.bench
+from repro.bench.runner import clear_cache, configure, reset_stats
 from repro.cli import build_parser, main
+from repro.resilience import faults
 
 
 def _bench_choices(parser):
@@ -92,3 +94,56 @@ class TestMain:
     def test_retired_spellings_rejected(self, argv):
         with pytest.raises(SystemExit):
             main(["bench", *argv])
+
+
+class TestPaperRuns:
+    """``repro bench`` runs each figure's specs into ``paper-<name>``."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv(faults.ENV_VAR, raising=False)
+        clear_cache()
+        yield
+        faults.clear()
+        clear_cache()
+        reset_stats()
+        configure(jobs=None, disk_cache=True)
+
+    def _run(self, *flags):
+        return main(["bench", "sensitivity_hit_latency", *flags])
+
+    def _rows(self, tmp_path):
+        store = tmp_path / "results" / "store"
+        return (store / "paper-sensitivity_hit_latency.jsonl").read_text(
+        ).splitlines()
+
+    def test_failed_cell_exits_nonzero_and_names_it(self, capsys):
+        faults.install("fail:cell=1")
+        assert self._run() == 1
+        out, err = capsys.readouterr()
+        assert "nan" not in out
+        assert err.startswith(
+            "error: sensitivity_hit_latency: cell 'tc/As/fingers/v2' failed"
+        )
+
+    def test_warm_rerun_resumes_and_no_cache_replaces(self, tmp_path,
+                                                      capsys):
+        def text(out):
+            return out.split(" ===\n", 1)[1].split("\n\nrun cache:")[0]
+
+        assert self._run() == 0
+        cold = capsys.readouterr().out
+        rows = self._rows(tmp_path)
+        assert len(rows) == 10
+        clear_cache()
+        assert self._run() == 0
+        warm = capsys.readouterr().out
+        assert text(warm) == text(cold)
+        assert "run cache: 0 memo hits, 0 disk hits, 0 simulator calls" in warm
+        assert self._rows(tmp_path) == rows  # nothing appended
+        assert self._run("--no-cache") == 0
+        assert "10 simulator calls" in capsys.readouterr().out
+        fresh = self._rows(tmp_path)
+        assert len(fresh) == 10 and fresh != rows  # replaced, not appended

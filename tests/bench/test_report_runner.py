@@ -13,7 +13,9 @@ from repro.bench import (
     geometric_mean,
     roots_for,
 )
-from repro.bench.runner import clear_cache, run_cached, run_pair
+from repro.bench.paper import speedup
+from repro.bench.runner import clear_cache, run_backend_cached
+from repro.experiments import ResultRow
 from repro.graph import erdos_renyi
 from repro.hw.api import FingersConfig, FlexMinerConfig
 
@@ -92,29 +94,44 @@ class TestRunnerCache:
     def test_cache_hit_returns_same_object(self):
         g = erdos_renyi(30, 0.3, seed=1)
         cfg = FingersConfig(num_pes=1)
-        a = run_cached(g, "tiny", "tc", cfg)
-        b = run_cached(g, "tiny", "tc", cfg)
+        a = run_backend_cached("fingers", g, "tiny", "tc", cfg)
+        b = run_backend_cached("fingers", g, "tiny", "tc", cfg)
         assert a is b
 
     def test_different_config_misses(self):
         g = erdos_renyi(30, 0.3, seed=1)
-        a = run_cached(g, "tiny", "tc", FingersConfig(num_pes=1))
-        b = run_cached(g, "tiny", "tc", FingersConfig(num_pes=2))
+        a = run_backend_cached("fingers", g, "tiny", "tc", FingersConfig(num_pes=1))
+        b = run_backend_cached("fingers", g, "tiny", "tc", FingersConfig(num_pes=2))
         assert a is not b
 
     def test_run_pair_speedup_positive(self):
         g = erdos_renyi(40, 0.25, seed=2)
-        pair = run_pair(
-            g, "tiny", "tc",
-            FingersConfig(num_pes=1), FlexMinerConfig(num_pes=1),
+        ours = run_backend_cached(
+            "fingers", g, "tiny", "tc", FingersConfig(num_pes=1)
         )
-        assert pair.speedup > 0
-        assert pair.ours.counts == pair.baseline.counts
+        baseline = run_backend_cached(
+            "flexminer", g, "tiny", "tc", FlexMinerConfig(num_pes=1)
+        )
+        assert ours.counts == baseline.counts
+        assert ours.speedup_over(baseline) > 0
 
     def test_clear_cache(self):
         g = erdos_renyi(30, 0.3, seed=1)
         cfg = FingersConfig(num_pes=1)
-        a = run_cached(g, "tiny", "tc", cfg)
+        a = run_backend_cached("fingers", g, "tiny", "tc", cfg)
         clear_cache()
-        b = run_cached(g, "tiny", "tc", cfg)
+        b = run_backend_cached("fingers", g, "tiny", "tc", cfg)
         assert a is not b
+
+
+class TestRowSpeedup:
+    def _row(self, counts, cycles):
+        return ResultRow(run="r", cell_key="k", pattern="tc", graph="g",
+                         backend="fingers", counts=counts, cycles=cycles)
+
+    def test_ratio_of_cycles(self):
+        assert speedup(self._row((3,), 10.0), self._row((3,), 25.0)) == 2.5
+
+    def test_refuses_different_counts(self):
+        with pytest.raises(ValueError, match="different functional results"):
+            speedup(self._row((3,), 10.0), self._row((4,), 25.0))

@@ -15,15 +15,15 @@ class TestSensitivityUnits:
         result = sensitivity_dram_latency(
             latencies=(100, 400), graph_name="As", pattern="tc"
         )
-        assert set(result.speedups) == {100, 400}
-        assert all(v > 0 for v in result.speedups.values())
+        assert set(result.data) == {100, 400}
+        assert all(v > 0 for v in result.data.values())
         assert "Sensitivity" in result.render()
 
     def test_hit_two_points(self):
         result = sensitivity_hit_latency(
             latencies=(4, 16), graph_name="As", pattern="tc"
         )
-        assert result.speedups[4] > 1.0
+        assert result.data[4] > 1.0
         rows = result.render().splitlines()
         assert len(rows) >= 4
 

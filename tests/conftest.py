@@ -16,18 +16,29 @@ from repro.graph import (
 )
 
 
+def _session_env(tmp_path_factory, variable):
+    previous = os.environ.get(variable)
+    os.environ[variable] = str(tmp_path_factory.mktemp(variable.lower()))
+    yield
+    if previous is None:
+        os.environ.pop(variable, None)
+    else:
+        os.environ[variable] = previous
+
+
 @pytest.fixture(autouse=True, scope="session")
 def _isolated_result_cache(tmp_path_factory):
     """Point the persistent result cache at a per-session temp dir so the
     test suite never reads or pollutes the user's ``~/.cache/repro``."""
-    directory = tmp_path_factory.mktemp("repro-cache")
-    previous = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(directory)
-    yield
-    if previous is None:
-        os.environ.pop("REPRO_CACHE_DIR", None)
-    else:
-        os.environ["REPRO_CACHE_DIR"] = previous
+    yield from _session_env(tmp_path_factory, "REPRO_CACHE_DIR")
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _isolated_results_dir(tmp_path_factory):
+    """Point the results directory (the experiment store and reports)
+    at a per-session temp dir, so no test appends to the committed
+    ``benchmarks/results/store``."""
+    yield from _session_env(tmp_path_factory, "REPRO_RESULTS_DIR")
 
 
 @pytest.fixture

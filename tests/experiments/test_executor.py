@@ -139,3 +139,58 @@ class TestRunSweep:
         )
         assert outcome.run == "renamed"
         assert store.runs() == ["renamed"]
+
+
+class TestModelAndMemory:
+    def test_process_jobs_default_names_the_sharded_model(self, tmp_path):
+        # A spec's jobs=0 under configure(jobs=2) runs the sharded
+        # model; its row must say so, and must not resume a later
+        # single-chip run of the same cell (or the reverse).
+        from repro.graph import barabasi_albert
+
+        graphs = {"ba": barabasi_albert(200, 5, seed=1)}
+        spec = load_spec({
+            "sweep": {"name": "jobs-model", "patterns": ["tc"],
+                      "graphs": ["ba"], "backends": ["fingers"]},
+            "configs": {"fingers": {"num_pes": 4}},
+        }, available_graphs=["ba"])
+        store = ResultStore(tmp_path / "store")
+        configure(jobs=2)
+        sharded = run_sweep(spec, store=store, graphs=graphs)
+        configure(jobs=None)
+        plain = run_sweep(spec, store=store, graphs=graphs)
+        assert plain.executed == 1 and plain.resumed == 0
+        (s_row,), (p_row,) = sharded.rows, plain.rows
+        assert (s_row.jobs, p_row.jobs) == (2, None)
+        assert s_row.cell_key != p_row.cell_key
+        assert p_row.cycles == pytest.approx(6588.0, abs=0.05)
+        assert s_row.cycles == pytest.approx(1817.3, abs=0.05)
+        assert s_row.counts == p_row.counts
+        # The outcome maps the spec's cell to the key it ran under.
+        (cell,) = spec.expand()
+        assert sharded.keys[cell] == s_row.cell_key
+        assert plain.keys[cell] == p_row.cell_key
+
+    def test_memory_variant_is_its_own_cell(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        spec = load_spec({
+            "sweep": {"name": "mem", "patterns": ["tc"], "graphs": ["tiny"],
+                      "backends": ["fingers"]},
+            "configs": {"fingers": [
+                {"name": "fast", "num_pes": 1},
+                {"name": "slow", "num_pes": 1,
+                 "memory": {"dram_latency": 2000,
+                            "shared_cache_bytes": 64}},
+            ]},
+        }, available_graphs=["tiny"])
+        fast, slow = run_sweep(spec, store=store, graphs=GRAPHS).rows
+        assert fast.cell_key != slow.cell_key
+        assert fast.counts == slow.counts
+        assert slow.cycles > fast.cycles
+        assert "MemoryConfig(" in slow.config_signature
+        assert "MemoryConfig(" not in fast.config_signature
+        assert slow.extras["shared_miss_rate"] > fast.extras["shared_miss_rate"]
+        assert set(fast.extras) == {
+            "load_imbalance", "task_group_size", "shared_miss_rate",
+            "iu_active_rate", "iu_balance_rate",
+        }

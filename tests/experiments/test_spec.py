@@ -302,3 +302,60 @@ class TestSpecFiles:
         path.write_text("[sweep]\nname = 'x'\n", encoding="utf-8")
         with pytest.raises(SpecError, match="3.11"):
             load_spec_file(path)
+
+
+class TestMemoryAndEdgeGrammar:
+    """The two spec forms the paper figures need: a chip variant's
+    ``memory`` table and the ``<pattern>:edge`` workload name."""
+
+    def _chips(self, fingers, backends=("fingers",), **sweep):
+        return _minimal(
+            sweep={"backends": list(backends), **sweep},
+            configs={backends[0]: fingers},
+        )
+
+    def test_memory_variant_builds_memory_config(self):
+        from repro.hw.api import MemoryConfig
+        from repro.hw.noc import NoCConfig
+
+        spec = load_spec(self._chips([
+            {"name": "slow", "num_pes": 1, "memory": {"dram_latency": 800}},
+            {"name": "narrow", "num_pes": 1,
+             "memory": {"noc": {"bytes_per_cycle": 2.0}}},
+            {"name": "plain", "num_pes": 1},
+        ]))
+        slow, narrow, plain = spec.expand()
+        assert spec.memory_for(slow) == MemoryConfig(dram_latency=800)
+        assert spec.memory_for(narrow) == MemoryConfig(
+            noc=NoCConfig(bytes_per_cycle=2.0)
+        )
+        assert spec.memory_for(plain) is None
+        assert spec.config_for(slow) == FingersConfig(num_pes=1)
+
+    def test_unknown_memory_field_rejected(self):
+        with pytest.raises(SpecError, match=r"memory unknown field 'dram'"):
+            load_spec(self._chips({"memory": {"dram": 1}}))
+        with pytest.raises(SpecError, match=r"memory .*bandwidth"):
+            load_spec(self._chips({"memory": {"noc": {"bandwidth": 1}}}))
+
+    def test_memory_not_a_table_rejected(self):
+        with pytest.raises(SpecError, match="memory must be a table"):
+            load_spec(self._chips({"memory": 4}))
+
+    @pytest.mark.parametrize("backend", ["functional", "software"])
+    def test_memory_only_on_chip_models(self, backend):
+        data = self._chips(
+            {"memory": {"dram_latency": 50}}, backends=(backend,)
+        )
+        with pytest.raises(SpecError, match=rf"only the fingers and "
+                                            rf"flexminer .* not {backend}"):
+            load_spec(data)
+
+    def test_edge_workload_name(self):
+        spec = load_spec(_minimal(sweep={"patterns": ["tt", "tt:edge"]}))
+        assert [c.pattern for c in spec.expand()] == ["tt", "tt:edge"]
+
+    @pytest.mark.parametrize("pattern", ["zz:edge", "tt:vertex", "3mc:edge"])
+    def test_bad_edge_workload_rejected(self, pattern):
+        with pytest.raises(SpecError, match=rf"pattern '{pattern}'"):
+            load_spec(_minimal(sweep={"patterns": [pattern]}))

@@ -81,13 +81,12 @@ class TestStore:
         with pytest.raises(FileNotFoundError, match="r1"):
             store.load("nope")
 
-    def test_keys_and_has(self, tmp_path):
+    def test_statuses_last_row_wins(self, tmp_path):
         store = ResultStore(tmp_path)
-        assert store.keys("r1") == set()  # absent run is not an error
+        assert store.statuses("r1") == {}  # absent run is not an error
+        store.append(_row(status="failed"))
         store.append(_row())
-        assert store.keys("r1") == {"key-1"}
-        assert store.has("r1", "key-1")
-        assert not store.has("r1", "key-2")
+        assert store.statuses("r1") == {"key-1": "ok"}
 
     def test_run_names_are_validated(self, tmp_path):
         store = ResultStore(tmp_path)

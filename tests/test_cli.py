@@ -192,6 +192,28 @@ def test_numeric_flags_must_be_positive(argv, capsys):
     assert errors == [f"repro {command}: error: argument {flag}: must be >= 1"]
 
 
+@pytest.mark.parametrize("design, flag", [
+    ("functional", "--pes"),
+    ("functional", "--ius"),
+    ("functional", "--group-size"),
+    ("functional", "--schedule"),
+    ("software", "--ius"),
+    ("software", "--group-size"),
+    ("software", "--schedule"),
+    ("flexminer", "--ius"),
+    ("flexminer", "--group-size"),
+])
+def test_simulate_rejects_flags_the_design_ignores(design, flag, capsys):
+    """A flag the chosen backend does not read is an error (exit 2, one
+    line naming the flag), never silently dropped."""
+    value = "dynamic" if flag == "--schedule" else "2"
+    argv = ["simulate", "tc", "--dataset", "As", "--design", design]
+    assert main([*argv, flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: the {design} backend does not read {flag}\n"
+
+
 class TestValidateCommand:
     def test_validate_consistent(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
