@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-fast bench bench-cli bench-sweep bench-engine bench-autotune tune-smoke examples clean loc lint lint-flow chaos check
+.PHONY: install test test-fast bench bench-cli bench-sweep bench-engine examples clean loc lint lint-flow chaos check
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -33,23 +33,6 @@ bench-sweep:
 bench-engine:
 	$(PYTHON) -m repro exp run examples/sweeps/engine_frontier.toml
 	$(PYTHON) -m repro exp report engine-frontier
-
-# Input-aware auto-tuner (docs/TUNING.md): warm the tuned-choice store
-# for the er300 cells, then sweep default vs tuned policies uncached so
-# tuned wall times exclude trial cost; rows land under "engine-autotune"
-# and the report's policy-speedup table shows tuned/default ratios.
-bench-autotune:
-	$(PYTHON) -m repro tune tt --dataset er300
-	$(PYTHON) -m repro tune cyc --dataset er300
-	$(PYTHON) -m repro tune house --dataset er300
-	$(PYTHON) -m repro exp run examples/sweeps/engine_autotune.toml --no-cache
-	$(PYTHON) -m repro exp report engine-autotune
-
-# Auto-tuner persistence gate: cold-store tune must run trials, the
-# second invocation must reuse the persisted choice with zero re-trials
-# (docs/TUNING.md, "Persistence and invalidation").
-tune-smoke:
-	$(PYTHON) tools/tune_smoke.py
 
 examples:
 	$(PYTHON) examples/quickstart.py

@@ -86,12 +86,9 @@ def cache_dir() -> Path:
 
 
 def graph_fingerprint(graph: CSRGraph) -> str:
-    """Content hash of a graph's full CSR arrays."""
-    h = hashlib.sha256()
-    h.update(graph.indptr.tobytes())
-    h.update(b"|")
-    h.update(graph.indices.tobytes())
-    return h.hexdigest()
+    """Content hash of a graph's full CSR arrays (memoized per instance,
+    :meth:`~repro.graph.csr.CSRGraph.fingerprint`)."""
+    return graph.fingerprint()
 
 
 def roots_fingerprint(roots: Iterable[int] | None) -> str:

@@ -21,13 +21,13 @@ Subcommands
 ``lint``       Static determinism/parallel-safety linter (docs/ANALYSIS.md).
 ``lint-flow``  Whole-program dataflow analyzer (docs/ANALYSIS.md Tier C).
 ``lint-plan``  Statically verify compiled execution plans.
-``tune``       Measure and persist the tuned vertex order for one
-               (pattern, graph) cell (docs/TUNING.md).
 
 ``count``, ``simulate``, ``compare``, and ``bench`` accept ``--jobs N``
 (shard search-tree roots over N worker processes; results are identical
 for every N — see docs/PARALLELISM.md) and ``--no-cache`` (bypass the
 persistent result cache in ``REPRO_CACHE_DIR``/``~/.cache/repro``).
+A ``--file`` that is missing, not a file or not a valid edge list exits
+2 with one ``error:`` line.
 
 Examples::
 
@@ -36,7 +36,6 @@ Examples::
     python -m repro plan tt
     python -m repro compare cyc --dataset As --pes 1 --jobs 4
     python -m repro bench table1 table2
-    python -m repro tune tt --dataset Mi
     python -m repro exp run examples/sweeps/smoke.toml
     python -m repro exp report smoke
     python -m repro exp diff kernels-baseline kernels-current
@@ -72,10 +71,19 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--file", help="SNAP-style edge-list file")
 
 
+class _InputError(Exception):
+    """An unreadable ``--file``: ``main`` prints it and exits 2."""
+
+
 def _load_graph(args: argparse.Namespace):
     if args.dataset:
         return load_dataset(args.dataset)
-    return load_edge_list(args.file)
+    try:
+        return load_edge_list(args.file)
+    except OSError as exc:
+        raise _InputError(f"{args.file}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise _InputError(str(exc)) from None
 
 
 def _graph_label(args: argparse.Namespace) -> str:
@@ -197,25 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser(
         "backends",
         help="list registered execution backends (repro.core registry)",
-    )
-
-    p = sub.add_parser(
-        "tune",
-        help="measure & persist the tuned vertex order for one "
-             "(pattern, graph) cell (docs/TUNING.md)",
-    )
-    p.add_argument("pattern", help="benchmark pattern name (tc, 4cl, tt, ...)")
-    _add_graph_args(p)
-    p.add_argument(
-        "--edge-induced", action="store_true", help="edge-induced semantics"
-    )
-    p.add_argument(
-        "--force", action="store_true",
-        help="re-run measured trials even when the store already holds "
-             "a choice for this cell",
-    )
-    p.add_argument(
-        "--json", action="store_true", help="machine-readable output"
     )
 
     p = sub.add_parser(
@@ -457,62 +446,6 @@ def _cmd_backends(args) -> int:
         backend = get_backend(name)
         print(f"{name:12s} config={backend.config_type.__name__:16s} "
               f"key=v{backend.cache_key_version}  {backend.description}")
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    import json as _json
-
-    from repro.mining.api import plan_for
-    from repro.tuning import reset_tuning_stats, tune_plan, tuning_stats
-
-    graph = _load_graph(args)
-    plan = plan_for(args.pattern, vertex_induced=not args.edge_induced)
-    reset_tuning_stats()
-    choice = tune_plan(graph, plan, force=args.force)
-    stats = tuning_stats()
-    if stats.tuned_cells:
-        source = "trial"
-    elif stats.store_hits:
-        source = "store"
-    elif stats.memo_hits:
-        source = "memo"
-    else:
-        source = "trivial"
-    if args.json:
-        print(_json.dumps({
-            "pattern": args.pattern,
-            "graph": _graph_label(args),
-            "source": source,
-            "candidate": choice.candidate_label,
-            "order": list(choice.order),
-            "trials": choice.trials,
-            "sample_size": choice.sample_size,
-            "reference_seconds": choice.reference_seconds,
-            "chosen_seconds": choice.chosen_seconds,
-            "speedup": choice.speedup,
-            "stats": stats.as_dict(),
-        }, indent=2))
-        return 0
-    print(f"pattern:   {args.pattern} "
-          f"({'edge' if args.edge_induced else 'vertex'}-induced)")
-    print(f"graph:     {_graph_label(args)}")
-    print(f"source:    {source}")
-    print(f"candidate: {choice.candidate_label}")
-    print(f"order:     {'-'.join(str(v) for v in choice.order)}")
-    if source == "trial":
-        print(f"trials:    {choice.trials} "
-              f"(final sample: {choice.sample_size} roots)")
-    else:
-        print(f"trials:    0 this run (choice decided by {choice.trials} "
-              f"stored trials; --force re-measures)")
-    if choice.trials:
-        print(f"speedup:   {choice.speedup:.2f}x over the reference "
-              f"({choice.reference_seconds * 1e3:.1f} ms -> "
-              f"{choice.chosen_seconds * 1e3:.1f} ms)")
-    if stats.rejected_candidates:
-        print(f"rejected:  {stats.rejected_candidates} candidate(s) with "
-              f"diverging per-root sequences")
     return 0
 
 
@@ -789,7 +722,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "bench": _cmd_bench,
     "backends": _cmd_backends,
-    "tune": _cmd_tune,
     "cache": _cmd_cache,
     "exp": _cmd_exp,
     "lint": _cmd_lint,
@@ -817,7 +749,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: unknown pattern {pattern!r}; known: "
                   f"{', '.join(known)}", file=sys.stderr)
             return 2
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -150,15 +150,6 @@ class Backend(abc.ABC):
         """Build a configuration from CLI ``simulate`` arguments."""
         return self.default_config(units=getattr(args, "pes", None))
 
-    def prepare(self, graph, plans, config) -> None:
-        """Driver-side hook run once per :meth:`run`, before any fan-out.
-
-        Backends whose configuration needs per-(graph, plan) resolution
-        — e.g. the functional backend warming the tuned-choice store so
-        sharded workers resolve ``tuned=True`` policies from disk
-        instead of re-trialing — override this.  The default is a no-op.
-        """
-
     def run(
         self,
         graph,
@@ -188,7 +179,6 @@ class Backend(abc.ABC):
             roots = graph.check_roots(roots)
         if config is None:
             config = self.default_config()
-        self.prepare(graph, plans, config)
         if jobs is None and shards is None:
             res = self.simulate(
                 graph, plans, config,

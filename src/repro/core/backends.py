@@ -177,7 +177,8 @@ class FunctionalBackend(Backend):
     """The pure reference engine: exact counts, no timing model.
 
     Its config is :class:`~repro.setops.kernels.KernelPolicy`: the
-    engine (frontier or the recursive oracle) and the tuner opt-in.
+    engine (frontier or the recursive oracle).  Each plan runs as
+    compiled.
     """
 
     name = "functional"
@@ -214,19 +215,6 @@ class FunctionalBackend(Backend):
             cycles=0.0,
             counts=counts,
         )
-
-    def prepare(self, graph, plans, config) -> None:
-        """Warm the tuned-choice store at the driver for tuned runs.
-
-        Sharded workers then resolve ``KernelPolicy(tuned=True)`` with a
-        store hit apiece instead of each re-running measured trials.
-        """
-        if not config.tuned:
-            return
-        from repro.tuning import tune_plan
-
-        for plan in plans:
-            tune_plan(graph, plan, config)
 
     def summary(self, result: RunResult) -> list[str]:
         lines = [

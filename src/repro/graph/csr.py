@@ -12,6 +12,7 @@ The mining algorithms in this repository rely on two invariants that
 
 from __future__ import annotations
 
+import hashlib
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -49,7 +50,7 @@ class CSRGraph:
         "_indices",
         "_edge_key_cache",
         "_adj_bitmap_cache",
-        "_signature_cache",
+        "_fingerprint_cache",
     )
 
     def __init__(
@@ -69,9 +70,7 @@ class CSRGraph:
         self._indices = indices
         self._edge_key_cache: np.ndarray | None = None
         self._adj_bitmap_cache: np.ndarray | None = None
-        #: Memoized tuning signature (repro.tuning.signature) — derived
-        #: data only, computed at most once per graph instance.
-        self._signature_cache: object | None = None
+        self._fingerprint_cache: str | None = None
 
     @staticmethod
     def _validate(indptr: np.ndarray, indices: np.ndarray) -> None:
@@ -261,6 +260,22 @@ class CSRGraph:
     # Dunder / misc
     # ------------------------------------------------------------------
 
+    def fingerprint(self) -> str:
+        """SHA-256 over ``indptr | indices``: the content hash cache keys
+        name a graph by (:func:`repro.cache.graph_fingerprint`).
+
+        Memoized per instance, which the read-only arrays make safe.
+        """
+        cached = self._fingerprint_cache
+        if cached is None:
+            h = hashlib.sha256()
+            h.update(self._indptr.tobytes())
+            h.update(b"|")
+            h.update(self._indices.tobytes())
+            cached = h.hexdigest()
+            self._fingerprint_cache = cached
+        return cached
+
     def __getstate__(self):
         # The memoized tables are derived data and can be large; rebuild
         # them lazily on the receiving side instead of shipping them to
@@ -275,7 +290,7 @@ class CSRGraph:
         self._indices = indices
         self._edge_key_cache = None
         self._adj_bitmap_cache = None
-        self._signature_cache = None
+        self._fingerprint_cache = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRGraph):

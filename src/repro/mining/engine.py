@@ -218,9 +218,9 @@ def count_embeddings(
     (``repro.parallel``); the total is identical for every value since
     per-root counts merge by addition.
 
-    ``kernels`` selects the execution engine and tunes the frontier
-    engine for this run (docs/KERNELS.md); every policy returns the
-    identical count.  The policy is forwarded to sharded workers.
+    ``kernels`` selects the execution engine for this run
+    (docs/KERNELS.md); every policy returns the identical count.  The
+    policy is forwarded to sharded workers.
     """
     total = 0
     for root, sub in per_root_counts(
@@ -249,17 +249,7 @@ def per_root_counts(
     With ``jobs`` the pairs are computed on worker processes — each
     worker batches its whole contiguous root chunk through one frontier
     — and yielded in the same serial root order.
-
-    ``KernelPolicy(tuned=True)`` resolves the plan and policy through
-    the auto-tuner here, *before* the sharded fan-out — workers receive
-    already-concrete arguments.  The resolved configuration is verified
-    bit-identical (per-root sequences included) at trial time, so the
-    yielded pairs match the untuned run exactly (docs/TUNING.md).
     """
-    if kernels is not None and kernels.tuned:
-        from repro.tuning import resolve_run
-
-        plan, kernels = resolve_run(graph, plan, kernels)
     if jobs is not None and jobs > 1:
         from repro.core.sharded import per_root_counts_parallel
 
@@ -303,7 +293,7 @@ def list_embeddings(
 
     Listing materializes every embedding, so it always walks the
     recursive oracle's search tree in the given plan's vertex order —
-    no engine choice or tuned plan swap applies here.
+    no engine choice applies here.
     """
     if jobs is not None and jobs > 1:
         from repro.core.sharded import list_embeddings_parallel
@@ -355,13 +345,6 @@ def count_multi(
     its frontier knobs.  Totals are bit-identical to counting each plan
     independently.
     """
-    if kernels is not None and kernels.tuned:
-        # Multi-pattern trunks share level-0 states across plans; a
-        # per-plan order swap would break the merge, so tuning does not
-        # apply here — run with the concrete base policy instead.
-        from dataclasses import replace as _replace
-
-        kernels = _replace(kernels, tuned=False)
     if jobs is not None and jobs > 1:
         from repro.core.sharded import count_multi_parallel
 

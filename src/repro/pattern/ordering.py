@@ -29,9 +29,6 @@ cannot discriminate orders on power-law graphs at all.
 The total expected work ranks orders; ties break toward the greedy
 heuristic's order.  Orders only change *performance*: the engine result
 is identical for every valid order, which the test suite verifies.
-:func:`rank_vertex_orders` exposes the ranked top-N — the candidate
-pool the measured-trial auto-tuner (:mod:`repro.tuning`) times for
-real.
 """
 
 from __future__ import annotations
@@ -46,8 +43,8 @@ from repro.pattern.compiler import choose_vertex_order, compile_plan
 from repro.pattern.pattern import Pattern
 from repro.pattern.plan import ExecutionPlan, OpKind
 
-__all__ = ["OrderCostModel", "estimate_plan_cost", "rank_vertex_orders",
-           "search_vertex_order", "compile_plan_searched"]
+__all__ = ["OrderCostModel", "estimate_plan_cost", "search_vertex_order",
+           "compile_plan_searched"]
 
 #: Exhaustive enumeration bound: patterns with ``k >= _BEAM_THRESHOLD``
 #: vertices (``k! > 720``) rank orders through the greedy beam instead.
@@ -158,10 +155,7 @@ def estimate_plan_cost(plan: ExecutionPlan, model: OrderCostModel) -> float:
 
 
 def _candidate_orders(
-    pattern: Pattern,
-    model: OrderCostModel,
-    *,
-    first_vertices: frozenset[int] | None,
+    pattern: Pattern, model: OrderCostModel
 ) -> list[tuple[int, ...]]:
     """Every order worth costing exactly: exhaustive below the cap,
     the greedy beam's survivors at and above it."""
@@ -170,17 +164,15 @@ def _candidate_orders(
         return [
             perm
             for perm in permutations(range(k))
-            if (first_vertices is None or perm[0] in first_vertices)
-            and _connectivity_preserving(pattern, perm)
+            if _connectivity_preserving(pattern, perm)
         ]
-    return _beam_orders(pattern, model, first_vertices=first_vertices)
+    return _beam_orders(pattern, model)
 
 
 def _beam_orders(
     pattern: Pattern,
     model: OrderCostModel,
     *,
-    first_vertices: frozenset[int] | None,
     width: int = _BEAM_WIDTH,
 ) -> list[tuple[int, ...]]:
     """Greedy beam over order prefixes for large patterns.
@@ -188,18 +180,17 @@ def _beam_orders(
     Scores a prefix with the same size recurrence the exact model uses,
     minus restriction damping (restrictions depend on the completed
     order) — cheap enough to avoid compiling ``k!`` plans while keeping
-    every plausible prefix alive.  The greedy heuristic's order is
-    force-included so the beam can never do worse than the baseline.
+    every plausible prefix alive.  :func:`search_vertex_order` adds the
+    greedy heuristic's order to the beam's survivors.
     """
     k = pattern.num_vertices
     d_init = model.init_degree
     d_edge = model.edge_degree
     p = model.density
-    starts = range(k) if first_vertices is None else sorted(first_vertices)
     # (cost, nodes, cand, order, placed) — candidate-set size carries
     # across extensions exactly like the exact model's running product.
     beam = [(0.0, float(model.num_vertices), d_init, (v,), 1 << v)
-            for v in starts]
+            for v in range(k)]
     for _ in range(k - 1):
         extended = []
         for cost, nodes, cand, order, placed in beam:
@@ -229,57 +220,7 @@ def _beam_orders(
                 ))
         extended.sort(key=lambda s: (s[0], s[3]))
         beam = extended[:width]
-    orders = [state[3] for state in beam]
-    greedy = choose_vertex_order(pattern)
-    if (
-        (first_vertices is None or greedy[0] in first_vertices)
-        and greedy not in orders
-    ):
-        orders.append(tuple(greedy))
-    return orders
-
-
-def rank_vertex_orders(
-    pattern: Pattern,
-    *,
-    model: OrderCostModel | None = None,
-    top_n: int = 4,
-    vertex_induced: bool = True,
-    first_vertices: frozenset[int] | None = None,
-) -> list[tuple[int, ...]]:
-    """The ``top_n`` connectivity-preserving orders by modeled cost.
-
-    Candidates come from exhaustive enumeration for ``k < 7`` and from
-    the greedy beam above that (:data:`_BEAM_THRESHOLD`); each surviving
-    order is compiled and costed exactly.  ``first_vertices`` restricts
-    the level-0 vertex — the auto-tuner passes the reference order's
-    root so every candidate keeps the same per-root attribution
-    candidates.  The greedy heuristic's order always ranks (first among
-    equal costs), so a caller taking ``[0]`` can never regress below
-    the baseline model-wise.
-    """
-    model = model or OrderCostModel.default()
-    k = pattern.num_vertices
-    if k == 1:
-        return [(0,)]
-    if not pattern.is_connected():
-        raise ValueError("pattern-aware mining requires a connected pattern")
-    greedy = tuple(choose_vertex_order(pattern))
-    candidates = _candidate_orders(
-        pattern, model, first_vertices=first_vertices
-    )
-    if (
-        (first_vertices is None or greedy[0] in first_vertices)
-        and greedy not in candidates
-    ):
-        candidates.append(greedy)
-    scored = []
-    for order in candidates:
-        plan = compile_plan(pattern, order=order, vertex_induced=vertex_induced)
-        cost = estimate_plan_cost(plan, model)
-        scored.append((cost, order != greedy, order))
-    scored.sort()
-    return [order for _, _, order in scored[:max(1, top_n)]]
+    return [state[3] for state in beam]
 
 
 def search_vertex_order(
@@ -290,13 +231,28 @@ def search_vertex_order(
 ) -> tuple[int, ...]:
     """Best connectivity-preserving order under the cost model.
 
-    Exhaustive over the ``k!`` candidate orders for ``k < 7``; larger
-    patterns (5040+ permutations) go through the greedy beam — see
-    :func:`rank_vertex_orders`, of which this is the top-1 shorthand.
+    Candidates come from exhaustive enumeration for ``k < 7`` and from
+    the greedy beam above that (:data:`_BEAM_THRESHOLD`); each order
+    is compiled and costed exactly.  The greedy heuristic's order is
+    always a candidate and wins ties, so the search never regresses
+    below the baseline model-wise.
     """
-    return rank_vertex_orders(
-        pattern, model=model, top_n=1, vertex_induced=vertex_induced
-    )[0]
+    model = model or OrderCostModel.default()
+    k = pattern.num_vertices
+    if k == 1:
+        return (0,)
+    if not pattern.is_connected():
+        raise ValueError("pattern-aware mining requires a connected pattern")
+    greedy = tuple(choose_vertex_order(pattern))
+    candidates = _candidate_orders(pattern, model)
+    if greedy not in candidates:
+        candidates.append(greedy)
+    scored = []
+    for order in candidates:
+        plan = compile_plan(pattern, order=order, vertex_induced=vertex_induced)
+        cost = estimate_plan_cost(plan, model)
+        scored.append((cost, order != greedy, order))
+    return min(scored)[2]
 
 
 def compile_plan_searched(

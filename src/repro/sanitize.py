@@ -57,7 +57,6 @@ __all__ = [
     "env_enabled",
     "is_active",
     "payload_digest",
-    "suspended",
 ]
 
 _ENV_VAR = "REPRO_SANITIZE"
@@ -65,9 +64,6 @@ _ENV_VAR = "REPRO_SANITIZE"
 #: Fast-path flag: probes check this before paying for a digest.
 _ACTIVE = False
 _EVENTS: list["TraceEvent"] | None = None
-
-#: While set, probes are silenced entirely — see :func:`suspended`.
-_SUSPENDED = False
 
 _NO_PAYLOAD = object()
 
@@ -119,9 +115,8 @@ def env_enabled() -> bool:
 
 
 def is_active() -> bool:
-    """Whether probes should fire: a :func:`capture` is recording and
-    probes are not :func:`suspended`."""
-    return _ACTIVE and not _SUSPENDED
+    """Whether probes should fire: a :func:`capture` is recording."""
+    return _ACTIVE
 
 
 def payload_digest(payload: Any) -> str:
@@ -165,7 +160,7 @@ def _feed(h: "hashlib._Hash", payload: Any) -> None:
 
 def emit(kind: str, label: str, payload: Any = _NO_PAYLOAD) -> None:
     """Record one probe event into the armed :func:`capture`, if any."""
-    if _SUSPENDED or not _ACTIVE or _EVENTS is None:
+    if not _ACTIVE or _EVENTS is None:
         return
     digest = "" if payload is _NO_PAYLOAD else payload_digest(payload)
     _EVENTS.append(TraceEvent(kind=kind, label=label, digest=digest))
@@ -194,26 +189,6 @@ def capture() -> Iterator[Trace]:
     finally:
         _ACTIVE = False
         _EVENTS = None
-
-
-@contextmanager
-def suspended() -> Iterator[None]:
-    """Silence every probe.
-
-    The auto-tuner (:mod:`repro.tuning`) wraps its measured trials in
-    this: trial executions are measurement scaffolding that runs only
-    when the tuned-choice store is cold, so under a sanitized double-run
-    they would diverge the cold trace from the warm one.  Suspension
-    nests inside a :func:`capture` and restores the prior state on exit;
-    the resolved choice itself executes fully probed.
-    """
-    global _SUSPENDED
-    prior = _SUSPENDED
-    _SUSPENDED = True
-    try:
-        yield
-    finally:
-        _SUSPENDED = prior
 
 
 def compare_traces(

@@ -3,10 +3,10 @@
 Two things live here:
 
 * :class:`KernelPolicy` — the functional backend's configuration
-  (``BACKENDS["functional"].config_type``): which engine runs (the
-  frontier engine or the recursive oracle) and the auto-tuner opt-in
-  (the segmented membership kernel of :mod:`repro.setops.segmented` is
-  chosen from the graph alone);
+  (``BACKENDS["functional"].config_type``): which engine runs, the
+  frontier engine or the recursive oracle (the segmented membership
+  kernel of :mod:`repro.setops.segmented` is chosen from the graph
+  alone);
 * the process-wide dispatch counters (:func:`kernel_counters`) that the
   frontier engine, the segmented kernels and :class:`KernelContext`
   tally into, recorded per sweep cell (the ``dispatch`` column of
@@ -89,7 +89,7 @@ def reset_kernel_counters() -> None:
 class KernelPolicy:
     """The functional backend's configuration (see docs/KERNELS.md).
 
-    A sweep spec sets these fields in ``[configs.functional]``, like
+    A sweep spec sets its one field in ``[configs.functional]``, like
     any other backend's config fields.
 
     The frontier engine's spill budget is the module constant
@@ -103,28 +103,17 @@ class KernelPolicy:
         Mining execution model: ``"frontier"`` (breadth-batched NumPy
         levels, the default) or ``"recursive"`` (the per-embedding
         merge-based oracle).  Counting only; listing always recurses.
-    tuned:
-        Opt into the measured-trial auto-tuner (:mod:`repro.tuning`,
-        docs/TUNING.md): counting runs resolve the plan's vertex order
-        against the persistent tuned-choice store for the (pattern,
-        graph signature) at hand, falling back to measured trials on a
-        cold store.  Every trial runs under the same ``engine``, and
-        resolved choices are verified bit-identical (including per-root
-        sequences) during trials.
 
     Every policy produces bit-identical results; only speed changes.
     """
 
     engine: str = "frontier"
-    tuned: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINE_NAMES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; choose from {ENGINE_NAMES}"
             )
-        if not isinstance(self.tuned, bool):
-            raise ValueError(f"tuned must be a bool, not {self.tuned!r}")
 
 
 #: The library-wide default policy.

@@ -166,8 +166,8 @@ class TestValidation:
         for field, value, message in [
             ("engine", "bogus", "unknown engine 'bogus'"),
             ("engine", "nosuch", "unknown engine 'nosuch'"),
-            ("tuned", "no", "tuned must be a bool, not 'no'"),
-            ("tuned", 0, "tuned must be a bool, not 0"),
+            # The retired auto-tuner opt-in fails loudly at load.
+            ("tuned", True, r"unknown field 'tuned' \(valid: engine\)"),
         ]:
             one_table = _minimal(configs={"functional": {field: value}})
             with pytest.raises(
@@ -284,7 +284,6 @@ class TestSpecFiles:
     )
     @pytest.mark.parametrize("stem, policies", [
         ("engine_frontier", ("default", "recursive")),
-        ("engine_autotune", ("default", "tuned")),
     ])
     def test_committed_variant_tomls_expand(self, stem, policies):
         spec = load_spec_file(f"examples/sweeps/{stem}.toml")

@@ -1,6 +1,8 @@
 """Persistent result cache: keys, round-trips, and invalidation."""
 
+import hashlib
 import pickle
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,47 @@ class TestFingerprints:
         c = erdos_renyi(30, 0.3, seed=2)
         assert graph_fingerprint(a) == graph_fingerprint(b)
         assert graph_fingerprint(a) != graph_fingerprint(c)
+
+    def test_graph_fingerprint_hashes_an_instance_once(self, monkeypatch):
+        import repro.graph.csr as csr_mod
+        from repro.core.backend import get_backend
+
+        calls = []
+
+        def counting_sha256(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(
+            csr_mod, "hashlib", SimpleNamespace(sha256=counting_sha256)
+        )
+        graph = erdos_renyi(30, 0.3, seed=1)
+        backend = get_backend("functional")
+        config = backend.default_config()
+        keys = {
+            backend.cache_key(graph, pattern, config, roots=[v])
+            for pattern in ("tc", "tt", "cyc")
+            for v in range(5)
+        }
+        assert len(keys) == 15
+        assert len(calls) == 1
+
+    def test_graph_fingerprint_is_sha256_of_csr_arrays(self):
+        graph = erdos_renyi(30, 0.3, seed=1)
+        first = graph_fingerprint(graph)
+        fresh = hashlib.sha256(
+            graph.indptr.tobytes() + b"|" + graph.indices.tobytes()
+        ).hexdigest()
+        assert first == fresh
+        assert graph_fingerprint(graph) == fresh  # memoized value
+
+    def test_unpickled_graph_recomputes_fingerprint(self):
+        graph = erdos_renyi(30, 0.3, seed=1)
+        expected = graph_fingerprint(graph)
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone._fingerprint_cache is None
+        assert graph_fingerprint(clone) == expected
+        assert clone._fingerprint_cache == expected
 
     def test_roots_none_is_all(self):
         assert roots_fingerprint(None) == "all"

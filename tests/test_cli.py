@@ -154,7 +154,7 @@ class TestCommands:
         graph = ["--dataset", "As"]
         extra = {
             "plan": [], "lint-plan": [], "count": graph, "simulate": graph,
-            "validate": graph, "compare": graph, "tune": graph,
+            "validate": graph, "compare": graph,
         }
         assert with_pattern == set(extra)
         bad = [(cmd, "nosuch") for cmd in extra]
@@ -212,6 +212,44 @@ def test_simulate_rejects_flags_the_design_ignores(design, flag, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: the {design} backend does not read {flag}\n"
+
+
+_FILE_COMMANDS = [
+    ["stats"], ["count", "tc"], ["motifs", "3"], ["simulate", "tc"],
+    ["validate", "tc"], ["compare", "tc"],
+]
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("missing.txt", None, "missing.txt: No such file or directory"),
+    ("adir", "dir", "adir: Is a directory"),
+    ("bad.txt", "a b\n", "bad.txt:1: vertex ids must be integers, got 'a b'"),
+    ("neg.txt", "0 -1\n", "neg.txt:1: negative vertex id -1"),
+    ("short.txt", "0\n", "short.txt:1: expected 'u v', got '0'"),
+])
+def test_unreadable_file_is_one_error_line(
+    name, content, message, tmp_path, capsys
+):
+    """A ``--file`` that is missing, a directory or malformed exits 2
+    with one ``error:`` line on stderr, never a traceback, for every
+    command that reads a graph."""
+    path = tmp_path / name
+    if content == "dir":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    for command in _FILE_COMMANDS:
+        assert main([*command, "--file", str(path)]) == 2, command
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tmp_path}/{message}\n", command
+
+
+def test_tune_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["tune", "tt", "--dataset", "As"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'tune'" in capsys.readouterr().err
 
 
 class TestValidateCommand:
