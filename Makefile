@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: install test test-fast bench bench-cli bench-sweep bench-engine examples clean loc lint lint-flow chaos check
+.PHONY: install test test-fast bench bench-cli bench-sweep bench-engine examples clean loc lint chaos check
 
 install:
 	$(PYTHON) -m pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -56,18 +56,13 @@ lint:
 		&& mypy --config-file pyproject.toml \
 		|| echo "mypy not installed; skipping"
 
-# Tier C: whole-program dataflow analyzer — call-graph races on worker
-# paths, dtype churn into the set-op kernels (docs/ANALYSIS.md).
-lint-flow:
-	$(PYTHON) -m repro lint-flow
-
 # Chaos gate: the smoke sweep under ~30% injected shard crashes plus
 # transient faults must exit 0, match the fault-free run bit for bit,
 # and show nonzero retry counters (docs/RESILIENCE.md).
 chaos:
 	$(PYTHON) -m pytest tests/chaos -x -q
 
-check: test-fast lint lint-flow chaos
+check: test-fast lint chaos
 
 # Python line counts: src/ alone (ROADMAP's size figure), then the total
 # over src, tests, benchmarks and examples.

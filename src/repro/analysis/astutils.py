@@ -1,4 +1,4 @@
-"""Small AST helpers shared by the lint rules (Tier A *and* Tier C).
+"""Small AST helpers shared by the Tier-A lint rules.
 
 Nothing here is a full type inferencer — the rules only need a few
 cheap, conservative facts about a module:
@@ -10,16 +10,10 @@ cheap, conservative facts about a module:
   or assigned a set literal / comprehension / ``set()`` call), with a
   flow-insensitive "ever a set" approximation;
 * attribute-chain rendering (``np.random.default_rng`` ->
-  ``("np", "random", "default_rng")``);
-* receiver matching: which attribute chain a statement *mutates*
-  (``G.append(x)``, ``G[k] = v``, ``del G[k]``, ``G += [x]``) — the
-  shared vocabulary for PAR/RACE-style rules, so rule authors stop
-  re-implementing it per rule.
+  ``("np", "random", "default_rng")``).
 
-The helpers are deliberately value-object shaped (pure functions over
-AST nodes plus one :class:`ImportMap`) so both the per-file Tier-A
-engine and the whole-program Tier-C analyzer
-(:mod:`repro.analysis.dataflow`) consume them unchanged.
+The helpers are pure functions over AST nodes plus one
+:class:`ImportMap`, so every rule consumes them unchanged.
 """
 
 from __future__ import annotations
@@ -30,14 +24,11 @@ from typing import Iterator
 
 __all__ = [
     "ImportMap",
-    "MUTATING_METHODS",
     "SetNames",
     "attr_chain",
     "collect_imports",
-    "is_mutable_literal",
     "is_set_expr",
     "iter_scopes",
-    "mutated_chain",
     "set_names_in",
     "walk_scope",
 ]
@@ -230,89 +221,3 @@ def is_set_expr(node: ast.expr, sets: SetNames) -> bool:
         # while ``int - int`` never is.
         return is_set_expr(node.left, sets)
     return False
-
-
-# ----------------------------------------------------------------------
-# Receiver matching: mutation detection shared by PAR/RACE-style rules
-# ----------------------------------------------------------------------
-
-#: Method names that mutate their receiver in place (list/dict/set/deque
-#: vocabulary).  ``pop`` is included: even though it also returns a
-#: value, calling it mutates the container.
-MUTATING_METHODS = frozenset({
-    "add", "append", "appendleft", "clear", "difference_update",
-    "discard", "extend", "extendleft", "insert", "intersection_update",
-    "pop", "popitem", "popleft", "remove", "reverse", "setdefault",
-    "sort", "symmetric_difference_update", "update",
-})
-
-#: Constructor calls and literal node types that build mutable containers.
-_MUTABLE_CONSTRUCTORS = frozenset({
-    "bytearray", "defaultdict", "deque", "dict", "list", "set",
-    "Counter", "OrderedDict",
-})
-
-
-def is_mutable_literal(value: ast.expr) -> bool:
-    """Whether an expression statically builds a *mutable* container."""
-    if isinstance(value, (ast.List, ast.Dict, ast.Set)):
-        return True
-    if isinstance(value, (ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(value, ast.Call):
-        chain = attr_chain(value.func)
-        return bool(chain) and chain[-1] in _MUTABLE_CONSTRUCTORS
-    return False
-
-
-def _subscript_root(node: ast.expr) -> tuple[str, ...]:
-    """Attr chain under any stack of subscripts (``a.b[i][j]`` -> a.b)."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    return attr_chain(node)
-
-
-def mutated_chain(node: ast.AST) -> tuple[str, ...]:
-    """The attribute chain a statement/expression mutates, or ``()``.
-
-    Recognizes, returning the chain of the mutated *receiver*:
-
-    * ``recv.append(x)`` and friends (:data:`MUTATING_METHODS`);
-    * subscript stores ``recv[...] = v`` / ``recv[...] += v``;
-    * attribute stores ``recv.attr = v`` (returns ``recv``'s chain, not
-      the attribute's — the object named by ``recv`` is what changed);
-    * ``del recv[...]``.
-
-    Plain name rebinding (``x = v``) is *not* a mutation of an object
-    and yields ``()`` — callers interested in rebinding handle
-    ``ast.Assign``/``global`` explicitly.
-    """
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-        if node.func.attr in MUTATING_METHODS:
-            return attr_chain(node.func.value)
-        return ()
-    if isinstance(node, (ast.Assign, ast.AugAssign)):
-        targets = (
-            node.targets if isinstance(node, ast.Assign) else [node.target]
-        )
-        for target in targets:
-            if isinstance(target, ast.Subscript):
-                chain = _subscript_root(target)
-                if chain:
-                    return chain
-            elif isinstance(target, ast.Attribute):
-                chain = attr_chain(target.value)
-                if chain:
-                    return chain
-        return ()
-    if isinstance(node, ast.Delete):
-        for target in node.targets:
-            if isinstance(target, ast.Subscript):
-                chain = _subscript_root(target)
-                if chain:
-                    return chain
-            elif isinstance(target, ast.Attribute):
-                chain = attr_chain(target.value)
-                if chain:
-                    return chain
-    return ()

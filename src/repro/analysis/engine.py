@@ -3,8 +3,8 @@
 A :class:`Rule` owns an identifier, a severity, a one-line description,
 and a *scope* — the dotted-module prefixes it applies to (empty scope =
 every module).  The engine parses each file once, builds a
-:class:`ModuleContext` (module name, source lines, ``noqa`` pragmas,
-parent links), and hands the same tree to every in-scope rule.
+:class:`ModuleContext` (module name, source lines, ``noqa`` pragmas)
+and hands the same tree to every in-scope rule.
 
 A finding is suppressed by a ``# noqa: RULEID`` comment on the
 offending line, with the reason after it.
@@ -16,7 +16,7 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Protocol, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.analysis.findings import Finding, Severity, sort_findings
 
@@ -24,23 +24,11 @@ __all__ = [
     "ALL_RULES",
     "ModuleContext",
     "Rule",
-    "RuleLike",
     "register",
     "rule_catalog",
     "run_rules",
 ]
 
-
-class RuleLike(Protocol):
-    """The metadata any rule needs to mint findings.
-
-    Satisfied by Tier-A :class:`Rule` and Tier-C
-    :class:`repro.analysis.dataflow.FlowRule` alike, so
-    :meth:`ModuleContext.finding` serves both engines.
-    """
-
-    id: str
-    severity: Severity
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
 
@@ -117,7 +105,7 @@ class ModuleContext:
 
     def finding(
         self,
-        rule: RuleLike,
+        rule: Rule,
         node: ast.AST,
         message: str,
     ) -> Finding | None:

@@ -9,6 +9,7 @@ DET003     error     order-sensitive iteration over unordered sets in hot paths
 PAR001     error     lambda / nested-function handed to the worker pool
 ARCH001    error     simulator entry point imported around the backend registry
 PERF001    error     ``np.delete``/``np.append`` inside a loop in a hot path
+DTYPE001   warning   copy-inducing dtype conversion fed to a set-op kernel
 STORE001   error     result file written around the experiment store
 ERR001     error     broad exception swallow on a worker/hot path
 HYG001     warning   mutable default argument
@@ -24,6 +25,7 @@ import ast
 from typing import Iterator
 
 from repro.analysis.astutils import (
+    ImportMap,
     attr_chain,
     collect_imports,
     is_set_expr,
@@ -463,6 +465,110 @@ PERF001 = register(
         summary="np.delete/np.append inside a loop on the hot path",
         scope=PERF_HOT_PACKAGES,
         check=_check_perf001,
+    )
+)
+
+
+# ----------------------------------------------------------------------
+# DTYPE001 — dtype churn feeding the set-op kernels
+# ----------------------------------------------------------------------
+
+_KERNEL_PACKAGE = "repro.setops"
+
+#: Dtypes the kernels take as-is (``np.asarray`` to them copies nothing).
+_CLEAN_DTYPES = frozenset({"int32", "intp"})
+
+
+def _in_kernel_package(module: str) -> bool:
+    return module == _KERNEL_PACKAGE or module.startswith(_KERNEL_PACKAGE + ".")
+
+
+def _is_kernel_call(call: ast.Call, imports: ImportMap) -> bool:
+    """Whether the callee resolves, through the file's imports, into
+    ``repro.setops`` (``from repro.setops.kernels import f``; ``from
+    repro.setops import segmented as sg`` then ``sg.f``)."""
+    chain = attr_chain(call.func)
+    if not chain:
+        return False
+    origin = imports.from_import(chain[0])
+    if len(chain) == 1:
+        return origin is not None and _in_kernel_package(origin[0])
+    module = imports.module_of(chain[0])
+    if module is None and origin is not None:
+        module = f"{origin[0]}.{origin[1]}"
+    return module is not None and _in_kernel_package(module)
+
+
+def _conversion_label(expr: ast.expr, numpy_aliases: set[str]) -> str | None:
+    """Describe a copy-inducing conversion, or ``None`` if clean."""
+    if not isinstance(expr, ast.Call):
+        return None
+    chain = attr_chain(expr.func)
+    if not chain:
+        return None
+    if chain[-1] == "astype":
+        return ".astype(...)"
+    if len(chain) == 2 and chain[0] in numpy_aliases:
+        if chain[1] == "array":
+            return "np.array(...)"
+        if chain[1] == "asarray":
+            for kw in expr.keywords:
+                if kw.arg == "dtype":
+                    dtype = attr_chain(kw.value)
+                    if dtype and dtype[-1] not in _CLEAN_DTYPES:
+                        return f"np.asarray(dtype={dtype[-1]})"
+    return None
+
+
+def _check_dtype001(tree: ast.Module, ctx: ModuleContext) -> Iterator[Finding]:
+    imports = collect_imports(tree)
+    numpy_aliases = imports.aliases_of("numpy")
+    for scope, _ in iter_scopes(tree):
+        if not isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        # A name assigned a conversion anywhere in the function counts
+        # as converted (flow-insensitive, like the set-name table).
+        converted: dict[str, str] = {}
+        for node in walk_scope(scope):
+            if isinstance(node, ast.Assign):
+                label = _conversion_label(node.value, numpy_aliases)
+                if label is not None:
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            converted[target.id] = label
+        for node in walk_scope(scope):
+            if not isinstance(node, ast.Call) or not _is_kernel_call(
+                node, imports
+            ):
+                continue
+            for arg in node.args:
+                label = _conversion_label(arg, numpy_aliases)
+                if label is None and isinstance(arg, ast.Name):
+                    label = converted.get(arg.id)
+                if label is None:
+                    continue
+                found = ctx.finding(
+                    DTYPE001,
+                    node,
+                    f"`{scope.name}` feeds a {label} conversion into a "
+                    "set-op kernel call; the kernels expect int32 CSR "
+                    "slices prepared once at graph build time — per-call "
+                    "copies burn the bandwidth the kernels save "
+                    "(docs/KERNELS.md)",
+                )
+                if found is not None:
+                    yield found
+                break
+
+
+DTYPE001 = register(
+    Rule(
+        id="DTYPE001",
+        severity=Severity.WARNING,
+        summary="copy-inducing dtype conversion feeding a set-op kernel",
+        # The kernels themselves may convert internally.
+        scope=tuple(p for p in HOT_PATH_PACKAGES if p != _KERNEL_PACKAGE),
+        check=_check_dtype001,
     )
 )
 

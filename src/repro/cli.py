@@ -19,7 +19,6 @@ Subcommands
                result store, generate reports, diff runs against
                baselines (docs/BENCHMARKS.md).
 ``lint``       Static determinism/parallel-safety linter (docs/ANALYSIS.md).
-``lint-flow``  Whole-program dataflow analyzer (docs/ANALYSIS.md Tier C).
 ``lint-plan``  Statically verify compiled execution plans.
 
 ``count``, ``simulate``, ``compare``, and ``bench`` accept ``--jobs N``
@@ -72,7 +71,8 @@ def _add_graph_args(parser: argparse.ArgumentParser) -> None:
 
 
 class _InputError(Exception):
-    """An unreadable ``--file``: ``main`` prints it and exits 2."""
+    """Bad user input (an unreadable ``--file``, an invalid run name):
+    ``main`` prints it and exits 2."""
 
 
 def _load_graph(args: argparse.Namespace):
@@ -229,15 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp_sub = p.add_subparsers(dest="exp_command", required=True)
 
-    def _add_lint_args(p) -> None:
-        p.add_argument(
-            "paths", nargs="*",
-            help="files or directories to lint (default: the repro package)",
-        )
-        p.add_argument(
-            "--json", action="store_true", help="machine-readable output"
-        )
-
     q = exp_sub.add_parser(
         "run", help="execute a sweep spec into the result store"
     )
@@ -313,14 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="determinism/parallel-safety linter (rule catalog: "
              "docs/ANALYSIS.md)",
     )
-    _add_lint_args(p)
-
-    p = sub.add_parser(
-        "lint-flow",
-        help="whole-program dataflow analyzer: races on worker paths, "
-             "dtype churn into set-op kernels (docs/ANALYSIS.md Tier C)",
+    p.add_argument(
+        "paths", nargs="*",
+        help="files or directories to lint (default: the repro package)",
     )
-    _add_lint_args(p)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser(
         "lint-plan", help="statically verify compiled execution plans"
@@ -523,30 +511,17 @@ def _cmd_cache(args) -> int:
     return 0
 
 
-def _finish_lint(args, lint, default_root) -> int:
-    """Run ``lint`` over the targets and report (``lint``/``lint-flow``)."""
-    from repro.analysis import render_json, render_text
+def _cmd_lint(args) -> int:
+    from repro.analysis import lint_paths, render_json, render_text
+    from repro.analysis.codelint import default_lint_root
 
     try:
-        findings = lint(args.paths or [default_root()])
+        findings = lint_paths(args.paths or [default_lint_root()])
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_json(findings) if args.json else render_text(findings))
     return 1 if findings else 0
-
-
-def _cmd_lint(args) -> int:
-    from repro.analysis import lint_paths
-    from repro.analysis.codelint import default_lint_root
-
-    return _finish_lint(args, lint_paths, default_lint_root)
-
-
-def _cmd_lint_flow(args) -> int:
-    from repro.analysis.dataflow import default_flow_root, lint_flow_paths
-
-    return _finish_lint(args, lint_flow_paths, default_flow_root)
 
 
 def _cmd_lint_plan(args) -> int:
@@ -625,6 +600,15 @@ def _cmd_exp(args) -> int:
         run_sweep,
         write_report,
     )
+    from repro.experiments.store import check_run_name
+
+    for key in ("run", "baseline", "current"):
+        name = getattr(args, key, None)
+        if name is not None:
+            try:
+                check_run_name(name)
+            except ValueError as exc:
+                raise _InputError(str(exc)) from None
 
     store = ResultStore(args.store) if args.store else ResultStore()
 
@@ -725,7 +709,6 @@ _COMMANDS = {
     "cache": _cmd_cache,
     "exp": _cmd_exp,
     "lint": _cmd_lint,
-    "lint-flow": _cmd_lint_flow,
     "lint-plan": _cmd_lint_plan,
 }
 

@@ -25,7 +25,12 @@ from pathlib import Path
 from repro.bench.paths import store_dir
 from repro.experiments.spec import NAME_RE
 
-__all__ = ["ResultRow", "ResultStore", "STORE_SCHEMA_VERSION"]
+__all__ = [
+    "ResultRow",
+    "ResultStore",
+    "STORE_SCHEMA_VERSION",
+    "check_run_name",
+]
 
 #: Bump when a row field changes meaning; readers ignore newer rows.
 STORE_SCHEMA_VERSION = 1
@@ -112,11 +117,24 @@ class ResultRow:
         if not {"run", "cell_key"} <= record.keys():
             return None
         kwargs = {k: v for k, v in record.items() if k in names}
-        kwargs["counts"] = tuple(kwargs.get("counts", ()))
+        counts = kwargs.get("counts", [])
+        if not isinstance(counts, list) or not all(
+            type(c) is int for c in counts
+        ):
+            return None
+        kwargs["counts"] = tuple(counts)
         try:
             return cls(**kwargs)
         except TypeError:
             return None
+
+
+def check_run_name(run: str) -> str:
+    """``run`` itself; :class:`ValueError` unless it is a valid run
+    name (it becomes a file stem in the store)."""
+    if not NAME_RE.match(run):
+        raise ValueError(f"run name {run!r} must match {NAME_RE.pattern}")
+    return run
 
 
 class ResultStore:
@@ -127,11 +145,7 @@ class ResultStore:
         self.root = Path(root) if root is not None else store_dir()
 
     def _path(self, run: str) -> Path:
-        if not NAME_RE.match(run):
-            raise ValueError(
-                f"run name {run!r} must match {NAME_RE.pattern}"
-            )
-        return self.root / f"{run}.jsonl"
+        return self.root / f"{check_run_name(run)}.jsonl"
 
     def runs(self) -> list[str]:
         """Sorted names of every run present in the store."""

@@ -94,7 +94,7 @@ def _initializer(worker: Callable[[Any, Any], Any], payload: Any) -> None:
     # Installing per-process state is this function's entire job: each
     # worker gets its own copy on purpose, and the parent never reads
     # these names back.
-    global _WORKER, _PAYLOAD  # noqa: RACE001 - intentional per-process state
+    global _WORKER, _PAYLOAD  # intentional per-process state
     _WORKER = worker
     _PAYLOAD = payload
     # Arm worker-only fault kinds (crash/hang) in this process.
@@ -115,7 +115,7 @@ def pool_unavailable_reason() -> str | None:
 
 
 def _warn_unavailable(reason: str) -> None:
-    global _WARNED  # noqa: RACE001 - advisory warn-once latch
+    global _WARNED  # advisory warn-once latch
     if _WARNED:
         return
     _WARNED = True
@@ -129,7 +129,7 @@ def _warn_unavailable(reason: str) -> None:
 
 
 def _warn_degraded(reason: str) -> None:
-    global _WARNED_DEGRADED  # noqa: RACE001 - advisory warn-once latch
+    global _WARNED_DEGRADED  # advisory warn-once latch
     if _WARNED_DEGRADED:
         return
     _WARNED_DEGRADED = True
@@ -259,7 +259,7 @@ def _run_pool(
     policy: RetryPolicy,
     stats: RetryStats,
 ) -> list:
-    global _POOL_FAILURE  # noqa: RACE001 - advisory latch only
+    global _POOL_FAILURE  # advisory latch only
     n = len(shards)
     results: list[Any] = [None] * n
     # attempts[i] charges shard i's retry budget for every requeue.

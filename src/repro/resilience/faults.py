@@ -244,7 +244,7 @@ def clear() -> None:
 def current_plan() -> FaultPlan | None:
     """The active plan: installed explicitly, or parsed (and cached)
     from ``REPRO_FAULTS`` — which is how worker processes see it."""
-    global _ENV_CACHE  # noqa: RACE001 - pure parse cache, per-process by design
+    global _ENV_CACHE  # pure parse cache, per-process by design
     if _INSTALLED is not None:
         return _INSTALLED
     spec = os.environ.get(ENV_VAR, "").strip()
@@ -265,7 +265,7 @@ def mark_worker() -> None:
 
     Called from the pool initializer; never from the driver.
     """
-    global _IN_WORKER  # noqa: RACE001 - the flag is per-process on purpose
+    global _IN_WORKER  # the flag is per-process on purpose
     _IN_WORKER = True
 
 

@@ -1,11 +1,10 @@
 """Runtime determinism sanitizer (``REPRO_SANITIZE=1``).
 
-The static Tier-C analyzer (:mod:`repro.analysis.dataflow`) proves the
-*absence* of whole classes of nondeterminism — but only for the code
-shapes it can see.  The sanitizer is the dynamic cross-check: run the
-same job twice in one process with lightweight probes armed, record an
-event trace from each run, and require the two traces to be
-**bit-identical**.  Any dependence on set/dict iteration order, RNG
+The Tier-A linter (:mod:`repro.analysis`) rules out the nondeterminism
+shapes it can see in one file.  The sanitizer is the dynamic
+cross-check: run the same job twice in one process with lightweight
+probes armed, record an event trace from each run, and require the two
+traces to be **bit-identical**.  Any dependence on set/dict iteration order, RNG
 state leakage, or address-dependent hashing shows up as the first
 diverging event, with enough context to find the seam.
 

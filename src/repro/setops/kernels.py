@@ -56,8 +56,10 @@ _COUNTERS: dict[str, int] = {}
 
 def _tally(name: str, n: int = 1) -> None:
     # Per-process by design (see the section comment above): counters
-    # are a profiling aid, never an input to results or timing.
-    _COUNTERS[name] = _COUNTERS.get(name, 0) + n  # noqa: RACE001
+    # are a profiling aid, never an input to results or timing.  This
+    # is the one worker-path write tests/parallel/test_worker_globals.py
+    # allows.
+    _COUNTERS[name] = _COUNTERS.get(name, 0) + n
     if sanitize.is_active():
         # Sanitizer probe: the dispatch *sequence* must be identical
         # across double-runs of the same job.

@@ -1,6 +1,8 @@
 """Each Tier-A rule fires on its trigger fixture exactly once, and the
 clean fixture produces zero findings."""
 
+from pathlib import Path
+
 from repro.analysis import lint_source
 
 
@@ -313,6 +315,80 @@ def test_perf001_vectorized_mask_is_clean():
 
 
 # ----------------------------------------------------------------------
+# DTYPE001 — dtype churn feeding the set-op kernels
+# ----------------------------------------------------------------------
+
+
+def test_dtype001_astype_feeding_kernel_fires():
+    src = (
+        "import numpy as np\n"
+        "from repro.setops.kernels import intersect_adaptive\n"
+        "def count(a, b):\n"
+        "    widened = a.astype(np.int64)\n"
+        "    return intersect_adaptive(widened, b).size\n"
+    )
+    findings = lint_source(src, module="repro.mining.snippet")
+    assert [f.rule for f in findings] == ["DTYPE001"]
+    assert ".astype" in findings[0].message
+
+
+def test_dtype001_np_array_inline_arg_fires():
+    src = (
+        "import numpy as np\n"
+        "from repro.setops.kernels import intersect_adaptive\n"
+        "def count(a, b):\n"
+        "    return intersect_adaptive(np.array(a), b).size\n"
+    )
+    assert rules_fired(src) == ["DTYPE001"]
+
+
+def test_dtype001_asarray_int32_is_clean():
+    src = (
+        "import numpy as np\n"
+        "from repro.setops.kernels import intersect_adaptive\n"
+        "def count(a, b):\n"
+        "    ids = np.asarray(a, dtype=np.int32)\n"
+        "    return intersect_adaptive(ids, b).size\n"
+    )
+    assert rules_fired(src) == []
+
+
+def test_dtype001_conversion_not_reaching_kernel_is_clean():
+    src = (
+        "import numpy as np\n"
+        "def widen(a):\n"
+        "    return a.astype(np.int64)\n"
+    )
+    assert rules_fired(src) == []
+
+
+def test_dtype001_cold_path_module_not_in_scope():
+    src = (
+        "import numpy as np\n"
+        "from repro.setops.kernels import intersect_adaptive\n"
+        "def count(a, b):\n"
+        "    return intersect_adaptive(np.array(a), b).size\n"
+    )
+    assert rules_fired(src, module="repro.experiments.snippet") == []
+
+
+def test_dtype001_fires_on_seeded_frontier_gather():
+    """The real frontier module is clean; an ``.astype`` seeded into its
+    ``sg.gather_neighbors`` call (a module-alias import) fires."""
+    import repro.mining.frontier as frontier
+
+    source = Path(frontier.__file__).read_text(encoding="utf-8")
+    call = "sg.gather_neighbors(graph, verts)"
+    assert call in source
+    module = "repro.mining.frontier"
+    assert rules_fired(source, module=module) == []
+    seeded = source.replace(
+        call, "sg.gather_neighbors(graph, verts.astype(np.int64))", 1
+    )
+    assert rules_fired(seeded, module=module) == ["DTYPE001"]
+
+
+# ----------------------------------------------------------------------
 # STORE001 — result writes around the experiment store
 # ----------------------------------------------------------------------
 
@@ -500,8 +576,8 @@ def test_rule_catalog_ids_unique_and_documented():
     rules = rule_catalog()
     ids = [r.id for r in rules]
     assert len(ids) == len(set(ids))
-    assert {"DET001", "DET002", "DET003", "PAR001",
-            "ARCH001", "PERF001", "STORE001", "HYG001"} <= set(ids)
+    assert {"DET001", "DET002", "DET003", "PAR001", "ARCH001", "PERF001",
+            "DTYPE001", "STORE001", "ERR001", "HYG001"} <= set(ids)
     assert all(r.summary for r in rules)
 
 

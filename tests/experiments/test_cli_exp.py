@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,9 @@ def _isolated(tmp_path, monkeypatch):
     clear_cache()
     reset_stats()
     configure(jobs=None, disk_cache=True)
+
+
+_SMOKE = Path(__file__).resolve().parents[2] / "examples/sweeps/smoke.toml"
 
 
 def _spec_file(tmp_path):
@@ -99,6 +103,17 @@ class TestReportListDiff:
     def test_report_unknown_run_exits_2(self, capsys):
         assert main(["exp", "report", "absent"]) == 2
         assert "absent" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["exp", "report", "bad/name"],
+        ["exp", "diff", "bad/name", "x"],
+        ["exp", "run", str(_SMOKE), "--run", "bad/name"],
+    ], ids=["report", "diff", "run"])
+    def test_bad_run_name_is_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run name 'bad/name' must match")
+        assert len(err.strip().splitlines()) == 1
 
     def test_single_format(self, tmp_path, capsys):
         spec = _spec_file(tmp_path)

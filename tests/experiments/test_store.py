@@ -43,6 +43,16 @@ class TestRow:
         assert ResultRow.from_json("not json {") is None
         assert ResultRow.from_json('"a bare string"') is None
         assert ResultRow.from_json('{"schema": 1}') is None
+        # A complete row whose counts are not a list of integers.
+        record = json.loads(_row().to_json())
+        for counts in (5, None, "12", {"tc": 1}, [1, "2"], [1.5], [True]):
+            record["counts"] = counts
+            assert ResultRow.from_json(json.dumps(record)) is None
+
+    def test_missing_counts_defaults_to_empty(self):
+        record = json.loads(_row().to_json())
+        del record["counts"]
+        assert ResultRow.from_json(json.dumps(record)).counts == ()
 
     def test_identity_excludes_measurement_fields(self):
         a = _row(cycles=1.0, wall_time_s=0.5)
@@ -68,9 +78,12 @@ class TestStore:
         store = ResultStore(tmp_path)
         store.append(_row())
         path = tmp_path / "r1.jsonl"
+        bad_counts = json.loads(_row(cell_key="key-bad").to_json())
+        bad_counts["counts"] = 5
         with path.open("a", encoding="utf-8") as handle:
             handle.write("corrupt {{{ line\n")
             handle.write("\n")
+            handle.write(json.dumps(bad_counts) + "\n")
         store.append(_row(cell_key="key-2"))
         keys = [row.cell_key for row in store.load("r1")]
         assert keys == ["key-1", "key-2"]

@@ -252,6 +252,13 @@ def test_tune_is_not_a_command(capsys):
     assert "invalid choice: 'tune'" in capsys.readouterr().err
 
 
+def test_lint_flow_is_not_a_command(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["lint-flow"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'lint-flow'" in capsys.readouterr().err
+
+
 class TestValidateCommand:
     def test_validate_consistent(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
