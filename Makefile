@@ -26,10 +26,9 @@ bench-sweep:
 	$(PYTHON) -m repro exp run examples/sweeps/smoke.toml
 	$(PYTHON) -m repro exp report smoke
 
-# Engine comparison: frontier vs recursive vs legacy on the dense
-# benchmark graph; rows land in the store under run "engine-frontier"
-# and the report's policy-speedup table shows the ratios
-# (docs/KERNELS.md, "Frontier engine").
+# Engine comparison: frontier vs recursive on er300; rows land in the
+# store under run "engine-frontier" and the report's policy-speedup
+# table shows the ratios (docs/KERNELS.md, "Frontier engine").
 bench-engine:
 	$(PYTHON) -m repro exp run examples/sweeps/engine_frontier.toml
 	$(PYTHON) -m repro exp report engine-frontier

@@ -8,23 +8,15 @@ Shows the tooling around the simulators:
   graphs (paper section 2.3) is directly visible;
 * :func:`~repro.mining.validate.cross_validate` runs every executor
   (brute force, reference engine, both accelerators, the software model)
-  on one job and checks they agree;
-* the cost-model order search (paper section 2.1's compiler topic)
-  compares candidate mining orders for a pattern.
+  on one job and checks they agree.
 
 Run:  python examples/trace_and_validate.py
 """
 
-from repro import FingersConfig, named_pattern, simulate
+from repro import FingersConfig, simulate
 from repro.graph import erdos_renyi, load_dataset
 from repro.hw.trace import Tracer, render_gantt
 from repro.mining.validate import cross_validate
-from repro.pattern.compiler import choose_vertex_order, compile_plan
-from repro.pattern.ordering import (
-    OrderCostModel,
-    estimate_plan_cost,
-    search_vertex_order,
-)
 
 
 def main() -> None:
@@ -52,19 +44,6 @@ def main() -> None:
     print()
     print(report)
     assert report.consistent
-
-    # ------------------------------------------------------------------
-    # 3. Compare mining orders under the cost model.
-    # ------------------------------------------------------------------
-    pattern = named_pattern("dia")
-    model = OrderCostModel.from_graph(graph)
-    greedy = choose_vertex_order(pattern)
-    searched = search_vertex_order(pattern, model=model)
-    print("\nmining-order search for the diamond pattern:")
-    for label, order in (("greedy", greedy), ("searched", searched)):
-        plan = compile_plan(pattern, order=order)
-        cost = estimate_plan_cost(plan, model)
-        print(f"  {label:9s} order={list(order)}  estimated work={cost:,.0f}")
 
 
 if __name__ == "__main__":

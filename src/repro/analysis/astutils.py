@@ -92,7 +92,12 @@ def collect_imports(tree: ast.Module) -> ImportMap:
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
-                imports.modules[a.asname or a.name.split(".")[0]] = a.name
+                if a.asname:
+                    imports.modules[a.asname] = a.name
+                else:
+                    # ``import a.b.c`` binds ``a`` to the package ``a``.
+                    top = a.name.split(".")[0]
+                    imports.modules[top] = top
         elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
             for a in node.names:
                 if a.name != "*":

@@ -20,8 +20,7 @@ PLAN006    serves/final bookkeeping and state-count consistency
 =========  ===========================================================
 
 Findings reuse the Tier-A model with ``path="<plan:NAME>"`` and
-``line = level``.  ``verify_plan`` returns findings; ``check_plan``
-raises on the first error (handy as an assertion in tests/tools).
+``line = level``.  ``verify_plan`` returns them.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ from repro.pattern.plan import ExecutionPlan, OpKind
 
 __all__ = [
     "PLAN_RULE_IDS",
-    "PlanVerificationError",
-    "check_plan",
     "verify_all_builtin",
     "verify_plan",
 ]
@@ -41,17 +38,6 @@ __all__ = [
 PLAN_RULE_IDS = (
     "PLAN001", "PLAN002", "PLAN003", "PLAN004", "PLAN005", "PLAN006",
 )
-
-
-class PlanVerificationError(ValueError):
-    """Raised by :func:`check_plan` when a plan fails verification."""
-
-    def __init__(self, findings: list[Finding]) -> None:
-        self.findings = findings
-        lines = [f"{f.rule} (level {f.line}): {f.message}" for f in findings]
-        super().__init__(
-            "execution plan failed static verification:\n  " + "\n  ".join(lines)
-        )
 
 
 def _finding(name: str, rule: str, level: int, message: str) -> Finding:
@@ -77,14 +63,6 @@ def verify_plan(plan: ExecutionPlan, name: str = "plan") -> list[Finding]:
     out.extend(_check_datapath(plan, name))        # PLAN004
     out.extend(_check_restrictions(plan, name, k))  # PLAN003
     return sort_findings(out)
-
-
-def check_plan(plan: ExecutionPlan, name: str = "plan") -> ExecutionPlan:
-    """Return ``plan`` unchanged or raise :class:`PlanVerificationError`."""
-    findings = verify_plan(plan, name)
-    if findings:
-        raise PlanVerificationError(findings)
-    return plan
 
 
 # ----------------------------------------------------------------------

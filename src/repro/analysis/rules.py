@@ -486,7 +486,8 @@ def _in_kernel_package(module: str) -> bool:
 def _is_kernel_call(call: ast.Call, imports: ImportMap) -> bool:
     """Whether the callee resolves, through the file's imports, into
     ``repro.setops`` (``from repro.setops.kernels import f``; ``from
-    repro.setops import segmented as sg`` then ``sg.f``)."""
+    repro.setops import segmented as sg`` then ``sg.f``; ``import
+    repro.setops.kernels`` then ``repro.setops.kernels.f``)."""
     chain = attr_chain(call.func)
     if not chain:
         return False
@@ -496,7 +497,9 @@ def _is_kernel_call(call: ast.Call, imports: ImportMap) -> bool:
     module = imports.module_of(chain[0])
     if module is None and origin is not None:
         module = f"{origin[0]}.{origin[1]}"
-    return module is not None and _in_kernel_package(module)
+    return module is not None and _in_kernel_package(
+        ".".join((module, *chain[1:-1]))
+    )
 
 
 def _conversion_label(expr: ast.expr, numpy_aliases: set[str]) -> str | None:

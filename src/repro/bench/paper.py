@@ -32,14 +32,18 @@ def run_paper(name: str, *specs: Mapping) -> Callable[..., ResultRow]:
     fresh = not disk_cache_enabled()
     if fresh:
         store.delete(run)
+    # The run file is read once; each sweep's new rows are appended to
+    # it and to ``rows`` alike.
+    rows = [] if fresh else store.load(run, missing_ok=True)
     keys: dict[Cell, str] = {}
     for data in specs:
         outcome = run_sweep(
             load_spec(data), store=store, run=run, resume=not fresh,
-            isolate=False, retry_failed=True,
+            isolate=False, retry_failed=True, prior_rows=rows,
         )
         keys.update(outcome.keys)
-    latest = {row.cell_key: row for row in store.load(run)}
+        rows.extend(outcome.rows)
+    latest = {row.cell_key: row for row in rows}
 
     def row(pattern, graph, backend, policy=DEFAULT_POLICY,
             schedule="dynamic") -> ResultRow:

@@ -44,7 +44,7 @@ import pickle
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -57,7 +57,6 @@ __all__ = [
     "DiskCache",
     "cache_dir",
     "default_cache",
-    "disk_memoize",
     "graph_fingerprint",
     "make_key",
     "roots_fingerprint",
@@ -341,16 +340,3 @@ def default_cache() -> DiskCache:
     if _DEFAULT is None or _DEFAULT.directory != resolved:
         _DEFAULT = DiskCache(resolved)
     return _DEFAULT
-
-
-def disk_memoize(key: str, compute: Callable[[], Any], *, enabled: bool = True) -> Any:
-    """``compute()`` memoized on the default disk cache."""
-    if not enabled:
-        return compute()
-    cache = default_cache()
-    hit, value = cache.get(key)
-    if hit:
-        return value
-    value = compute()
-    cache.put(key, value)
-    return value

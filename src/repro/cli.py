@@ -348,23 +348,17 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    from repro.cache import disk_memoize, graph_fingerprint, make_key
-    from repro.mining.api import count, embeddings
+    from repro.bench.runner import run_backend_cached
+    from repro.mining.api import embeddings
 
     graph = _load_graph(args)
     vi = not args.edge_induced
-    key = make_key(
-        kind="count",
-        graph=graph_fingerprint(graph),
-        pattern=args.pattern,
-        vertex_induced=vi,
+    result = run_backend_cached(
+        "functional", graph, _graph_label(args),
+        args.pattern if vi else f"{args.pattern}:edge",
+        jobs=args.jobs, disk=not args.no_cache,
     )
-    total = disk_memoize(
-        key,
-        lambda: count(graph, args.pattern, vertex_induced=vi, jobs=args.jobs),
-        enabled=not args.no_cache,
-    )
-    print(f"{args.pattern}: {total:,}")
+    print(f"{args.pattern}: {result.count:,}")
     if args.list:
         for emb in embeddings(graph, args.pattern, vertex_induced=vi,
                               limit=args.list, jobs=args.jobs):

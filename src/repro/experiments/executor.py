@@ -35,7 +35,7 @@ import time
 import traceback
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from repro import sanitize as _sanitize
 from repro.bench.runner import default_jobs, run_backend_cached, runner_stats
@@ -170,6 +170,7 @@ def run_sweep(
     sanitize: bool | None = None,
     isolate: bool = True,
     retry_failed: bool = False,
+    prior_rows: Sequence[ResultRow] | None = None,
 ) -> SweepOutcome:
     """Execute every cell of ``spec`` into ``store`` under run ``run``
     (default: the spec's name).
@@ -195,20 +196,25 @@ def run_sweep(
     cells whose latest row is ``"failed"`` are re-executed (successful
     cells stay resumed).  A sanitizer divergence always propagates —
     isolation is for execution failures, not determinism violations.
+
+    ``prior_rows`` are the run's rows when the caller has read them
+    already; by default a resuming sweep reads the run once.
     """
     store = store if store is not None else ResultStore()
     sanitizing = sanitize if sanitize is not None else _sanitize.env_enabled()
     run_name = run or spec.name
     cells = spec.expand()
+    seen: set[str] = set()
+    prior_failures: dict[str, int] = {}
     if resume:
-        statuses = store.statuses(run_name)
+        if prior_rows is None:
+            prior_rows = store.load(run_name, missing_ok=True)
+        statuses = store.statuses(run_name, prior_rows)
         if retry_failed:
             seen = {k for k, s in statuses.items() if s == "ok"}
         else:
             seen = set(statuses)
-    else:
-        seen = set()
-    prior_failures = store.failure_counts(run_name) if resume else {}
+        prior_failures = store.failure_counts(run_name, prior_rows)
     shared_provenance = environment_provenance()
 
     loaded: dict[str, object] = dict(graphs or {})

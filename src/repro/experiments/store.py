@@ -21,6 +21,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from repro.bench.paths import store_dir
 from repro.experiments.spec import NAME_RE
@@ -166,10 +167,13 @@ class ResultStore:
                 for row in run_rows:
                     handle.write(row.to_json() + "\n")
 
-    def load(self, run: str) -> list[ResultRow]:
-        """All readable rows of one run (malformed/newer lines skipped)."""
+    def load(self, run: str, *, missing_ok: bool = False) -> list[ResultRow]:
+        """All readable rows of one run (malformed/newer lines skipped);
+        ``missing_ok`` reads an absent run as empty."""
         path = self._path(run)
         if not path.exists():
+            if missing_ok:
+                return []
             raise FileNotFoundError(
                 f"run {run!r} not found in store {self.root} "
                 f"(known runs: {', '.join(self.runs()) or 'none'})"
@@ -183,24 +187,27 @@ class ResultStore:
                 rows.append(row)
         return rows
 
-    def statuses(self, run: str) -> dict[str, str]:
+    def statuses(
+        self, run: str, rows: Sequence[ResultRow] | None = None
+    ) -> dict[str, str]:
         """Last-row-wins status per cell identity (empty for an absent
         run).  This is what resume decisions read: a cell whose latest
         row is ``"failed"`` is complete for a normal resume but
-        outstanding for ``--retry-failed``."""
-        try:
-            return {row.cell_key: row.status for row in self.load(run)}
-        except FileNotFoundError:
-            return {}
+        outstanding for ``--retry-failed``.  ``rows`` are the run's rows
+        when the caller has read them already."""
+        if rows is None:
+            rows = self.load(run, missing_ok=True)
+        return {row.cell_key: row.status for row in rows}
 
-    def failure_counts(self, run: str) -> dict[str, int]:
+    def failure_counts(
+        self, run: str, rows: Sequence[ResultRow] | None = None
+    ) -> dict[str, int]:
         """How many failed rows each cell identity has accumulated —
-        the executor's per-cell attempt counter across invocations."""
+        the executor's per-cell attempt counter across invocations.
+        ``rows`` as for :meth:`statuses`."""
+        if rows is None:
+            rows = self.load(run, missing_ok=True)
         counts: dict[str, int] = {}
-        try:
-            rows = self.load(run)
-        except FileNotFoundError:
-            return counts
         for row in rows:
             if row.status == "failed":
                 counts[row.cell_key] = counts.get(row.cell_key, 0) + 1

@@ -26,13 +26,8 @@ from repro.graph.generators import (
     path_graph,
 )
 from repro.graph.datasets import load_dataset, dataset_names, DATASET_SPECS
-from repro.graph.io import (
-    save_edge_list,
-    load_edge_list,
-    save_npz,
-    load_npz,
-)
-from repro.graph.stats import GraphStats, graph_stats, degree_histogram
+from repro.graph.io import save_edge_list, load_edge_list
+from repro.graph.stats import GraphStats, graph_stats
 
 __all__ = [
     "CSRGraph",
@@ -54,9 +49,6 @@ __all__ = [
     "DATASET_SPECS",
     "save_edge_list",
     "load_edge_list",
-    "save_npz",
-    "load_npz",
     "GraphStats",
     "graph_stats",
-    "degree_histogram",
 ]

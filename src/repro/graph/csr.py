@@ -13,7 +13,7 @@ The mining algorithms in this repository rely on two invariants that
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,6 +21,17 @@ __all__ = ["CSRGraph"]
 
 _INDPTR_DTYPE = np.int64
 _INDICES_DTYPE = np.int32
+
+
+def _check_castable(name: str, values, dtype) -> None:
+    """Raise ``ValueError`` unless ``values`` are integers that ``dtype``
+    holds exactly."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {arr.dtype}")
+    info = np.iinfo(dtype)
+    if arr.size and (int(arr.min()) < info.min or int(arr.max()) > info.max):
+        raise ValueError(f"{name} values do not fit {info.dtype}")
 
 
 class CSRGraph:
@@ -34,9 +45,10 @@ class CSRGraph:
     indices:
         Concatenated neighbor lists, each sorted ascending.
     validate:
-        When true (default), check all structural invariants.  Pass false
-        only when the arrays are known-good (e.g. loaded from a file this
-        library wrote).
+        When true (default), check that both arrays hold integers their
+        stored dtypes (int64, int32) represent exactly, then all
+        structural invariants.  Pass false only when the arrays are
+        known-good (e.g. built by :mod:`repro.graph.builders`).
 
     Notes
     -----
@@ -60,6 +72,10 @@ class CSRGraph:
         *,
         validate: bool = True,
     ) -> None:
+        if validate:
+            # Before the casts below, which would wrap or truncate.
+            _check_castable("indptr", indptr, _INDPTR_DTYPE)
+            _check_castable("indices", indices, _INDICES_DTYPE)
         indptr = np.ascontiguousarray(indptr, dtype=_INDPTR_DTYPE)
         indices = np.ascontiguousarray(indices, dtype=_INDICES_DTYPE)
         if validate:
@@ -248,10 +264,6 @@ class CSRGraph:
     # Memory-footprint helpers used by the hardware cache models
     # ------------------------------------------------------------------
 
-    def neighbor_list_bytes(self, v: int, *, bytes_per_id: int = 4) -> int:
-        """Size in bytes of vertex ``v``'s neighbor list as stored in DRAM."""
-        return self.degree(v) * bytes_per_id
-
     def total_bytes(self, *, bytes_per_id: int = 4) -> int:
         """Approximate DRAM footprint of the CSR structure."""
         return self._indices.size * bytes_per_id + self._indptr.size * 8
@@ -307,9 +319,3 @@ class CSRGraph:
             f"CSRGraph(num_vertices={self.num_vertices}, "
             f"num_edges={self.num_edges})"
         )
-
-    def to_adjacency(self) -> dict[int, list[int]]:
-        """Materialize the adjacency structure as ``{vertex: [neighbors]}``."""
-        return {
-            v: [int(x) for x in self.neighbors(v)] for v in range(self.num_vertices)
-        }

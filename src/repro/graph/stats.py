@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["GraphStats", "graph_stats", "degree_histogram"]
+__all__ = ["GraphStats", "graph_stats"]
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,3 @@ def graph_stats(graph: CSRGraph) -> GraphStats:
         csr_bytes=graph.total_bytes(),
     )
 
-
-def degree_histogram(graph: CSRGraph) -> np.ndarray:
-    """``hist[d]`` = number of vertices with degree ``d``."""
-    degrees = graph.degrees()
-    if degrees.size == 0:
-        return np.zeros(1, dtype=np.int64)
-    return np.bincount(degrees)

@@ -21,16 +21,15 @@ Layout
 ``flexminer``  the baseline processing element (strict DFS, serial ops)
 ``chip``       multi-PE chip with dynamic root scheduling
 ``area``       area/power model (paper Table 2) and iso-area helpers
-``api``        `simulate` / `speedup_grid` front door
+``api``        `simulate` front door
 """
 
 from repro.hw.config import FingersConfig, FlexMinerConfig, MemoryConfig
-from repro.hw.api import simulate, speedup_grid
+from repro.hw.api import simulate
 
 __all__ = [
     "FingersConfig",
     "FlexMinerConfig",
     "MemoryConfig",
     "simulate",
-    "speedup_grid",
 ]

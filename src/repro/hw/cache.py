@@ -122,17 +122,6 @@ class SectoredLRUCache:
         """Non-mutating membership probe (no stats, no LRU update)."""
         return key in self._entries
 
-    def touch(self, key: object) -> None:
-        """Refresh LRU position without counting an access."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-
-    def invalidate(self, key: object) -> None:
-        """Drop an entry if present."""
-        size = self._entries.pop(key, None)
-        if size is not None:
-            self._used -= size
-
     def _insert(self, key: object, num_bytes: int) -> None:
         capacity = self.capacity_bytes
         if num_bytes > capacity:

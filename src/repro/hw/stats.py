@@ -40,16 +40,6 @@ class PEStats:
     private_spills: int = 0
     embeddings_found: int = 0
 
-    def record_op_balance(self, iu_busy: tuple[int, ...]) -> None:
-        """Accumulate one compute load's balance contribution."""
-        if not iu_busy:
-            return
-        duration = max(iu_busy)
-        if duration == 0:
-            return
-        self.balance_busy_sum += sum(iu_busy)
-        self.balance_capacity_sum += duration * len(iu_busy)
-
     def active_rate(self, num_ius: int) -> float:
         """Fraction of IU-cycles carrying work over the PE's busy window."""
         total = self.busy_cycles * num_ius

@@ -21,12 +21,6 @@ from repro.pattern.symmetry import symmetry_restrictions, Restriction
 from repro.pattern.plan import ExecutionPlan, LevelSchedule, SetOp, OpKind
 from repro.pattern.compiler import compile_plan, choose_vertex_order
 from repro.pattern.multipattern import MultiPlan, compile_multi_plan, motif_patterns
-from repro.pattern.ordering import (
-    OrderCostModel,
-    compile_plan_searched,
-    estimate_plan_cost,
-    search_vertex_order,
-)
 
 __all__ = [
     "Pattern",
@@ -47,8 +41,4 @@ __all__ = [
     "MultiPlan",
     "compile_multi_plan",
     "motif_patterns",
-    "OrderCostModel",
-    "compile_plan_searched",
-    "estimate_plan_cost",
-    "search_vertex_order",
 ]

@@ -169,11 +169,6 @@ class RetryStats:
             or self.serial_fallbacks > 0
         )
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "RetryStats":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in record.items() if k in names})
-
     def delta(self, earlier: "RetryStats") -> "RetryStats":
         """The counter movement since ``earlier`` (a snapshot)."""
         out = RetryStats()

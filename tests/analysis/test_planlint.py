@@ -6,7 +6,6 @@ import dataclasses
 import pytest
 
 from repro.analysis import verify_all_builtin, verify_plan
-from repro.analysis.planlint import PlanVerificationError, check_plan
 from repro.pattern.compiler import compile_plan
 from repro.pattern.pattern import named_pattern
 from repro.pattern.plan import LevelSchedule, OpKind, SetOp
@@ -41,11 +40,6 @@ def test_every_builtin_plan_is_statically_valid():
     assert results, "sweep must cover the built-in patterns"
     bad = {label: f for label, f in results.items() if f}
     assert bad == {}
-
-
-def test_check_plan_returns_valid_plan_unchanged():
-    plan = plan_for("5cl")
-    assert check_plan(plan) is plan
 
 
 # ----------------------------------------------------------------------
@@ -254,15 +248,3 @@ def test_plan006_state_count_mismatch():
     plan = plan_for("tc")
     broken = dataclasses.replace(plan, num_states=plan.num_states + 3)
     assert "PLAN006" in rules_of(verify_plan(broken))
-
-
-# ----------------------------------------------------------------------
-# check_plan error surface
-# ----------------------------------------------------------------------
-
-
-def test_check_plan_raises_with_rule_ids_in_message():
-    plan = plan_for("tc")
-    broken = dataclasses.replace(plan, num_states=plan.num_states + 3)
-    with pytest.raises(PlanVerificationError, match="PLAN006"):
-        check_plan(broken)

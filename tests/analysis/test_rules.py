@@ -42,6 +42,18 @@ def test_det001_numpy_legacy_global():
     assert rules_fired(src) == ["DET001"]
 
 
+def test_det001_numpy_submodule_import():
+    """``import numpy.random`` binds ``numpy``, so the fully dotted call
+    is the global RNG too."""
+    src = (
+        "import numpy\n"
+        "import numpy.random\n"
+        "def mix(x):\n"
+        "    numpy.random.shuffle(x)\n"
+    )
+    assert rules_fired(src) == ["DET001"]
+
+
 def test_det001_unseeded_default_rng():
     src = (
         "import numpy as np\n"
@@ -370,6 +382,24 @@ def test_dtype001_cold_path_module_not_in_scope():
         "    return intersect_adaptive(np.array(a), b).size\n"
     )
     assert rules_fired(src, module="repro.experiments.snippet") == []
+
+
+def test_dtype001_dotted_import_resolves_full_path():
+    """``import repro.setops.kernels`` binds ``repro``: a call into
+    another ``repro`` package is no kernel call, a fully dotted kernel
+    call still is."""
+    head = (
+        "import numpy as np\n"
+        "import repro.setops.kernels\n"
+        "def count(a, b):\n"
+    )
+    other = "    return repro.mining.api.count(a.astype(np.int64), b)\n"
+    kernel = (
+        "    return repro.setops.kernels.intersect_adaptive(\n"
+        "        a.astype(np.int64), b).size\n"
+    )
+    assert rules_fired(head + other) == []
+    assert rules_fired(head + kernel) == ["DTYPE001"]
 
 
 def test_dtype001_fires_on_seeded_frontier_gather():

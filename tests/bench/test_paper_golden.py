@@ -2,7 +2,7 @@
 
 Each experiment resumes all of its cells from a copy of the committed
 store (``benchmarks/results/store/paper-*.jsonl``): no simulator call,
-no appended row, and a text byte-identical to
+no appended row, no run file read twice, and a text byte-identical to
 ``benchmarks/results/paper/<name>.txt``.  A cold run against the same
 files is the CI ``paper-golden`` job (``tools/paper_golden.py``).
 """
@@ -20,6 +20,7 @@ from repro.bench.runner import (
     reset_stats,
     runner_stats,
 )
+from repro.experiments.store import ResultStore
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
@@ -45,10 +46,20 @@ def test_every_experiment_has_a_golden():
 
 
 @pytest.mark.parametrize("name", list(EXPERIMENTS))
-def test_renders_golden_from_committed_rows(name, committed_store):
+def test_renders_golden_from_committed_rows(name, committed_store,
+                                            monkeypatch):
+    loads = []
+    load = ResultStore.load
+
+    def counted_load(self, run, **kwargs):
+        loads.append(run)
+        return load(self, run, **kwargs)
+
+    monkeypatch.setattr(ResultStore, "load", counted_load)
     before = {p.name: p.read_bytes() for p in committed_store.iterdir()}
     text = EXPERIMENTS[name]().render() + "\n"
     assert runner_stats() == RunnerStats()  # zero simulator calls
+    assert len(loads) == len(set(loads))  # each run file read once
     after = {p.name: p.read_bytes() for p in committed_store.iterdir()}
     assert after == before  # zero rows appended
     golden = RESULTS / "paper" / f"{name}.txt"

@@ -83,6 +83,47 @@ class TestValidation:
         with pytest.raises(ValueError):
             CSRGraph(indptr, indices)
 
+    @pytest.mark.parametrize(
+        "indptr, indices, match",
+        [
+            ([0, 1, 2], np.array([2**32 + 1, 2**32]), "do not fit int32"),
+            ([0, 1, 2], np.array([-(2**32) + 1, -(2**32)]), "do not fit int32"),
+            ([0, 1, 2], np.array([1.0, 0.0]), "must be integers"),
+            ([0, 1, 2], np.array([True, False]), "must be integers"),
+            (np.array([0, 2**63, 2], dtype=np.uint64), [1, 0],
+             "do not fit int64"),
+            (np.array([0.0, 1.5, 2.0]), [1, 0], "must be integers"),
+        ],
+        ids=["wrapped-ids", "wrapped-negative-ids", "float-ids", "bool-ids",
+             "indptr-past-int64", "float-indptr"],
+    )
+    def test_lossy_cast_rejected(self, indptr, indices, match):
+        # Unchecked, every case but the int64 overflow casts to the
+        # valid edge 0-1.
+        with pytest.raises(ValueError, match=match):
+            CSRGraph(indptr, indices)
+
+    # Triangle 0-1-2 plus the edge 2-3, with one defect each.
+    _INDPTR = [0, 2, 4, 7, 8]
+    _INDICES = [1, 2, 0, 2, 0, 1, 3, 2]
+
+    @pytest.mark.parametrize(
+        "indptr, indices, match",
+        [
+            (_INDPTR, [1, 2, 0, 2, 1, 0, 3, 2], "strictly increasing"),
+            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 1], "not symmetric"),
+            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 9], "out of range"),
+            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 3], "self loops"),
+            ([0, 4, 2, 7, 8], _INDICES, "non-decreasing"),
+            ([0, 2, 4, 7, 9], _INDICES, "must equal len"),
+        ],
+        ids=["unsorted", "asymmetric", "out-of-range", "self-loop",
+             "decreasing-indptr", "short-indices"],
+    )
+    def test_corrupt_arrays_rejected(self, indptr, indices, match):
+        with pytest.raises(ValueError, match=match):
+            CSRGraph(np.array(indptr), np.array(indices))
+
     def test_arrays_read_only(self, k5):
         with pytest.raises(ValueError):
             k5.indices[0] = 99
@@ -126,12 +167,14 @@ class TestAccessors:
     def test_repr(self, k5):
         assert "num_vertices=5" in repr(k5)
 
-    def test_to_adjacency_roundtrip(self, paper_graph):
-        adj = paper_graph.to_adjacency()
+    def test_from_adjacency_roundtrip(self, paper_graph):
         from repro.graph import from_adjacency
 
+        adj = {
+            v: [int(x) for x in paper_graph.neighbors(v)]
+            for v in range(paper_graph.num_vertices)
+        }
         assert from_adjacency(adj) == paper_graph
 
     def test_byte_accounting(self, k5):
-        assert k5.neighbor_list_bytes(0) == 16
         assert k5.total_bytes() == 20 * 4 + 6 * 8

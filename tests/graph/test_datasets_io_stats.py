@@ -1,19 +1,15 @@
 """Tests for dataset analogs, persistence, and statistics."""
 
-import numpy as np
 import pytest
 
 from repro.graph import (
     DATASET_SPECS,
     dataset_names,
-    degree_histogram,
     from_edges,
     graph_stats,
     load_dataset,
     load_edge_list,
-    load_npz,
     save_edge_list,
-    save_npz,
 )
 from repro.graph.datasets import CACHE_SCALE
 
@@ -102,40 +98,6 @@ class TestIO:
         with pytest.raises(ValueError, match=match):
             load_edge_list(path, **kw)
 
-    def test_npz_roundtrip(self, tmp_path, small_random):
-        path = tmp_path / "g.npz"
-        save_npz(small_random, path)
-        assert load_npz(path) == small_random
-
-    def test_npz_wrong_archive(self, tmp_path):
-        path = tmp_path / "x.npz"
-        np.savez(path, foo=np.arange(3))
-        with pytest.raises(ValueError, match="not a repro graph"):
-            load_npz(path)
-
-    # Triangle 0-1-2 plus the edge 2-3, with one defect each.
-    _INDPTR = [0, 2, 4, 7, 8]
-    _INDICES = [1, 2, 0, 2, 0, 1, 3, 2]
-
-    @pytest.mark.parametrize(
-        "indptr, indices, match",
-        [
-            (_INDPTR, [1, 2, 0, 2, 1, 0, 3, 2], "strictly increasing"),
-            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 1], "not symmetric"),
-            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 9], "out of range"),
-            (_INDPTR, [1, 2, 0, 2, 0, 1, 3, 3], "self loops"),
-            ([0, 4, 2, 7, 8], _INDICES, "non-decreasing"),
-            ([0, 2, 4, 7, 9], _INDICES, "must equal len"),
-        ],
-        ids=["unsorted", "asymmetric", "out-of-range", "self-loop",
-             "decreasing-indptr", "short-indices"],
-    )
-    def test_npz_corrupt_archive_rejected(self, tmp_path, indptr, indices, match):
-        path = tmp_path / "bad.npz"
-        np.savez(path, indptr=np.array(indptr), indices=np.array(indices))
-        with pytest.raises(ValueError, match=match):
-            load_npz(path)
-
 
 class TestStats:
     def test_table1_row(self, k5):
@@ -146,12 +108,3 @@ class TestStats:
         s = graph_stats(from_edges([], num_vertices=0))
         assert s.num_vertices == 0
         assert s.median_degree == 0.0
-
-    def test_degree_histogram(self, star10):
-        hist = degree_histogram(star10)
-        assert hist[1] == 10
-        assert hist[10] == 1
-
-    def test_histogram_empty(self):
-        hist = degree_histogram(from_edges([], num_vertices=0))
-        assert hist.sum() == 0

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.graph import (
-    dataset_names,
-    load_dataset,
-    load_edge_list,
-    load_npz,
-    save_edge_list,
-    save_npz,
-)
+from repro.graph import load_dataset, load_edge_list, save_edge_list
 
 
 @pytest.mark.parametrize("name", ["As", "Mi"])
@@ -19,23 +12,6 @@ def test_dataset_edge_list_roundtrip(tmp_path, name):
     save_edge_list(g, path)
     loaded = load_edge_list(path, num_vertices=g.num_vertices)
     assert loaded == g
-
-
-@pytest.mark.parametrize("name", ["As", "Or"])
-def test_dataset_npz_roundtrip(tmp_path, name):
-    g = load_dataset(name)
-    path = tmp_path / f"{name}.npz"
-    save_npz(g, path)
-    assert load_npz(path) == g
-
-
-def test_npz_smaller_than_text(tmp_path):
-    g = load_dataset("As")
-    txt = tmp_path / "g.txt"
-    npz = tmp_path / "g.npz"
-    save_edge_list(g, txt)
-    save_npz(g, npz)
-    assert npz.stat().st_size < txt.stat().st_size
 
 
 def test_loaded_graph_mines_identically(tmp_path):

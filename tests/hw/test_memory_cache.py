@@ -84,24 +84,6 @@ class TestSectoredLRUCache:
             c.access(i, 30)
         assert c.used_bytes <= 100
 
-    def test_touch_refreshes_without_stats(self):
-        c = SectoredLRUCache(100)
-        c.access("a", 50)
-        c.access("b", 50)
-        before = c.stats.accesses
-        c.touch("a")
-        assert c.stats.accesses == before
-        c.access("c", 50)  # should evict b, not a
-        assert c.contains("a")
-
-    def test_invalidate(self):
-        c = SectoredLRUCache(100)
-        c.access("a", 50)
-        c.invalidate("a")
-        assert not c.contains("a")
-        assert c.used_bytes == 0
-        c.invalidate("missing")  # no-op
-
     def test_eviction_traffic_stats(self):
         c = SectoredLRUCache(50)
         c.access("a", 50)

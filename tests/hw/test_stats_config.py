@@ -1,5 +1,6 @@
 """Tests for the stats accumulators and configuration helpers."""
 
+import numpy as np
 import pytest
 
 from repro.core.merge import merge_stats
@@ -10,7 +11,9 @@ from repro.hw.config import (
     MemoryConfig,
     scaled_bytes,
 )
+from repro.hw.optrace import Rows, _iu_op_stats
 from repro.hw.stats import PEStats
+from repro.pattern.plan import OpKind
 
 
 class TestPEStats:
@@ -21,18 +24,20 @@ class TestPEStats:
         assert stats.active_rate(num_ius=4) == pytest.approx(0.25)
 
     def test_balance_rate_paper_example(self):
-        """One IU busy 10 cycles, the other 5, duration 10 -> 75 %."""
-        stats = PEStats()
-        stats.record_op_balance((10, 5))
+        """One IU busy 10 cycles, the other 5, duration 10 -> 15 busy
+        of 2 x 10 capacity cycles -> 75 %."""
+        stats = PEStats(balance_busy_sum=15.0, balance_capacity_sum=20.0)
         assert stats.balance_rate == pytest.approx(0.75)
 
     def test_balance_rate_empty_is_one(self):
         assert PEStats().balance_rate == 1.0
 
     def test_balance_zero_duration_ignored(self):
-        stats = PEStats()
-        stats.record_op_balance((0, 0))
-        assert stats.balance_rate == 1.0
+        """An op with no work adds nothing to either balance sum."""
+        operand = Rows(np.arange(40), np.array([0, 0]), np.array([0, 40]))
+        st = _iu_op_stats(OpKind.INIT_COPY, None, operand, FingersConfig())
+        assert (st.busy[0], st.capacity[0]) == (0, 0)
+        assert st.busy[1] > 0 and st.capacity[1] > 0
 
     def test_active_rate_zero_cycles(self):
         assert PEStats().active_rate(24) == 0.0

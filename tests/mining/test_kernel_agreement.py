@@ -199,40 +199,24 @@ def test_every_tuner_candidate_counts_identical(pattern, graph_name):
 @pytest.mark.parametrize("vertex_induced", [True, False])
 @pytest.mark.parametrize("pattern", sorted(all_named_patterns()))
 def test_searched_order_counts_identical(pattern, vertex_induced):
-    """No vertex order changes totals, on either engine: not the
-    cost-model-searched order (on the ``er`` graph whose statistics
-    chose it), and not any connectivity-preserving order (on the
-    ``dense`` graph)."""
-    from repro.pattern.ordering import compile_plan_searched
-
+    """No vertex order changes totals, on either engine: every
+    connectivity-preserving order counts what the compiler's order
+    counts (on the ``dense`` graph)."""
     named = named_pattern(pattern)
-    cases = [(
-        "er",
-        compile_plan_searched(
-            named, graph=GRAPHS["er"], vertex_induced=vertex_induced
-        ),
-    )] + [
-        ("dense", compile_plan(named, order=order,
-                               vertex_induced=vertex_induced))
-        for order in _connectivity_preserving_orders(named)
-    ]
-    reference = {
-        name: count_embeddings(
-            GRAPHS[name],
-            compile_plan(named, vertex_induced=vertex_induced),
-            kernels=ORACLE,
-        )
-        for name in ("er", "dense")
-    }
-    for graph_name, plan in cases:
+    graph = GRAPHS["dense"]
+    reference = count_embeddings(
+        graph, compile_plan(named, vertex_induced=vertex_induced),
+        kernels=ORACLE,
+    )
+    for order in _connectivity_preserving_orders(named):
+        plan = compile_plan(named, order=order, vertex_induced=vertex_induced)
         for engine in ("frontier", "recursive"):
             got = count_embeddings(
-                GRAPHS[graph_name], plan, kernels=KernelPolicy(engine=engine)
+                graph, plan, kernels=KernelPolicy(engine=engine)
             )
-            assert got == reference[graph_name], (
-                f"{pattern} order {plan.vertex_order} on {graph_name}, "
-                f"{engine}: counted {got}, oracle counted "
-                f"{reference[graph_name]}"
+            assert got == reference, (
+                f"{pattern} order {plan.vertex_order} on dense, "
+                f"{engine}: counted {got}, oracle counted {reference}"
             )
 
 

@@ -12,7 +12,6 @@ from repro.cache import (
     DiskCache,
     cache_dir,
     default_cache,
-    disk_memoize,
     graph_fingerprint,
     make_key,
     roots_fingerprint,
@@ -173,30 +172,3 @@ class TestDefaultCache:
         assert cache_dir() == tmp_path / "one"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "two"))
         assert default_cache().directory == tmp_path / "two"
-
-    def test_disk_memoize(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "result"
-
-        key = make_key(kind="memoize-test")
-        assert disk_memoize(key, compute) == "result"
-        assert disk_memoize(key, compute) == "result"
-        assert len(calls) == 1
-
-    def test_disk_memoize_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "result"
-
-        key = make_key(kind="memoize-disabled")
-        disk_memoize(key, compute, enabled=False)
-        disk_memoize(key, compute, enabled=False)
-        assert len(calls) == 2
-        assert DiskCache(tmp_path).entries() == []

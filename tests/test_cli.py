@@ -50,6 +50,35 @@ class TestCommands:
         assert main(["count", "tc", "--file", str(path)]) == 0
         assert "1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("no_cache", [False, True])
+    def test_count_goes_through_cached_runner(
+        self, tmp_path, monkeypatch, capsys, no_cache
+    ):
+        """A repeat ``count`` (in-process memo dropped, as in a new
+        process) is a disk hit of the shared runner; ``--no-cache``
+        recomputes and writes no entry."""
+        from repro.bench import runner
+        from repro.cache import DiskCache
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n2 0\n0 3\n")
+        argv = ["count", "tc", "--file", str(path)]
+        argv += ["--no-cache"] if no_cache else []
+        outputs = []
+        runner.reset_stats()
+        for _ in range(2):
+            runner.clear_cache()
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs == ["tc: 1\n"] * 2
+        stats = runner.runner_stats()
+        if no_cache:
+            assert (stats.disk_hits, stats.simulate_calls) == (0, 2)
+            assert DiskCache(tmp_path / "cache").entries() == []
+        else:
+            assert (stats.disk_hits, stats.simulate_calls) == (1, 1)
+
     def test_count_with_listing(self, tmp_path, capsys):
         path = tmp_path / "g.txt"
         path.write_text("0 1\n1 2\n2 0\n")

@@ -11,7 +11,12 @@ import pytest
 
 
 @pytest.mark.parametrize(
-    "script", ["examples/quickstart.py", "examples/clique_communities.py"]
+    "script",
+    [
+        "examples/quickstart.py",
+        "examples/clique_communities.py",
+        "examples/trace_and_validate.py",
+    ],
 )
 def test_example_runs(script, capsys):
     runpy.run_path(script, run_name="__main__")
