@@ -10,19 +10,25 @@ Layout and guarantees
 
 * **Location**: ``$REPRO_CACHE_DIR`` if set, else
   ``$XDG_CACHE_HOME/repro``, else ``~/.cache/repro``.  Created lazily.
-* **Keys**: SHA-256 over a canonical rendering of the request parts
-  plus :data:`SCHEMA_VERSION`.  Graphs are fingerprinted by their full
-  CSR byte contents and root sets by their full ``int64`` array hash —
-  *never* by summaries that can collide (see docs/PARALLELISM.md for
-  the exact key schema).
-* **Entries**: one pickle file per key, holding
-  ``{"schema": ..., "key": ..., "value": ...}``.  Written atomically
+* **Keys**: SHA-256 over a canonical rendering of the request parts.
+  Graphs are fingerprinted by their full CSR byte contents and root
+  sets by their full ``int64`` array hash — *never* by summaries that
+  can collide (see docs/PARALLELISM.md for the exact key schema).
+* **Entries**: one file per key: the SHA-256 of a pickle of
+  ``{"key": ..., "value": ...}``, then that pickle.  Written atomically
   (temp file + ``os.replace``) so concurrent writers and crashes never
-  publish a torn entry.
-* **Invalidation**: bumping :data:`SCHEMA_VERSION` (done whenever a
-  timing model changes observable results) orphans every old entry;
-  corrupted, truncated, unreadable, or mismatched entries are treated
-  as misses and recomputed — never raised.
+  publish a torn entry; the checksum catches the damage that gets past
+  that before anything is unpickled.
+* **Invalidation**: ``Backend.cache_key`` mixes in
+  :func:`model_digest`, a hash of the source of every ``repro`` module
+  the backends import (this module and ``repro.core.result`` among
+  them, so the entry format is covered too).  Any code edit there
+  re-keys every result — and every store row, so such a commit also
+  regenerates the committed ``paper-*`` runs (docs/BENCHMARKS.md,
+  "Resumability"); comment, docstring and formatting edits do not.
+  Nothing is bumped by hand.  Corrupted, truncated, unreadable, or
+  mismatched entries are treated as misses and recomputed — never
+  raised.
 * **Failure accounting** (docs/RESILIENCE.md): the cache is an
   accelerator, never a correctness dependency, so I/O failures stay
   silent at the call site — but they are *counted*
@@ -38,6 +44,8 @@ maintains the cache from the shell.
 
 from __future__ import annotations
 
+import ast
+import functools
 import hashlib
 import os
 import pickle
@@ -52,19 +60,15 @@ from repro.graph.csr import CSRGraph
 from repro.resilience import faults
 
 __all__ = [
-    "SCHEMA_VERSION",
     "CacheCounters",
     "DiskCache",
     "cache_dir",
     "default_cache",
     "graph_fingerprint",
     "make_key",
+    "model_digest",
     "roots_fingerprint",
 ]
-
-#: Bump whenever any simulator/engine change alters results for the same
-#: inputs; every existing cache entry then misses and is recomputed.
-SCHEMA_VERSION = 1
 
 _ENTRY_SUFFIX = ".pkl"
 
@@ -109,12 +113,157 @@ def make_key(**parts: Any) -> str:
     """Canonical cache key: SHA-256 over sorted ``repr``-rendered parts.
 
     Every value must render deterministically (strings, numbers, and
-    dataclass ``repr``s do).  The schema version is always mixed in.
+    dataclass ``repr``s do).
     """
-    canon = [f"schema={SCHEMA_VERSION}"]
-    for name in sorted(parts):
-        canon.append(f"{name}={parts[name]!r}")
+    canon = [f"{name}={parts[name]!r}" for name in sorted(parts)]
     return hashlib.sha256("\x1f".join(canon).encode("utf-8")).hexdigest()
+
+
+#: Where :func:`model_digest`'s import walk starts: the module holding
+#: the four built-in backends reaches every model module from here.
+_MODEL_ROOT = "repro.core.backends"
+
+
+def _module_path(package: Path, module: str) -> Path | None:
+    """Source file of ``module`` under the ``repro`` package directory
+    ``package``; ``None`` if it names no module (an imported name that
+    is not a submodule)."""
+    base = package.joinpath(*module.split(".")[1:])
+    for path in (base.with_suffix(".py"), base / "__init__.py"):
+        if path.is_file():
+            return path
+    return None
+
+
+def _statements(body: list) -> Iterable[ast.AST]:
+    """Every statement of ``body`` and of the blocks nested in it.
+
+    Imports and docstrings are statements, never inside an expression,
+    so this sees them all while skipping the expression nodes that a
+    full ``ast.walk`` would visit.
+    """
+    for node in body:
+        yield node
+        for block in ("body", "orelse", "finalbody", "handlers", "cases"):
+            yield from _statements(getattr(node, block, ()))
+
+
+def _repro_imports(package: Path, tree: ast.Module) -> list[str]:
+    """Every ``repro`` module a tree imports, at any nesting depth.
+
+    ``from repro.p import a, b`` names the submodules ``repro.p.a`` and
+    ``repro.p.b`` where they exist, and the package ``repro.p`` itself
+    only when some imported name is not a submodule.
+    """
+    def ours(name: str | None) -> bool:
+        return (name or "").partition(".")[0] == "repro"
+
+    found = []
+    for node in _statements(tree.body):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if ours(a.name)]
+        elif isinstance(node, ast.ImportFrom) and ours(node.module):
+            subs = [f"{node.module}.{a.name}" for a in node.names]
+            subs = [m for m in subs if _module_path(package, m) is not None]
+            if len(subs) < len(node.names):
+                found.append(node.module)
+            found += subs
+    return found
+
+
+def _canonical(node: Any) -> str:
+    """Text of a syntax (sub)tree: node types and field values, without
+    source positions.
+
+    The text is the same on every supported Python, where ``ast.dump``
+    and ``ast.unparse`` are not: they render one tree differently on
+    3.10, 3.11 and 3.12.  ``None`` and empty-list fields are left out
+    because newer interpreters add fields that older ones lack
+    (``type_params``).
+    """
+    if isinstance(node, ast.AST):
+        fields = ", ".join(
+            f"{name}={_canonical(value)}"
+            for name, value in ast.iter_fields(node)
+            if value is not None and value != []
+            and name not in ("kind", "type_comment")
+        )
+        return f"{type(node).__name__}({fields})"
+    if isinstance(node, list):
+        return f"[{', '.join(map(_canonical, node))}]"
+    return repr(node)
+
+
+def _normalized(tree: ast.Module) -> str:
+    """:func:`_canonical` of ``tree`` without its docstrings: comments,
+    docstrings and formatting drop out while every executable token
+    stays."""
+    for node in [tree, *_statements(tree.body)]:
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                 ast.AsyncFunctionDef)):
+            continue
+        body = node.body
+        if (body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant)
+                and isinstance(body[0].value.value, str)):
+            node.body = body[1:]
+    return _canonical(tree)
+
+
+def _closure_digest(package: Path) -> str:
+    """SHA-256 over the normalized source of every module in the static
+    import closure of :data:`_MODEL_ROOT` under ``package``, hashed one
+    module at a time and combined in module-name order."""
+    modules: dict[str, str] = {}
+    todo = [_MODEL_ROOT]
+    while todo:
+        module = todo.pop()
+        path = None if module in modules else _module_path(package, module)
+        if path is None:
+            continue
+        tree = ast.parse(path.read_bytes())
+        todo += _repro_imports(package, tree)
+        text = _normalized(tree).encode("utf-8")
+        modules[module] = hashlib.sha256(text).hexdigest()
+    canon = "".join(f"{m} {h}\n" for m, h in sorted(modules.items()))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+@functools.cache
+def model_digest() -> str:
+    """Identity of the model code: the digest of this package's import
+    closure of ``repro.core.backends``, computed on first use and once
+    per process.
+
+    :meth:`repro.core.backend.Backend.cache_key` mixes it into every
+    result key, so an edit to any of those modules re-keys every cached
+    result and every store row, while comment, docstring and formatting
+    edits do not.
+    """
+    return _closure_digest(Path(__file__).resolve().parent)
+
+
+_CHECKSUM_BYTES = hashlib.sha256().digest_size
+
+
+def _frame(entry: dict) -> bytes:
+    """On-disk bytes of an entry: the SHA-256 of its pickle, then the
+    pickle, so a flipped or truncated byte is caught before unpickling."""
+    payload = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+    return hashlib.sha256(payload).digest() + payload
+
+
+def _unframe(data: bytes) -> Any:
+    """The entry inside :func:`_frame` bytes; :class:`ValueError` when
+    the checksum does not match."""
+    checksum, payload = data[:_CHECKSUM_BYTES], data[_CHECKSUM_BYTES:]
+    if hashlib.sha256(payload).digest() != checksum:
+        raise ValueError("cache entry checksum mismatch")
+    return pickle.loads(payload)
+
+
+def _current(entry: Any, key: str) -> bool:
+    return isinstance(entry, dict) and entry.get("key") == key
 
 
 @dataclass
@@ -186,23 +335,19 @@ class DiskCache:
         quarantined, stale/foreign entries are dropped."""
         path = self._path(key)
         try:
-            with open(path, "rb") as fh:
-                entry = pickle.load(fh)
-            if (
-                isinstance(entry, dict)
-                and entry.get("schema") == SCHEMA_VERSION
-                and entry.get("key") == key
-            ):
+            entry = _unframe(path.read_bytes())
+            if _current(entry, key):
                 self.counters.hits += 1
                 return True, entry["value"]
-            # Stale schema or foreign entry under our name: not corrupt,
-            # just obsolete — drop it without keeping the bytes.
+            # Foreign entry under our name: not corrupt, just obsolete —
+            # drop it without keeping the bytes.
             self.counters.errors += 1
             path.unlink(missing_ok=True)
         except FileNotFoundError:
             pass
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError, ValueError):
+        except Exception:
+            # Whatever reading or unpickling raises, the entry is
+            # corrupt: a miss, never an error at the call site.
             self.counters.errors += 1
             self._quarantine(path)
         self.counters.misses += 1
@@ -212,8 +357,7 @@ class DiskCache:
         """Atomically publish ``value`` under ``key``; I/O failures are
         swallowed (the cache is an accelerator, never a correctness
         dependency) but counted in ``counters.write_failures``."""
-        entry = {"schema": SCHEMA_VERSION, "key": key, "value": value}
-        data = pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL)
+        data = _frame({"key": key, "value": value})
         if faults.plan_active():
             # Fault site "cache": a `corrupt` rule models a torn write
             # that slipped past the atomic rename (docs/RESILIENCE.md).
@@ -285,9 +429,8 @@ class DiskCache:
         """Full-cache health scan (``python -m repro cache doctor``).
 
         Loads and validates every entry: readable and current counts as
-        ``ok``; readable but schema-stale or key-mismatched counts as
-        ``stale`` and is deleted; unreadable counts as ``corrupt`` and
-        is quarantined.  Returns the tally (plus ``quarantine_backlog``,
+        ``ok``; readable but key-mismatched counts as ``stale`` and is
+        deleted; unreadable counts as ``corrupt`` and is quarantined.  Returns the tally (plus ``quarantine_backlog``,
         the number of previously quarantined files awaiting review).
         """
         report = {
@@ -298,19 +441,13 @@ class DiskCache:
             report["checked"] += 1
             key = path.name[: -len(_ENTRY_SUFFIX)]
             try:
-                with open(path, "rb") as fh:
-                    entry = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError, ValueError):
+                entry = _unframe(path.read_bytes())
+            except Exception:
                 report["corrupt"] += 1
                 if self._quarantine(path):
                     report["quarantined"] += 1
                 continue
-            if (
-                isinstance(entry, dict)
-                and entry.get("schema") == SCHEMA_VERSION
-                and entry.get("key") == key
-            ):
+            if _current(entry, key):
                 report["ok"] += 1
             else:
                 report["stale"] += 1

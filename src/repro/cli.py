@@ -427,7 +427,7 @@ def _cmd_backends(args) -> int:
     for name in backend_names():
         backend = get_backend(name)
         print(f"{name:12s} config={backend.config_type.__name__:16s} "
-              f"key=v{backend.cache_key_version}  {backend.description}")
+              f"{backend.description}")
     return 0
 
 
@@ -465,7 +465,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.cache import SCHEMA_VERSION, default_cache
+    from repro.cache import default_cache, model_digest
 
     cache = default_cache()
     if args.action == "path":
@@ -493,7 +493,7 @@ def _cmd_cache(args) -> int:
         return 0
     entries = cache.entries()
     print(f"directory: {cache.directory}")
-    print(f"schema:    v{SCHEMA_VERSION}")
+    print(f"model:     {model_digest()[:12]}")
     print(f"entries:   {len(entries)}")
     print(f"bytes:     {cache.size_bytes():,}")
     counters = cache.counters.as_dict()

@@ -23,7 +23,12 @@ fixed table of the four built-ins (``repro.core.backends.BACKENDS``).
 
 Cache keys render **every** dataclass field of the configuration
 explicitly (:func:`config_signature`), so a field can never silently
-escape the schema hash, whatever its ``repr`` shows.
+escape the schema hash, whatever its ``repr`` shows.  They also mix in
+:func:`repro.cache.model_digest`, the hash of every ``repro`` module
+the backends import, so a result is keyed on the code that made it: an
+edit to the model re-keys every cached result and store row (the
+committed ``paper-*`` runs are regenerated in the same commit), while
+comment and docstring edits re-key nothing.
 """
 
 from __future__ import annotations
@@ -64,7 +69,11 @@ def config_signature(config: Any) -> str:
 
 
 class Backend(abc.ABC):
-    """One execution path for mining jobs (see module docstring)."""
+    """One execution path for mining jobs (see module docstring).
+
+    A backend carries no version number: its cache identity follows its
+    code through :func:`repro.cache.model_digest`.
+    """
 
     #: Registry key; unique across the built-in backends.
     name: str = ""
@@ -80,9 +89,6 @@ class Backend(abc.ABC):
     #: The ``repro simulate`` options this backend reads (``pes``,
     #: ``ius``, ``group_size``, ``schedule``); the CLI rejects the rest.
     cli_flags: tuple[str, ...] = ()
-    #: Bump whenever this backend's ``simulate`` changes observable
-    #: results for the same inputs; every cached entry then misses.
-    cache_key_version: int = 1
 
     # -- required surface ------------------------------------------------
 
@@ -117,18 +123,26 @@ class Backend(abc.ABC):
     ) -> str:
         """Persistent-cache identity of one run.
 
-        Mixes the backend name and :attr:`cache_key_version` with the
-        full graph fingerprint, workload, explicit config signature,
-        root-array hash, schedule, and execution model — the schema
-        documented in docs/PARALLELISM.md section 3.
+        Mixes the backend name and the model code
+        (:func:`repro.cache.model_digest`) with the full graph
+        fingerprint, workload, explicit config signature, root-array
+        hash, schedule, and execution model — the schema documented in
+        docs/PARALLELISM.md section 3.  An edit to any module the
+        backends import therefore re-keys every result; nothing is
+        bumped by hand.
         """
-        from repro.cache import graph_fingerprint, make_key, roots_fingerprint
+        from repro.cache import (
+            graph_fingerprint,
+            make_key,
+            model_digest,
+            roots_fingerprint,
+        )
 
         roots_list = list(roots) if roots is not None else None
         return make_key(
             kind="runresult",
             backend=self.name,
-            backend_version=self.cache_key_version,
+            code=model_digest(),
             graph=graph_fingerprint(graph),
             workload=str(workload),
             config=config_signature(config),

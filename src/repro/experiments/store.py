@@ -103,7 +103,9 @@ class ResultRow:
     @classmethod
     def from_json(cls, line: str) -> "ResultRow | None":
         """Parse one store line; ``None`` for malformed or newer-schema
-        rows (the store is append-only and read forward-compatibly)."""
+        rows (the store is append-only and read forward-compatibly),
+        and for rows missing a required field or holding a field of the
+        wrong JSON type (a row read from disk is checked, not trusted)."""
         try:
             record = json.loads(line)
         except json.JSONDecodeError:
@@ -114,20 +116,33 @@ class ResultRow:
             1, STORE_SCHEMA_VERSION + 1
         ):
             return None
-        names = {f.name for f in dataclasses.fields(cls)}
-        if not {"run", "cell_key"} <= record.keys():
-            return None
-        kwargs = {k: v for k, v in record.items() if k in names}
-        counts = kwargs.get("counts", [])
-        if not isinstance(counts, list) or not all(
-            type(c) is int for c in counts
-        ):
-            return None
-        kwargs["counts"] = tuple(counts)
+        kwargs = {}
+        for f in dataclasses.fields(cls):
+            if f.name in record:
+                if not _FIELD_TYPES[f.type](record[f.name]):
+                    return None
+                kwargs[f.name] = record[f.name]
+        kwargs["counts"] = tuple(kwargs.get("counts", ()))
         try:
             return cls(**kwargs)
-        except TypeError:
+        except TypeError:  # a required field is missing
             return None
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON true/false load as bool, not int
+
+
+#: What a JSON value must be to fill a :class:`ResultRow` field, by the
+#: field's annotation (``counts`` arrives as a JSON array).
+_FIELD_TYPES = {
+    "str": lambda v: isinstance(v, str),
+    "int": _is_int,
+    "int | None": lambda v: v is None or _is_int(v),
+    "float": lambda v: _is_int(v) or type(v) is float,
+    "dict": lambda v: isinstance(v, dict),
+    "tuple[int, ...]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+}
 
 
 def check_run_name(run: str) -> str:

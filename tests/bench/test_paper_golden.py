@@ -5,6 +5,11 @@ store (``benchmarks/results/store/paper-*.jsonl``): no simulator call,
 no appended row, no run file read twice, and a text byte-identical to
 ``benchmarks/results/paper/<name>.txt``.  A cold run against the same
 files is the CI ``paper-golden`` job (``tools/paper_golden.py``).
+
+Every row is keyed on the model code (``repro.cache.model_digest``), so
+an edit to a module the backends import fails the zero-call check here
+until the ``paper-*`` runs are regenerated in the same commit
+(:data:`REGENERATE`).
 """
 
 import shutil
@@ -23,6 +28,17 @@ from repro.bench.runner import (
 from repro.experiments.store import ResultStore
 
 RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
+
+REGENERATE = (
+    "if the model code changed since the committed paper-* rows were made, "
+    "their keys (repro.cache.model_digest) no longer match; regenerate "
+    "them in the same commit: "
+    "export PYTHONPATH=src REPRO_CACHE_DIR=$(mktemp -d) "
+    "REPRO_RESULTS_DIR=$(mktemp -d); "
+    "python -m repro bench --no-cache > bench.txt; "
+    'python tools/paper_golden.py bench.txt "$REPRO_RESULTS_DIR/store"; '
+    'cp "$REPRO_RESULTS_DIR"/store/paper-*.jsonl benchmarks/results/store/'
+)
 
 
 @pytest.fixture
@@ -58,7 +74,12 @@ def test_renders_golden_from_committed_rows(name, committed_store,
     monkeypatch.setattr(ResultStore, "load", counted_load)
     before = {p.name: p.read_bytes() for p in committed_store.iterdir()}
     text = EXPERIMENTS[name]().render() + "\n"
-    assert runner_stats() == RunnerStats()  # zero simulator calls
+    stats = runner_stats()
+    assert stats == RunnerStats(), (
+        f"{name} made {stats.simulate_calls} simulator call(s) and "
+        f"{stats.disk_hits} disk hit(s) from the committed rows; "
+        + REGENERATE
+    )
     assert len(loads) == len(set(loads))  # each run file read once
     after = {p.name: p.read_bytes() for p in committed_store.iterdir()}
     assert after == before  # zero rows appended

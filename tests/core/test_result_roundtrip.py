@@ -1,11 +1,15 @@
 """RunResult round-trips through the persistent disk cache unchanged,
-and key-version bumps invalidate stale entries instead of serving them.
+and a model-code change invalidates stale entries instead of serving
+them.
 """
 
 import pickle
+import shutil
+from pathlib import Path
 
 import pytest
 
+import repro.cache as cache_mod
 from repro.bench.runner import (
     clear_cache,
     configure,
@@ -74,35 +78,35 @@ class TestDiskRoundTrip:
 
 
 class TestVersionInvalidation:
-    def test_backend_key_version_bump_misses(self, monkeypatch):
+    def test_model_digest_change_misses(self, monkeypatch):
         g = _graph()
         backend = get_backend("fingers")
         cfg = backend.default_config(units=2)
         run_backend_cached(backend, g, "g", "tc", cfg)
         clear_cache()
-        monkeypatch.setattr(
-            type(backend), "cache_key_version",
-            backend.cache_key_version + 1,
-        )
+        monkeypatch.setattr(cache_mod, "model_digest", lambda: "edited")
         run_backend_cached(backend, g, "g", "tc", cfg)
         stats = runner_stats()
         assert stats.simulate_calls == 2
         assert stats.disk_hits == 0
 
-    def test_schema_version_bump_misses(self, monkeypatch):
-        import repro.cache as cache_mod
-
-        g = _graph()
-        backend = get_backend("fingers")
-        cfg = backend.default_config(units=2)
-        run_backend_cached(backend, g, "g", "tc", cfg)
-        clear_cache()
-        monkeypatch.setattr(cache_mod, "SCHEMA_VERSION",
-                            cache_mod.SCHEMA_VERSION + 1)
-        run_backend_cached(backend, g, "g", "tc", cfg)
-        stats = runner_stats()
-        assert stats.simulate_calls == 2
-        assert stats.disk_hits == 0
+    @pytest.mark.parametrize("module, covered", [
+        ("cache.py", True),  # the entry format
+        ("core/result.py", True),  # RunResult
+        ("experiments/store.py", False),  # rows: STORE_SCHEMA_VERSION
+    ], ids=["cache", "result", "store"])
+    def test_entry_format_modules_are_in_the_digest(
+        self, tmp_path, module, covered
+    ):
+        package = Path(cache_mod.__file__).resolve().parent
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = cache_mod._closure_digest(copy)
+        assert before == cache_mod.model_digest()
+        with (copy / module).open("a") as handle:
+            handle.write("\n_EDITED = True\n")
+        assert (cache_mod._closure_digest(copy) != before) is covered
 
     def test_corrupt_entry_degrades_to_miss(self):
         g = _graph()

@@ -49,6 +49,30 @@ class TestRow:
             record["counts"] = counts
             assert ResultRow.from_json(json.dumps(record)) is None
 
+    @pytest.mark.parametrize("name, value", [
+        ("run", 7), ("cell_key", None), ("pattern", ["tc"]), ("graph", 1.0),
+        ("backend", True), ("policy", {}), ("schedule", 0), ("workload", 3),
+        ("config_signature", None), ("status", 7),
+        ("count", "7"), ("count", True), ("count", 7.0), ("count", None),
+        ("cycles", "abc"), ("cycles", None), ("cycles", False),
+        ("wall_time_s", "0.1"), ("wall_time_s", True),
+        ("jobs", "2"), ("jobs", 2.0), ("jobs", False),
+        ("error", "boom"), ("retry", []), ("metrics", 1.0), ("extras", [1]),
+        ("dispatch", None), ("cache", "x"), ("provenance", [["a", 1]]),
+    ])
+    def test_wrong_typed_fields_are_skipped(self, name, value):
+        record = json.loads(_row().to_json())
+        record[name] = value
+        assert ResultRow.from_json(json.dumps(record)) is None
+
+    @pytest.mark.parametrize("name, value", [
+        ("cycles", 12), ("wall_time_s", 0), ("jobs", None), ("jobs", 2),
+    ])
+    def test_numeric_fields_take_either_json_number(self, name, value):
+        record = json.loads(_row().to_json())
+        record[name] = value
+        assert getattr(ResultRow.from_json(json.dumps(record)), name) == value
+
     def test_missing_counts_defaults_to_empty(self):
         record = json.loads(_row().to_json())
         del record["counts"]

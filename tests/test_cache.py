@@ -1,14 +1,18 @@
 """Persistent result cache: keys, round-trips, and invalidation."""
 
+import ast
 import hashlib
 import pickle
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro.cache as cache_mod
 from repro.cache import (
-    SCHEMA_VERSION,
     DiskCache,
     cache_dir,
     default_cache,
@@ -97,11 +101,6 @@ class TestMakeKey:
         assert make_key(a=1) != make_key(a=2)
         assert make_key(a=1) != make_key(b=1)
 
-    def test_schema_version_mixed_in(self, monkeypatch):
-        before = make_key(a=1)
-        monkeypatch.setattr(cache_mod, "SCHEMA_VERSION", SCHEMA_VERSION + 1)
-        assert make_key(a=1) != before
-
 
 class TestDiskCache:
     def test_roundtrip(self, tmp_path):
@@ -138,24 +137,27 @@ class TestDiskCache:
         cache.put(key, "recomputed")
         assert cache.get(key) == (True, "recomputed")
 
-    def test_schema_bump_invalidates(self, tmp_path):
-        cache = DiskCache(tmp_path)
-        key = make_key(kind="schema")
-        path = cache._path(key)
-        tmp_path.mkdir(exist_ok=True)
-        stale = {"schema": SCHEMA_VERSION - 1, "key": key, "value": "old"}
-        path.write_bytes(pickle.dumps(stale))
-        hit, _ = cache.get(key)
-        assert not hit
-        assert not path.exists()
-
     def test_foreign_key_under_our_name_is_dropped(self, tmp_path):
         cache = DiskCache(tmp_path)
         key = make_key(kind="ours")
-        entry = {"schema": SCHEMA_VERSION, "key": "someone-else", "value": 1}
-        cache._path(key).write_bytes(pickle.dumps(entry))
+        entry = {"key": "someone-else", "value": 1}
+        cache._path(key).write_bytes(cache_mod._frame(entry))
         hit, _ = cache.get(key)
         assert not hit
+        assert not cache._path(key).exists()
+        assert cache.quarantined_entries() == []
+
+    def test_doctor_drops_foreign_entry_as_stale(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache.put(make_key(kind="good"), 1)
+        foreign = {"key": "someone-else", "value": 2}
+        cache._path(make_key(kind="ours")).write_bytes(
+            cache_mod._frame(foreign)
+        )
+        report = cache.doctor()
+        assert (report["checked"], report["ok"], report["stale"]) == (2, 1, 1)
+        assert report["corrupt"] == 0
+        assert len(cache.entries()) == 1
 
     def test_unwritable_directory_swallowed(self, tmp_path):
         target = tmp_path / "blocked"
@@ -163,6 +165,211 @@ class TestDiskCache:
         cache = DiskCache(target)
         cache.put(make_key(x=1), "value")  # must not raise
         assert cache.counters.errors == 1
+
+
+def _real_entry() -> bytes:
+    """The bytes ``DiskCache.put`` writes for a real simulated run."""
+    from repro.core.backend import get_backend
+
+    backend = get_backend("fingers")
+    graph = erdos_renyi(20, 0.3, seed=4)
+    result = backend.run(graph, "tc", backend.default_config(units=2))
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = DiskCache(tmp)
+        cache.put("k", result)
+        return cache._path("k").read_bytes()
+
+
+_REAL_ENTRY = _real_entry()
+
+
+def _assert_corrupt_everywhere(data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = DiskCache(tmp)
+        cache._path("k").write_bytes(data)
+        assert cache.get("k") == (False, None)
+        assert cache.counters.quarantined == 1
+        cache._path("k").write_bytes(data)
+        report = cache.doctor()
+        assert (report["checked"], report["corrupt"]) == (1, 1)
+        assert cache.entries() == []
+
+
+class TestCorruptEntries:
+    """A damaged entry is a miss, never an exception (module docstring)."""
+
+    @pytest.mark.parametrize("data", [
+        # REDUCE on a str: TypeError "'str' object is not callable".
+        b"\x80\x04X\x03\x00\x00\x00abc)R.",
+        # BINBYTES past sys.maxsize: OverflowError.
+        b"\x80\x04\x8e" + (2**64 - 1).to_bytes(8, "little"),
+        # BINBYTES8 of 2**62 bytes: MemoryError.
+        b"\x80\x04\x8e" + (2**62).to_bytes(8, "little"),
+    ], ids=["type-error", "overflow-error", "memory-error"])
+    def test_unpickling_errors_are_misses(self, data):
+        _assert_corrupt_everywhere(data)
+
+    def test_real_entry_is_a_hit(self, tmp_path):
+        cache = DiskCache(tmp_path)
+        cache._path("k").write_bytes(_REAL_ENTRY)
+        hit, value = cache.get("k")
+        assert hit and value.backend == "fingers"
+        assert cache.doctor()["ok"] == 1
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        flips=st.dictionaries(
+            st.integers(0, len(_REAL_ENTRY) - 1), st.integers(1, 255),
+            max_size=4,
+        ),
+        keep=st.integers(0, len(_REAL_ENTRY)),
+    )
+    def test_flipped_or_truncated_entry_is_a_miss(self, flips, keep):
+        data = bytearray(_REAL_ENTRY)
+        for index, mask in flips.items():
+            data[index] ^= mask
+        data = bytes(data[:keep])
+        if data == _REAL_ENTRY:
+            return
+        _assert_corrupt_everywhere(data)
+
+
+class TestModelDigest:
+    def test_mixed_into_every_backend_key(self, monkeypatch):
+        from repro.core.backend import backend_names, get_backend
+
+        graph = erdos_renyi(20, 0.3, seed=4)
+
+        def keys():
+            return [
+                get_backend(name).cache_key(graph, "tc", None)
+                for name in backend_names()
+            ]
+
+        before = keys()
+        monkeypatch.setattr(cache_mod, "model_digest", lambda: "edited")
+        assert all(a != b for a, b in zip(before, keys()))
+
+    def test_computed_once_per_process(self, monkeypatch):
+        from repro.core.backend import get_backend
+
+        calls = []
+
+        def counting(package):
+            calls.append(package)
+            return "digest"
+
+        monkeypatch.setattr(cache_mod, "_closure_digest", counting)
+        cache_mod.model_digest.cache_clear()
+        try:
+            graph = erdos_renyi(20, 0.3, seed=4)
+            backend = get_backend("fingers")
+            for pattern in ("tc", "tt", "cyc"):
+                backend.cache_key(graph, pattern, None)
+            assert calls == [Path(cache_mod.__file__).resolve().parent]
+        finally:
+            cache_mod.model_digest.cache_clear()
+
+
+_BACKENDS = '''"""Backends."""
+from repro.hw.chip import run_chip
+
+
+def simulate():
+    from repro.sw import miner
+    return run_chip() + miner.LATENCY
+'''
+
+_CHIP = '''"""The chip model."""
+# Cycles per task.
+CYCLES = 4
+
+
+def run_chip():
+    """Cycles of one run."""
+    return CYCLES
+'''
+
+
+def _package(tmp_path: Path, chip: str = _CHIP) -> Path:
+    """A three-module stand-in for the ``repro`` package: ``core.backends``
+    imports ``hw.chip`` at module level and ``sw.miner`` in a function;
+    ``experiments.store`` is imported by nothing."""
+    files = {
+        "core/backends.py": _BACKENDS,
+        "hw/chip.py": chip,
+        "sw/miner.py": "LATENCY = 2\n",
+        "experiments/store.py": "SCHEMA = 1\n",
+    }
+    root = tmp_path / "repro"
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+class TestNormalization:
+    """What :func:`repro.cache.model_digest` sees of a module's source."""
+
+    def _digest(self, tmp_path, chip=_CHIP):
+        return cache_mod._closure_digest(_package(tmp_path, chip))
+
+    def test_changed_constant_changes_digest(self, tmp_path):
+        edited = _CHIP.replace("CYCLES = 4", "CYCLES = 5")
+        assert self._digest(tmp_path / "a") != self._digest(
+            tmp_path / "b", edited
+        )
+
+    @pytest.mark.parametrize("edit", [
+        ("# Cycles per task.", "# Cycles per task, as measured."),
+        ("# Cycles per task.\n", ""),
+        ('"""The chip model."""', '"""The chip model.\n\nRewritten."""'),
+        ('    """Cycles of one run."""\n', ""),
+        ("    return CYCLES", "    return (\n        CYCLES\n    )"),
+        ("CYCLES = 4\n", "CYCLES = 4\n\n\n"),
+    ], ids=["comment", "comment-removed", "module-docstring",
+            "function-docstring-removed", "line-breaks", "blank-lines"])
+    def test_comments_docstrings_and_layout_do_not(self, tmp_path, edit):
+        edited = _CHIP.replace(*edit)
+        assert edited != _CHIP
+        assert self._digest(tmp_path / "a") == self._digest(
+            tmp_path / "b", edited
+        )
+
+    def test_rendering_is_pinned(self):
+        # A tuple loop target and an f-string with nested quotes: the
+        # constructs ast.unparse renders differently on 3.10, 3.11 and
+        # 3.12.  This text must be the same on every supported Python,
+        # or committed rows stop resuming on some of them.
+        source = (
+            'def f(xs):\n    """Doc."""\n'
+            '    for a, b in xs:  # note\n'
+            '        yield f"{a[\'k\']!r:>4}", (\n            b)\n'
+        )
+        assert cache_mod._normalized(ast.parse(source)) == (
+            "Module(body=[FunctionDef(name='f', args=arguments(args=["
+            "arg(arg='xs')]), body=[For(target=Tuple(elts=[Name(id='a', "
+            "ctx=Store()), Name(id='b', ctx=Store())], ctx=Store()), "
+            "iter=Name(id='xs', ctx=Load()), body=[Expr(value=Yield("
+            "value=Tuple(elts=[JoinedStr(values=[FormattedValue(value="
+            "Subscript(value=Name(id='a', ctx=Load()), slice=Constant("
+            "value='k'), ctx=Load()), conversion=114, format_spec="
+            "JoinedStr(values=[Constant(value='>4')]))]), Name(id='b', "
+            "ctx=Load())], ctx=Load())))])])])"
+        )
+
+    def test_function_level_import_is_followed(self, tmp_path):
+        root = _package(tmp_path)
+        before = cache_mod._closure_digest(root)
+        (root / "sw/miner.py").write_text("LATENCY = 3\n")
+        assert cache_mod._closure_digest(root) != before
+
+    def test_unimported_module_is_outside(self, tmp_path):
+        root = _package(tmp_path)
+        before = cache_mod._closure_digest(root)
+        (root / "experiments/store.py").write_text("SCHEMA = 2\n")
+        assert cache_mod._closure_digest(root) == before
 
 
 class TestDefaultCache:

@@ -151,7 +151,7 @@ class TestCommands:
         for name in ("fingers", "flexminer", "software", "functional"):
             assert name in out
         assert "FingersConfig" in out
-        assert "key=v1" in out
+        assert "key=" not in out  # identity follows the code, no version
 
     def test_compare(self, tmp_path, capsys):
         path = tmp_path / "g.txt"

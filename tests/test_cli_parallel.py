@@ -3,7 +3,7 @@ and the ``cache`` subcommand."""
 
 import pytest
 
-from repro.cache import DiskCache
+from repro.cache import DiskCache, model_digest
 from repro.cli import main
 
 
@@ -93,7 +93,7 @@ class TestCacheSubcommand:
         assert main(["cache", "info"]) == 0
         out = capsys.readouterr().out
         assert "entries:   0" in out
-        assert "schema:" in out
+        assert f"model:     {model_digest()[:12]}\n" in out
 
     def test_clear_after_populate(self, graph_file, capsys):
         main(["count", "tc", "--file", graph_file])

@@ -8,9 +8,13 @@ Run every experiment cold into scratch directories, then compare::
 
 Exits 1 when a rendered text differs from
 ``benchmarks/results/paper/<name>.txt``, or when a ``paper-*`` row's
-``count``, ``counts`` or ``cycles`` differs from the committed row with
-the same identity (or either side lacks one).  Both comparisons are
-exact: one cycle of drift in any cell fails.  Each row's
+``count``, ``counts``, ``cycles`` or ``cell_key`` differs from the
+committed row with the same identity (or either side lacks one).  Every
+comparison is exact: one cycle of drift in any cell fails.  A
+``cell_key`` mismatch means the committed row was keyed under another
+model digest (``repro.cache.model_digest``), so a warm ``repro bench``
+would re-simulate it: regenerate the runs by copying the cold run's
+``paper-*.jsonl`` files into ``benchmarks/results/store/``.  Each row's
 ``wall_time_s`` is that cell's cold wall time.
 """
 
@@ -70,6 +74,11 @@ def row_problems(fresh_root: Path) -> list[str]:
                 problems.append(
                     f"{run} {identity}: committed count {a.count} cycles "
                     f"{a.cycles!r}, cold run count {b.count} cycles {b.cycles!r}"
+                )
+            elif a.cell_key != b.cell_key:
+                problems.append(
+                    f"{run} {identity}: committed row keyed under another "
+                    "model digest; regenerate"
                 )
     return problems
 
