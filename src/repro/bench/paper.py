@@ -33,13 +33,14 @@ def run_paper(name: str, *specs: Mapping) -> Callable[..., ResultRow]:
     if fresh:
         store.delete(run)
     # The run file is read once; each sweep's new rows are appended to
-    # it and to ``rows`` alike.
+    # it and to ``rows`` alike, so a cell that several specs share is
+    # written once, fresh run or not.
     rows = [] if fresh else store.load(run, missing_ok=True)
     keys: dict[Cell, str] = {}
     for data in specs:
         outcome = run_sweep(
-            load_spec(data), store=store, run=run, resume=not fresh,
-            isolate=False, retry_failed=True, prior_rows=rows,
+            load_spec(data), store=store, run=run, isolate=False,
+            retry_failed=True, prior_rows=rows,
         )
         keys.update(outcome.keys)
         rows.extend(outcome.rows)

@@ -171,7 +171,11 @@ def _repro_imports(package: Path, tree: ast.Module) -> list[str]:
     return found
 
 
-def _canonical(node: Any) -> str:
+#: Per node class, the fields :func:`_canonical` renders, in order.
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _canonical(node: ast.AST) -> str:
     """Text of a syntax (sub)tree: node types and field values, without
     source positions.
 
@@ -181,17 +185,43 @@ def _canonical(node: Any) -> str:
     because newer interpreters add fields that older ones lack
     (``type_params``).
     """
-    if isinstance(node, ast.AST):
-        fields = ", ".join(
-            f"{name}={_canonical(value)}"
-            for name, value in ast.iter_fields(node)
-            if value is not None and value != []
-            and name not in ("kind", "type_comment")
-        )
-        return f"{type(node).__name__}({fields})"
-    if isinstance(node, list):
-        return f"[{', '.join(map(_canonical, node))}]"
-    return repr(node)
+    parts: list[str] = []
+    emit = parts.append
+
+    def render(node: ast.AST) -> None:
+        cls = node.__class__
+        names = _FIELDS.get(cls)
+        if names is None:
+            names = _FIELDS[cls] = tuple(
+                n for n in cls._fields if n not in ("kind", "type_comment")
+            )
+        emit(cls.__name__ + "(")
+        sep = ""
+        for name in names:
+            value = getattr(node, name, None)
+            if value is None or value == []:
+                continue
+            if value.__class__ is list:
+                emit(sep + name + "=[")
+                item_sep = ""
+                for item in value:
+                    emit(item_sep)
+                    if isinstance(item, ast.AST):
+                        render(item)
+                    else:
+                        emit(repr(item))
+                    item_sep = ", "
+                emit("]")
+            elif isinstance(value, ast.AST):
+                emit(sep + name + "=")
+                render(value)
+            else:
+                emit(sep + name + "=" + repr(value))
+            sep = ", "
+        emit(")")
+
+    render(node)
+    return "".join(parts)
 
 
 def _normalized(tree: ast.Module) -> str:

@@ -22,17 +22,20 @@ __all__ = [
 
 
 def from_edges(
-    edges: Iterable[tuple[int, int]],
+    edges: Iterable[tuple[int, int]] | np.ndarray,
     *,
     num_vertices: int | None = None,
 ) -> CSRGraph:
-    """Build a graph from an iterable of ``(u, v)`` pairs.
+    """Build a graph from ``(u, v)`` pairs: an iterable of pairs or an
+    ``(m, 2)`` integer array.
 
     Self loops are dropped; duplicate and reversed duplicates are merged.
     ``num_vertices`` may be passed to include isolated trailing vertices;
     otherwise it is inferred as ``max vertex id + 1``.
     """
-    arr = np.asarray(list(edges), dtype=np.int64)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64)
     if arr.size == 0:
         n = num_vertices or 0
         return CSRGraph(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int32))
@@ -46,24 +49,18 @@ def from_edges(
         raise ValueError(
             f"num_vertices={n} too small for max vertex id {inferred - 1}"
         )
-    # Drop self loops, canonicalize direction, dedupe.
-    arr = arr[arr[:, 0] != arr[:, 1]]
-    lo = arr.min(axis=1)
-    hi = arr.max(axis=1)
-    keys = lo * n + hi
-    keys = np.unique(keys)
-    lo = (keys // n).astype(np.int64)
-    hi = (keys % n).astype(np.int64)
-    # Symmetrize.
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
+    # Drop self loops, then key both directions of every edge as
+    # ``src * n + dst``: one sort orders the CSR and brings duplicates
+    # together.
+    u, v = arr[arr[:, 0] != arr[:, 1]].T
+    keys = np.concatenate([u * n + v, v * n + u])
+    keys.sort()
+    if keys.size:
+        keys = keys[np.concatenate([[True], keys[1:] != keys[:-1]])]
+    src = keys // n
     indptr = np.zeros(n + 1, dtype=np.int64)
-    counts = np.bincount(src, minlength=n)
-    indptr[1:] = np.cumsum(counts)
-    return CSRGraph(indptr, dst.astype(np.int32), validate=False)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, (keys - src * n).astype(np.int32), validate=False)
 
 
 def from_adjacency(adj: Mapping[int, Sequence[int]]) -> CSRGraph:
@@ -95,12 +92,8 @@ def induced_subgraph(
         raise ValueError("vertices out of range")
     remap = -np.ones(graph.num_vertices, dtype=np.int64)
     remap[keep] = np.arange(keep.size)
-    edges = []
-    for new_u, old_u in enumerate(keep):
-        for old_v in graph.neighbors(int(old_u)):
-            new_v = remap[old_v]
-            if new_v >= 0 and new_u < new_v:
-                edges.append((new_u, int(new_v)))
+    edges = remap[graph.edge_array()]
+    edges = edges[(edges >= 0).all(axis=1)]
     return from_edges(edges, num_vertices=keep.size), keep
 
 
@@ -116,5 +109,4 @@ def relabel_by_degree(graph: CSRGraph, *, descending: bool = True) -> CSRGraph:
     order = np.argsort(-degrees if descending else degrees, kind="stable")
     remap = np.empty(graph.num_vertices, dtype=np.int64)
     remap[order] = np.arange(graph.num_vertices)
-    edges = [(int(remap[u]), int(remap[v])) for u, v in graph.edges()]
-    return from_edges(edges, num_vertices=graph.num_vertices)
+    return from_edges(remap[graph.edge_array()], num_vertices=graph.num_vertices)

@@ -192,12 +192,25 @@ class CSRGraph:
         i = int(np.searchsorted(nu, v))
         return i < nu.size and int(nu[i]) == v
 
+    def _vertex_of(self) -> np.ndarray:
+        """Source vertex of every ``indices`` entry, as int64."""
+        return np.repeat(
+            np.arange(self.num_vertices, dtype=np.int64), np.diff(self._indptr)
+        )
+
+    def edge_array(self) -> np.ndarray:
+        """Undirected edges once each, as an ``(m, 2)`` int64 array of
+        ``(u, v)`` rows with ``u < v``, in :meth:`edges` order (by ``u``,
+        then ``v``)."""
+        vertex_of = self._vertex_of()
+        upper = vertex_of < self._indices
+        return np.stack([vertex_of[upper], self._indices[upper]], axis=1)
+
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate undirected edges once each, as ``(u, v)`` with ``u < v``."""
-        for u in range(self.num_vertices):
-            for v in self.neighbors(u):
-                if u < v:
-                    yield u, int(v)
+        """Iterate undirected edges once each, as ``(u, v)`` Python ints
+        with ``u < v``, ordered by ``u`` and then ``v``."""
+        us, vs = self.edge_array().T.tolist()
+        return zip(us, vs)
 
     def max_degree(self) -> int:
         """Largest vertex degree (0 for an empty graph)."""
@@ -227,11 +240,7 @@ class CSRGraph:
         """
         cached = self._edge_key_cache
         if cached is None:
-            n = self.num_vertices
-            vertex_of = np.repeat(
-                np.arange(n, dtype=np.int64), np.diff(self._indptr)
-            )
-            cached = vertex_of * n + self._indices
+            cached = self._vertex_of() * self.num_vertices + self._indices
             cached.setflags(write=False)
             self._edge_key_cache = cached
         return cached

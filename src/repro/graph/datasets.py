@@ -38,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from repro.graph import generators
-from repro.graph.builders import relabel_by_degree
+from repro.graph.builders import from_edges, relabel_by_degree
 from repro.graph.csr import CSRGraph
 
 __all__ = [
@@ -83,6 +85,12 @@ class DatasetSpec:
         return _BUILDERS[self.name]()
 
 
+def _union(a: CSRGraph, b: CSRGraph) -> CSRGraph:
+    """The edges of both graphs on ``a``'s vertex set."""
+    edges = np.concatenate([a.edge_array(), b.edge_array()])
+    return from_edges(edges, num_vertices=a.num_vertices)
+
+
 def _build_as() -> CSRGraph:
     # Collaboration network: preferential attachment supplies the hub
     # authors (real AstroPh: max degree 24x the average), planted cliques
@@ -91,10 +99,7 @@ def _build_as() -> CSRGraph:
     cliq = generators.planted_cliques(
         950, num_cliques=110, clique_size=6, background_p=0.0, seed=102
     )
-    from repro.graph.builders import from_edges
-
-    edges = list(base.edges()) + list(cliq.edges())
-    return from_edges(edges, num_vertices=950)
+    return _union(base, cliq)
 
 
 def _build_mi() -> CSRGraph:
@@ -104,10 +109,7 @@ def _build_mi() -> CSRGraph:
     cliq = generators.planted_cliques(
         1500, num_cliques=260, clique_size=7, background_p=0.0, seed=202
     )
-    from repro.graph.builders import from_edges
-
-    edges = list(base.edges()) + list(cliq.edges())
-    return from_edges(edges, num_vertices=1500)
+    return _union(base, cliq)
 
 
 def _build_yo() -> CSRGraph:
@@ -131,10 +133,7 @@ def _build_lj() -> CSRGraph:
     extra = generators.planted_cliques(
         base.num_vertices, num_cliques=110, clique_size=7, background_p=0.0, seed=506
     )
-    edges = list(base.edges()) + list(extra.edges())
-    from repro.graph.builders import from_edges
-
-    return from_edges(edges, num_vertices=base.num_vertices)
+    return _union(base, extra)
 
 
 def _build_or() -> CSRGraph:

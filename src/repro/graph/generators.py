@@ -44,37 +44,51 @@ def erdos_renyi(n: int, p: float, *, seed: int = 0) -> CSRGraph:
     """G(n, p) random graph.
 
     Uses the geometric-skipping method so the cost is proportional to the
-    number of edges rather than ``n**2``.
+    number of edges rather than ``n**2``.  The skips are drawn in batches
+    (``rng.random(k)``), which is the same PCG64 stream as one
+    ``rng.random()`` per skip; the walk ends at the same skip either way.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be in [0, 1]")
     rng = _rng(seed, "erdos_renyi")
-    edges: list[tuple[int, int]] = []
-    if p > 0.0 and n > 1:
-        # Iterate potential edges in lexicographic order, skipping
-        # geometrically distributed gaps.
-        total = n * (n - 1) // 2
-        idx = -1
-        log1mp = np.log1p(-p) if p < 1.0 else None
+    total = n * (n - 1) // 2
+    if p == 0.0 or n <= 1:
+        idx = np.empty(0, dtype=np.int64)
+    elif p >= 1.0:
+        idx = np.arange(total, dtype=np.int64)
+    else:
+        idx = _geometric_walk(rng, p, total)
+    # Convert linear indices of the pairs in lexicographic order to
+    # (u, v), u < v.
+    u = ((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * idx)) // 2).astype(np.int64)
+    v = u + 1 + idx - u * (2 * n - u - 1) // 2
+    return from_edges(np.stack([u, v], axis=1), num_vertices=n)
+
+
+def _geometric_walk(rng: np.random.Generator, p: float, total: int) -> np.ndarray:
+    """Linear indices in ``[0, total)`` of the pairs G(n, p) keeps.
+
+    Each index is the previous one plus ``1 + floor(log(1 - r) / log(1 - p))``
+    for the next uniform ``r``; the walk ends at the first skip that
+    reaches ``total``.
+    """
+    log1mp = np.log1p(-p)
+    batch = int(p * total + 4 * np.sqrt(p * total)) + 16
+    parts = []
+    last = -1
+    while True:
+        r = rng.random(min(batch, total + 1))
         # A tiny p overflows the gap to inf, which ends the walk.
         with np.errstate(over="ignore"):
-            while True:
-                if p >= 1.0:
-                    idx += 1
-                else:
-                    r = rng.random()
-                    gap = np.floor(np.log1p(-r) / log1mp)
-                    if gap >= total - idx - 1:
-                        break
-                    idx += 1 + int(gap)
-                if idx >= total:
-                    break
-                # Convert linear index to (u, v), u < v.
-                u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * idx)) // 2)
-                base = u * (2 * n - u - 1) // 2
-                v = u + 1 + (idx - base)
-                edges.append((u, int(v)))
-    return from_edges(edges, num_vertices=n)
+            gaps = np.floor(np.log1p(-r) / log1mp)
+        # Clipping at ``total`` keeps the int cast exact and still ends
+        # the walk at the same skip.
+        idx = last + np.cumsum(1 + np.minimum(gaps, total).astype(np.int64))
+        stop = int(np.searchsorted(idx, total))
+        parts.append(idx[:stop])
+        if stop < idx.size:
+            return np.concatenate(parts)
+        last = int(idx[-1])
 
 
 def barabasi_albert(n: int, m: int, *, seed: int = 0) -> CSRGraph:
@@ -156,9 +170,7 @@ def powerlaw_configuration(
         degrees[int(rng.integers(0, n))] += 1
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    edges = [(int(a), int(b)) for a, b in pairs if a != b]
-    return from_edges(edges, num_vertices=n)
+    return from_edges(stubs.reshape(-1, 2), num_vertices=n)
 
 
 def planted_cliques(
@@ -178,16 +190,17 @@ def planted_cliques(
     if clique_size > n:
         raise ValueError("clique_size cannot exceed n")
     rng = _rng(seed, "planted_cliques")
-    edges: list[tuple[int, int]] = []
+    parts = [np.empty((0, 2), dtype=np.int64)]
     if background_p > 0:
-        bg = erdos_renyi(n, background_p, seed=seed + 1)
-        edges.extend(bg.edges())
-    for _ in range(num_cliques):
-        members = rng.choice(n, size=clique_size, replace=False)
-        for i in range(clique_size):
-            for j in range(i + 1, clique_size):
-                edges.append((int(members[i]), int(members[j])))
-    return from_edges(edges, num_vertices=n)
+        parts.append(erdos_renyi(n, background_p, seed=seed + 1).edge_array())
+    if num_cliques > 0:
+        members = np.stack([
+            rng.choice(n, size=clique_size, replace=False)
+            for _ in range(num_cliques)
+        ])
+        i, j = np.triu_indices(clique_size, 1)
+        parts.append(np.stack([members[:, i], members[:, j]], axis=2).reshape(-1, 2))
+    return from_edges(np.concatenate(parts), num_vertices=n)
 
 
 def rmat(
@@ -224,8 +237,7 @@ def rmat(
         )
         src = (src << 1) | bit_src
         dst = (dst << 1) | bit_dst
-    edges = [(int(u), int(v)) for u, v in zip(src, dst) if u != v]
-    return from_edges(edges, num_vertices=n)
+    return from_edges(np.stack([src, dst], axis=1), num_vertices=n)
 
 
 def complete_graph(n: int) -> CSRGraph:

@@ -43,3 +43,16 @@ def test_rekeyed_cell_is_reported(tmp_path):
     assert problems[0].endswith(
         "committed row keyed under another model digest; regenerate"
     )
+
+
+def test_duplicated_cell_is_reported(tmp_path):
+    tool = _tool()
+    store = _fresh_store(tmp_path, tool)
+    run = store / "paper-table3.jsonl"
+    first = run.read_text(encoding="utf-8").splitlines()[0]
+    with run.open("a", encoding="utf-8") as f:
+        f.write(first + "\n")
+
+    problems = tool.row_problems(store)
+    key = json.loads(first)["cell_key"]
+    assert problems == [f"paper-table3 (cold run): 2 rows hold cell_key {key[:16]}"]

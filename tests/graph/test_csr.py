@@ -52,6 +52,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             from_edges([(0, 1, 2)])  # type: ignore[list-item]
 
+    @pytest.mark.parametrize(
+        "edges, kwargs, match",
+        [
+            ([[-1, 2]], {}, "non-negative"),
+            ([[0, 5]], {"num_vertices": 3}, "too small"),
+            ([[0, 1, 2]], {}, "pairs"),
+            ([0, 1], {}, "pairs"),
+        ],
+        ids=["negative", "num-vertices-too-small", "triple", "flat"],
+    )
+    def test_array_input_errors(self, edges, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            from_edges(np.array(edges, dtype=np.int64), **kwargs)
+
+    def test_array_and_tuples_build_one_graph(self):
+        pairs = [(3, 1), (1, 3), (2, 2), (0, 3), (3, 0), (1, 0)]
+        for dtype in (np.int32, np.int64, np.uint16):
+            assert from_edges(np.array(pairs, dtype=dtype), num_vertices=6) == (
+                from_edges(pairs, num_vertices=6)
+            )
+
 
 class TestValidation:
     def test_asymmetric_adjacency_rejected(self):

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import (
     barabasi_albert,
     complete_graph,
     cycle_graph,
     erdos_renyi,
+    from_edges,
     path_graph,
     planted_cliques,
     powerlaw_configuration,
@@ -45,6 +48,46 @@ class TestErdosRenyi:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
             erdos_renyi(10, 1.5)
+
+
+def _scalar_erdos_renyi(n, p, seed):
+    """The one-draw-per-skip geometric walk: the reference the batched
+    :func:`erdos_renyi` must reproduce edge for edge."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    if p > 0.0 and n > 1:
+        total = n * (n - 1) // 2
+        idx = -1
+        log1mp = np.log1p(-p) if p < 1.0 else None
+        with np.errstate(over="ignore"):
+            while True:
+                if p >= 1.0:
+                    idx += 1
+                else:
+                    gap = np.floor(np.log1p(-rng.random()) / log1mp)
+                    if gap >= total - idx - 1:
+                        break
+                    idx += 1 + int(gap)
+                if idx >= total:
+                    break
+                u = int((2 * n - 1 - np.sqrt((2 * n - 1) ** 2 - 8 * idx)) // 2)
+                v = u + 1 + (idx - u * (2 * n - u - 1) // 2)
+                edges.append((u, int(v)))
+    return from_edges(edges, num_vertices=n)
+
+
+class TestErdosRenyiBatchedDraws:
+    @given(
+        st.integers(0, 80),
+        st.one_of(
+            st.sampled_from([0.0, 1e-12, 1.0]),
+            st.floats(0.0, 1.0, allow_nan=False),
+        ),
+        st.integers(0, 2**32),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_draw_per_skip(self, n, p, seed):
+        assert erdos_renyi(n, p, seed=seed) == _scalar_erdos_renyi(n, p, seed)
 
 
 class TestBarabasiAlbert:

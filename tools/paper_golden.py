@@ -14,14 +14,17 @@ comparison is exact: one cycle of drift in any cell fails.  A
 ``cell_key`` mismatch means the committed row was keyed under another
 model digest (``repro.cache.model_digest``), so a warm ``repro bench``
 would re-simulate it: regenerate the runs by copying the cold run's
-``paper-*.jsonl`` files into ``benchmarks/results/store/``.  Each row's
-``wall_time_s`` is that cell's cold wall time.
+``paper-*.jsonl`` files into ``benchmarks/results/store/``.  A run on
+either side holding two successful rows with one ``cell_key`` is a
+problem too: a run writes each cell once.  Each row's ``wall_time_s`` is
+that cell's cold wall time.
 """
 
 from __future__ import annotations
 
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from repro.experiments.store import ResultStore
@@ -51,8 +54,18 @@ def text_problems(output: str) -> list[str]:
     return problems
 
 
-def _latest(store: ResultStore, run: str) -> dict:
-    return {row.identity(): row for row in store.load(run) if row.ok}
+def _ok_rows(store: ResultStore, run: str) -> list:
+    return [row for row in store.load(run) if row.ok]
+
+
+def _duplicates(side: str, run: str, rows: list) -> list[str]:
+    """One problem per ``cell_key`` that more than one row of ``run``
+    holds: a run writes each cell once."""
+    counts = Counter(row.cell_key for row in rows)
+    return [
+        f"{run} ({side}): {n} rows hold cell_key {key[:16]}"
+        for key, n in sorted(counts.items()) if n > 1
+    ]
 
 
 def row_problems(fresh_root: Path) -> list[str]:
@@ -63,7 +76,11 @@ def row_problems(fresh_root: Path) -> list[str]:
         if run not in committed.runs() or run not in fresh.runs():
             problems.append(f"{run}: run missing from one side")
             continue
-        old, new = _latest(committed, run), _latest(fresh, run)
+        old_rows, new_rows = _ok_rows(committed, run), _ok_rows(fresh, run)
+        problems += _duplicates("committed", run, old_rows)
+        problems += _duplicates("cold run", run, new_rows)
+        old = {row.identity(): row for row in old_rows}
+        new = {row.identity(): row for row in new_rows}
         for identity in sorted(old.keys() | new.keys(), key=str):
             a, b = old.get(identity), new.get(identity)
             if a is None or b is None:
