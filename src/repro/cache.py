@@ -47,8 +47,10 @@ from __future__ import annotations
 import ast
 import functools
 import hashlib
+import json
 import os
 import pickle
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -148,26 +150,39 @@ def _statements(body: list) -> Iterable[ast.AST]:
             yield from _statements(getattr(node, block, ()))
 
 
-def _repro_imports(package: Path, tree: ast.Module) -> list[str]:
-    """Every ``repro`` module a tree imports, at any nesting depth.
+def _import_specs(tree: ast.Module) -> list[list]:
+    """Every ``repro`` import of a tree, at any nesting depth, as
+    ``[module, names]``: ``names`` is ``None`` for ``import module``
+    and the imported names for ``from module import ...``."""
+    def ours(name: str | None) -> bool:
+        return (name or "").partition(".")[0] == "repro"
+
+    specs: list[list] = []
+    for node in _statements(tree.body):
+        if isinstance(node, ast.Import):
+            specs += [[a.name, None] for a in node.names if ours(a.name)]
+        elif isinstance(node, ast.ImportFrom) and ours(node.module):
+            specs.append([node.module, [a.name for a in node.names]])
+    return specs
+
+
+def _repro_imports(package: Path, specs: list[list]) -> list[str]:
+    """The modules of ``package`` that :func:`_import_specs` names.
 
     ``from repro.p import a, b`` names the submodules ``repro.p.a`` and
     ``repro.p.b`` where they exist, and the package ``repro.p`` itself
     only when some imported name is not a submodule.
     """
-    def ours(name: str | None) -> bool:
-        return (name or "").partition(".")[0] == "repro"
-
     found = []
-    for node in _statements(tree.body):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if ours(a.name)]
-        elif isinstance(node, ast.ImportFrom) and ours(node.module):
-            subs = [f"{node.module}.{a.name}" for a in node.names]
-            subs = [m for m in subs if _module_path(package, m) is not None]
-            if len(subs) < len(node.names):
-                found.append(node.module)
-            found += subs
+    for module, names in specs:
+        if names is None:
+            found.append(module)
+            continue
+        subs = [f"{module}.{a}" for a in names]
+        subs = [m for m in subs if _module_path(package, m) is not None]
+        if len(subs) < len(names):
+            found.append(module)
+        found += subs
     return found
 
 
@@ -240,10 +255,33 @@ def _normalized(tree: ast.Module) -> str:
     return _canonical(tree)
 
 
-def _closure_digest(package: Path) -> str:
+#: File in the cache directory memoizing each closure module's facts
+#: (see :func:`_closure_digest`).  Not an entry: without the ``.pkl``
+#: suffix, ``entries``, ``clear`` and ``doctor`` never see it.
+_DIGEST_MEMO = "model-digest-memo.json"
+_DIGEST_MEMO_FORMAT = 1
+
+
+def _memo_salt() -> bytes:
+    """What a module's facts depend on besides its bytes: the code that
+    derives them (this file) and the parser's Python version."""
+    version = "{}.{}".format(*sys.version_info[:2]).encode("ascii")
+    return hashlib.sha256(version + Path(__file__).read_bytes()).digest()
+
+
+def _closure_digest(package: Path, memo: dict | None = None) -> str:
     """SHA-256 over the normalized source of every module in the static
     import closure of :data:`_MODEL_ROOT` under ``package``, hashed one
-    module at a time and combined in module-name order."""
+    module at a time and combined in module-name order.
+
+    ``memo`` maps the SHA-256 of a module's bytes (salted by
+    :func:`_memo_salt`) to its facts, ``[normalized digest, import
+    specs]``; parsing a module is most of the cost, and a memo hit
+    skips it.  On return ``memo`` holds exactly the closure's facts.
+    """
+    salt = _memo_salt()
+    known = dict(memo or {})
+    used: dict[str, list] = {}
     modules: dict[str, str] = {}
     todo = [_MODEL_ROOT]
     while todo:
@@ -251,12 +289,97 @@ def _closure_digest(package: Path) -> str:
         path = None if module in modules else _module_path(package, module)
         if path is None:
             continue
-        tree = ast.parse(path.read_bytes())
-        todo += _repro_imports(package, tree)
-        text = _normalized(tree).encode("utf-8")
-        modules[module] = hashlib.sha256(text).hexdigest()
+        data = path.read_bytes()
+        key = hashlib.sha256(salt + data).hexdigest()
+        facts = used[key] = known.get(key) or _module_facts(data)
+        modules[module] = facts[0]
+        todo += _repro_imports(package, facts[1])
+    if memo is not None:
+        memo.clear()
+        memo.update(used)
     canon = "".join(f"{m} {h}\n" for m, h in sorted(modules.items()))
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+
+
+def _module_facts(data: bytes) -> list:
+    """``[normalized digest, import specs]`` of one module's source."""
+    tree = ast.parse(data)
+    specs = _import_specs(tree)
+    text = _normalized(tree).encode("utf-8")
+    return [hashlib.sha256(text).hexdigest(), specs]
+
+
+def _is_digest(value: object) -> bool:
+    return (
+        isinstance(value, str) and len(value) == 64
+        and all(c in "0123456789abcdef" for c in value)
+    )
+
+
+def _is_module_name(value: object) -> bool:
+    return isinstance(value, str) and all(
+        part.isidentifier() for part in value.split(".")
+    )
+
+
+def _valid_facts(key: object, facts: object) -> bool:
+    if not (_is_digest(key) and isinstance(facts, list) and len(facts) == 2):
+        return False
+    digest, specs = facts
+    return _is_digest(digest) and isinstance(specs, list) and all(
+        isinstance(spec, list) and len(spec) == 2
+        and _is_module_name(spec[0])
+        and (spec[1] is None or (
+            isinstance(spec[1], list)
+            and all(_is_module_name(n) for n in spec[1])
+        ))
+        for spec in specs
+    )
+
+
+def _read_memo(path: Path) -> dict:
+    """The facts memo at ``path``; empty when it is missing or anything
+    in it is malformed, so the digest is recomputed, never trusted."""
+    try:
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return {}
+    if not (
+        isinstance(data, dict)
+        and data.get("format") == _DIGEST_MEMO_FORMAT
+        and isinstance(data.get("modules"), dict)
+        and all(_valid_facts(k, v) for k, v in data["modules"].items())
+    ):
+        return {}
+    return data["modules"]
+
+
+def _publish(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename, so
+    concurrent writers and crashes never publish a torn file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=path.parent, prefix=".tmp-", suffix=path.suffix
+    )
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _write_memo(path: Path, memo: dict) -> None:
+    """Publish the memo; a failure only costs the next process a
+    recomputation."""
+    text = json.dumps(
+        {"format": _DIGEST_MEMO_FORMAT, "modules": memo}, sort_keys=True
+    )
+    try:
+        _publish(path, text.encode("utf-8"))
+    except OSError:
+        pass
 
 
 @functools.cache
@@ -268,9 +391,16 @@ def model_digest() -> str:
     :meth:`repro.core.backend.Backend.cache_key` mixes it into every
     result key, so an edit to any of those modules re-keys every cached
     result and every store row, while comment, docstring and formatting
-    edits do not.
+    edits do not.  Each module's parse is memoized across processes in
+    :data:`_DIGEST_MEMO` under the cache directory.
     """
-    return _closure_digest(Path(__file__).resolve().parent)
+    path = cache_dir() / _DIGEST_MEMO
+    memo = _read_memo(path)
+    before = dict(memo)
+    digest = _closure_digest(Path(__file__).resolve().parent, memo)
+    if memo != before:
+        _write_memo(path, memo)
+    return digest
 
 
 _CHECKSUM_BYTES = hashlib.sha256().digest_size
@@ -393,17 +523,7 @@ class DiskCache:
             # that slipped past the atomic rename (docs/RESILIENCE.md).
             data = faults.corrupt_bytes("cache", key, data)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.directory, prefix=".tmp-", suffix=_ENTRY_SUFFIX
-            )
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                os.replace(tmp, self._path(key))
-            except BaseException:
-                os.unlink(tmp)
-                raise
+            _publish(self._path(key), data)
             self.counters.stores += 1
         except OSError:
             self.counters.errors += 1

@@ -158,6 +158,7 @@ def _error_record(exc: BaseException, attempt: int) -> dict:
     }
 
 
+@_pool.pool_scope()
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -199,6 +200,10 @@ def run_sweep(
 
     ``prior_rows`` are the run's rows when the caller has read them
     already; by default a resuming sweep reads the run once.
+
+    Every sharded cell runs on one worker pool
+    (:func:`repro.parallel.pool.pool_scope`), shut down when the sweep
+    returns or raises.
     """
     store = store if store is not None else ResultStore()
     sanitizing = sanitize if sanitize is not None else _sanitize.env_enabled()

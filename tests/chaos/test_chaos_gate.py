@@ -89,7 +89,8 @@ class TestChaosGate:
         # A warm in-process memo would satisfy the faulted run from
         # cache and inject nothing; the gate must re-simulate.
         # seed=7 draws a crash for 8 of the 16 shard tokens at attempt
-        # 0 (the first pool of every cell breaks) and no token can
+        # 0, so the sweep's pool breaks in every cell (the second cell
+        # starts on the pool the first one rebuilt) and no token can
         # exhaust the 15-attempt budget (see _hermetic); rebuild depth
         # and possible degradation to serial vary with OS scheduling,
         # so the degradation warning is tolerated, not required.

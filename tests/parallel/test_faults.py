@@ -238,25 +238,26 @@ class TestFaultInvarianceProperties:
 
 class _BreakingExecutor:
     """Stands in for ProcessPoolExecutor: the first pool breaks under
-    every shard, later pools run each shard in-process.  Records the
-    fault draw each shard is submitted with."""
+    every shard, later pools run each shard in-process on the payload
+    its call staged.  Records the fault draw each shard is submitted
+    with."""
 
     pools = 0
 
-    def __init__(self, max_workers, initializer, initargs):
-        self.worker, self.payload = initargs
+    def __init__(self, max_workers, initializer):
         self.first = _BreakingExecutor.pools == 0
         _BreakingExecutor.pools += 1
         self.submitted = _BreakingExecutor.submitted
 
     def submit(self, fn, task):
-        draw, shard = task
+        path, draw, shard = task
         self.submitted.append((shard[0], draw))
         fut = Future()
         if self.first:
             fut.set_exception(BrokenProcessPool("a worker died"))
         else:
-            fut.set_result(self.worker(self.payload, shard))
+            worker, payload = pool._load(path)
+            fut.set_result(worker(payload, shard))
         return fut
 
     def shutdown(self, wait=True, cancel_futures=False):

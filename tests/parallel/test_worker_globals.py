@@ -354,40 +354,38 @@ class TestCheckVerdicts:
 
 
 class TestPoolWorkerGlobals:
-    """`pool._WORKER` / `pool._PAYLOAD` are per-process only."""
+    """`pool._LOADED` (a worker's token cache) is per-process only."""
 
-    def test_initializer_writes_are_caught(self, monkeypatch):
-        """The pool initializer writes globals the spy would flag on a
-        worker path: it is safe only because it runs in pool children
-        alone, which the parent-side tests below pin."""
+    def test_worker_side_writes_are_caught(self, monkeypatch, tmp_path):
+        """The pool initializer and the task entry write globals the spy
+        would flag on a worker path: they are safe only because they run
+        in pool children alone, which the parent-side tests below pin."""
         from repro.resilience import faults
 
-        for module, name in [(pool, "_WORKER"), (pool, "_PAYLOAD"),
-                             (faults, "_IN_WORKER")]:
+        for module, name in [(pool, "_LOADED"), (faults, "_IN_WORKER")]:
             monkeypatch.setattr(module, name, getattr(module, name))
+        path = tmp_path / "call.pkl"
+        path.write_bytes(pickle.dumps((_double, {"k": 1})))
         before = _snapshot()
-        pool._initializer(_double, {"k": 1})
+        pool._initializer()
+        assert pool._invoke((str(path), 0, [4])) == [4]
         assert sorted(_written(before, _snapshot())) == [
-            "repro.parallel.pool._PAYLOAD",
-            "repro.parallel.pool._WORKER",
+            "repro.parallel.pool._LOADED",
             "repro.resilience.faults._IN_WORKER",
         ]
 
     def test_parent_globals_untouched_by_pool_run(self):
-        assert pool._WORKER is None
-        assert pool._PAYLOAD is None
+        assert pool._LOADED is None
         out = run_shards(_double, {"k": 3}, [[1, 2], [3, 4]], 2)
         assert out == [[3, 6], [9, 12]]
-        # The initializer ran in the *children*; the parent's module
-        # globals must never have been written.
-        assert pool._WORKER is None
-        assert pool._PAYLOAD is None
+        # The payload was loaded in the *children*; the parent's token
+        # cache must never have been written.
+        assert pool._LOADED is None
 
     def test_serial_path_never_installs_globals(self):
         out = run_shards(_double, {"k": 2}, [[5]], 1)
         assert out == [[10]]
-        assert pool._WORKER is None
-        assert pool._PAYLOAD is None
+        assert pool._LOADED is None
 
 
 class TestPoolFailureLatch:

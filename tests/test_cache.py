@@ -2,6 +2,7 @@
 
 import ast
 import hashlib
+import json
 import pickle
 import tempfile
 from pathlib import Path
@@ -256,7 +257,7 @@ class TestModelDigest:
 
         calls = []
 
-        def counting(package):
+        def counting(package, memo=None):
             calls.append(package)
             return "digest"
 
@@ -370,6 +371,118 @@ class TestNormalization:
         before = cache_mod._closure_digest(root)
         (root / "experiments/store.py").write_text("SCHEMA = 2\n")
         assert cache_mod._closure_digest(root) == before
+
+
+@pytest.fixture
+def fresh_digest(tmp_path, monkeypatch):
+    """``model_digest`` recomputed in a private cache directory; the
+    memo file it reads and writes."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cache_mod.model_digest.cache_clear()
+    yield tmp_path / "cache" / cache_mod._DIGEST_MEMO
+    cache_mod.model_digest.cache_clear()
+
+
+def _digest_now():
+    cache_mod.model_digest.cache_clear()
+    return cache_mod.model_digest()
+
+
+def _with_spec(spec):
+    """A valid memo but for one module's import spec."""
+    def build(good):
+        modules = dict(good["modules"])
+        key, facts = next(iter(modules.items()))
+        modules[key] = [facts[0], [spec]]
+        return json.dumps({"format": 1, "modules": modules}).encode()
+    return build
+
+
+_MALFORMED = {
+    "binary": lambda good: b"\x00\xffgarbage",
+    "truncated": lambda good: b'{"format": 1, "modules": {',
+    "list": lambda good: b"[]",
+    "format": lambda good: b'{"format": 99, "modules": {}}',
+    "modules-list": lambda good: b'{"format": 1, "modules": []}',
+    "short-digest": lambda good: (
+        b'{"format": 1, "modules": {"abc": ["00", []]}}'
+    ),
+    "spec-names-not-a-list": _with_spec(["repro.x", "y"]),
+    "path-like-module": _with_spec(["repro.a/../b", None]),
+}
+
+
+class TestDigestMemo:
+    """The per-module facts memo behind :func:`model_digest`."""
+
+    def test_memo_is_written_then_reused_without_parsing(
+        self, fresh_digest, monkeypatch
+    ):
+        digest = _digest_now()
+        memo = json.loads(fresh_digest.read_text())
+        assert memo["format"] == cache_mod._DIGEST_MEMO_FORMAT
+        assert len(memo["modules"]) >= 30
+        written = fresh_digest.stat().st_mtime_ns
+
+        def no_parse(data):
+            raise AssertionError("a memo hit must not parse")
+
+        monkeypatch.setattr(cache_mod, "_module_facts", no_parse)
+        assert _digest_now() == digest
+        # Nothing changed, so nothing was rewritten.
+        assert fresh_digest.stat().st_mtime_ns == written
+
+    def test_memo_does_not_change_the_digest(self, tmp_path):
+        root = _package(tmp_path)
+        memo = {}
+        cold = cache_mod._closure_digest(root, memo)
+        assert cold == cache_mod._closure_digest(root)
+        assert len(memo) == 3  # backends, chip, miner; not the store
+        assert cache_mod._closure_digest(root, dict(memo)) == cold
+
+    def test_edited_module_misses_and_stale_facts_are_pruned(
+        self, tmp_path
+    ):
+        root = _package(tmp_path)
+        memo = {}
+        before = cache_mod._closure_digest(root, memo)
+        old_keys = set(memo)
+        (root / "hw/chip.py").write_text(_CHIP.replace("4", "5"))
+        after = cache_mod._closure_digest(root, memo)
+        assert after != before
+        assert len(memo) == 3 and len(set(memo) - old_keys) == 1
+
+    def test_import_targets_are_resolved_afresh(self, tmp_path):
+        # The memo keeps import statements, not their targets: a module
+        # that appears later is followed although no memoized file
+        # changed.
+        root = _package(tmp_path)
+        (root / "hw/chip.py").write_text(
+            "from repro.hw import extra\n" + _CHIP
+        )
+        memo = {}
+        before = cache_mod._closure_digest(root, memo)
+        (root / "hw/extra.py").write_text("X = 1\n")
+        assert cache_mod._closure_digest(root, memo) != before
+        assert len(memo) == 4
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_malformed_memo_recomputes(self, fresh_digest, case):
+        digest = _digest_now()
+        good = json.loads(fresh_digest.read_text())
+        fresh_digest.write_bytes(_MALFORMED[case](good))
+        assert cache_mod._read_memo(fresh_digest) == {}
+        assert _digest_now() == digest
+        # ...and the rewritten memo is whole again.
+        assert json.loads(fresh_digest.read_text()) == good
+
+    def test_entries_clear_and_doctor_ignore_the_memo(self, fresh_digest):
+        _digest_now()
+        cache = DiskCache(fresh_digest.parent)
+        assert cache.entries() == []
+        assert cache.clear() == 0
+        assert cache.doctor()["checked"] == 0
+        assert fresh_digest.is_file()
 
 
 class TestDefaultCache:
