@@ -4,11 +4,14 @@ Drives every cell of an expanded sweep through the registry's cached
 runner (:func:`repro.bench.runner.run_backend_cached`) — the exact same
 code path as ``repro bench`` and the single-run CLI — and
 appends one :class:`~repro.experiments.store.ResultRow` per executed
-cell.  Resumption is keyed on :meth:`Backend.cache_key`: a cell whose
-full cache identity (graph contents, config signature, schedule, roots,
-execution model) already has a row in the target run is skipped without
-touching the simulator, so re-running a finished sweep performs zero
-recomputation.
+cell.  Resumption is keyed on :meth:`Backend.cache_key` plus the
+cell's ``jobs`` (:attr:`ResultRow.cell_id`): a cell whose full cache
+identity (graph contents, config signature, schedule, roots, execution
+model) and worker count already have a row in the target run is skipped
+without touching the simulator, so re-running a finished sweep performs
+zero recomputation.  The worker count is not part of the result key:
+cells that differ only in ``jobs`` each get a row, and the later ones
+are memo or disk hits of the first.
 
 Each row records two layers of observability alongside the result:
 wall time plus the run-cache hit/miss deltas for the cell, and — for
@@ -176,10 +179,11 @@ def run_sweep(
     """Execute every cell of ``spec`` into ``store`` under run ``run``
     (default: the spec's name).
 
-    ``resume=True`` (the default) skips cells whose cache identity is
-    already in the run.  ``disk`` is forwarded to the cached runner
-    (``None`` = the process-wide :func:`repro.bench.runner.configure`
-    setting).  ``graphs`` maps graph names to preloaded/synthetic
+    ``resume=True`` (the default) skips cells whose cache identity and
+    ``jobs`` are already in the run.  ``disk`` is forwarded to the
+    cached runner (``None`` = the process-wide
+    :func:`repro.bench.runner.configure` setting).  ``graphs`` maps
+    graph names to preloaded/synthetic
     :class:`~repro.graph.csr.CSRGraph` objects, bypassing the dataset
     catalog — used by tests and library callers.  ``progress`` receives
     ``(cell, "run" | "resume" | "fail")`` per cell.
@@ -209,8 +213,8 @@ def run_sweep(
     sanitizing = sanitize if sanitize is not None else _sanitize.env_enabled()
     run_name = run or spec.name
     cells = spec.expand()
-    seen: set[str] = set()
-    prior_failures: dict[str, int] = {}
+    seen: set[tuple[str, int | None]] = set()
+    prior_failures: dict[tuple[str, int | None], int] = {}
     if resume:
         if prior_rows is None:
             prior_rows = store.load(run_name, missing_ok=True)
@@ -255,7 +259,10 @@ def run_sweep(
             graph=cell.graph, backend=cell.backend, policy=cell.policy,
             jobs=cell.jobs, schedule=cell.schedule, config_signature=signature,
         )
-        if cell_key in seen:
+        # Cells differing only in ``jobs`` share a sharded key but are
+        # distinct cells: resume on the row's cell_id, not the key.
+        cell_id = (cell_key, cell.jobs)
+        if cell_id in seen:
             resumed += 1
             if progress is not None:
                 progress(cell, "resume")
@@ -264,7 +271,7 @@ def run_sweep(
         # Prior failed rows drive the fault attempt counter, so an
         # injected transient:cell fault clears on a later
         # --retry-failed pass while fail:cell stays permanent.
-        attempt = prior_failures.get(cell_key, 0)
+        attempt = prior_failures.get(cell_id, 0)
         stats_before = runner_stats()
         kernels_before = kernel_counters()
         retry_before = _pool.retry_stats()
@@ -297,7 +304,7 @@ def run_sweep(
                 error=_error_record(exc, attempt + 1),
                 provenance=_stamped(shared_provenance),
             )
-            prior_failures[cell_key] = attempt + 1
+            prior_failures[cell_id] = attempt + 1
             failed += 1
         else:
             wall_time = time.perf_counter() - start
@@ -321,7 +328,7 @@ def run_sweep(
             )
             executed += 1
         store.append(row)
-        seen.add(cell_key)
+        seen.add(cell_id)
         rows.append(row)
         if progress is not None:
             progress(cell, "run" if row.ok else "fail")

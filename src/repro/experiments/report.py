@@ -46,9 +46,9 @@ def _partition(rows: Iterable[ResultRow]) -> tuple[list[ResultRow], list[ResultR
     pre-resilience reports byte-identical.
     """
     rows = list(rows)
-    latest: dict[str, ResultRow] = {}
+    latest: dict[tuple, ResultRow] = {}
     for row in rows:
-        latest[row.cell_key] = row
+        latest[row.cell_id] = row
     failures = _sorted(r for r in latest.values() if not r.ok)
     return _sorted(r for r in rows if r.ok), failures
 

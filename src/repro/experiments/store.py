@@ -43,8 +43,9 @@ class ResultRow:
 
     ``cell_key`` is the backend's full cache key
     (:meth:`repro.core.backend.Backend.cache_key`) — graph contents,
-    config signature, schedule, roots, execution model — which is what
-    makes resume exact: a row exists iff that cache identity was run.
+    config signature, schedule, roots, execution model; with ``jobs``
+    it is the :attr:`cell_id` that makes resume exact: a row exists iff
+    that cell was run.
     ``metrics`` holds higher-is-better figures (speedups); ``extras``
     holds informational values excluded from regression checks.
 
@@ -52,7 +53,7 @@ class ResultRow:
     cell the executor isolated after an exception; failed rows carry a
     structured ``error`` record (exception type, message, traceback
     digest, attempt number — docs/RESILIENCE.md, "Sweep failure rows")
-    and zeroed measurement fields.  The *last* row per ``cell_key``
+    and zeroed measurement fields.  The *last* row per :attr:`cell_id`
     wins, so ``--retry-failed`` re-runs append a fresh ``ok`` row that
     supersedes the failure without rewriting history.  ``retry`` holds
     the cell's :class:`repro.resilience.retry.RetryStats` delta when
@@ -85,6 +86,13 @@ class ResultRow:
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def cell_id(self) -> tuple[str, int | None]:
+        """What a sweep resumes on: ``(cell_key, jobs)``.  Cells that
+        differ only in their worker count share a sharded result key
+        but are distinct cells of a spec, each with its own row."""
+        return self.cell_key, self.jobs
 
     def identity(self) -> tuple:
         """The join key for cross-run diffs: *what* was measured,
@@ -204,28 +212,28 @@ class ResultStore:
 
     def statuses(
         self, run: str, rows: Sequence[ResultRow] | None = None
-    ) -> dict[str, str]:
-        """Last-row-wins status per cell identity (empty for an absent
-        run).  This is what resume decisions read: a cell whose latest
-        row is ``"failed"`` is complete for a normal resume but
-        outstanding for ``--retry-failed``.  ``rows`` are the run's rows
-        when the caller has read them already."""
+    ) -> dict[tuple[str, int | None], str]:
+        """Last-row-wins status per :attr:`ResultRow.cell_id` (empty
+        for an absent run).  This is what resume decisions read: a cell
+        whose latest row is ``"failed"`` is complete for a normal resume
+        but outstanding for ``--retry-failed``.  ``rows`` are the run's
+        rows when the caller has read them already."""
         if rows is None:
             rows = self.load(run, missing_ok=True)
-        return {row.cell_key: row.status for row in rows}
+        return {row.cell_id: row.status for row in rows}
 
     def failure_counts(
         self, run: str, rows: Sequence[ResultRow] | None = None
-    ) -> dict[str, int]:
-        """How many failed rows each cell identity has accumulated —
-        the executor's per-cell attempt counter across invocations.
-        ``rows`` as for :meth:`statuses`."""
+    ) -> dict[tuple[str, int | None], int]:
+        """How many failed rows each :attr:`ResultRow.cell_id` has
+        accumulated — the executor's per-cell attempt counter across
+        invocations.  ``rows`` as for :meth:`statuses`."""
         if rows is None:
             rows = self.load(run, missing_ok=True)
-        counts: dict[str, int] = {}
+        counts: dict[tuple[str, int | None], int] = {}
         for row in rows:
             if row.status == "failed":
-                counts[row.cell_key] = counts.get(row.cell_key, 0) + 1
+                counts[row.cell_id] = counts.get(row.cell_id, 0) + 1
         return counts
 
     def delete(self, run: str) -> bool:

@@ -68,9 +68,6 @@ _ENTRY_BYTES = 40
 TRACE_BUDGET_BYTES = 8 << 20
 #: Roots in the first chunk; later chunks scale to the budget.
 _FIRST_CHUNK_ROOTS = 64
-#: Set-op inputs (source plus operand ids) handled per vectorized pass,
-#: bounding the build's temporaries on hub-heavy levels.
-_PIECE_VALUES = 1 << 17
 #: Task-divider pipeline cycles to load a chunk's long heads.
 _CHUNK_SETUP_CYCLES = 2
 #: Pairing-regime bounds of the IU model (see :func:`_pairing_costs`).
@@ -657,7 +654,7 @@ class OpTrace:
                 states = {}
                 executed += fr.run_level_ops(
                     self.graph, plan.levels[0].ops, cols, states,
-                    shared=shared, max_values=_PIECE_VALUES,
+                    shared=shared, max_values=fr._block_values(),
                 )
                 per_plan.append(states)
             ops = [op for plan in self.plans for op in plan.levels[0].ops]
@@ -731,7 +728,7 @@ class OpTrace:
         )
         executed = fr.run_level_ops(
             self.graph, ops[:-1] if counted else ops, cols, states,
-            max_values=_PIECE_VALUES,
+            max_values=fr._block_values(),
         )
         if not counted:
             return executed, None
@@ -740,7 +737,7 @@ class OpTrace:
         executed.append((op, src, None))
         leaf = fr.leaf_counts(
             self.graph, plan, level + 1, op, src, cols,
-            max_values=_PIECE_VALUES,
+            max_values=fr._block_values(),
         )
         return executed, leaf
 
@@ -760,7 +757,7 @@ class OpTrace:
         ]
         stats = compute = spills = None
         if self.fingers is not None:
-            # Vectorized in row pieces of bounded op inputs.
+            # Vectorized in row pieces of one frontier block of op inputs.
             weight = sum(
                 (opd.lens + (0 if src is None else src.lens)
                  for _, src, opd in ops_rows),
@@ -772,7 +769,7 @@ class OpTrace:
                       opd.take(slice(a, b))) for kind, src, opd in ops_rows],
                     b - a, self.fingers,
                 )
-                for a, b in fr._chunk_ranges(weight, _PIECE_VALUES)
+                for a, b in fr._chunk_ranges(weight, fr._block_values())
             ]
             stats = TaskStats(*(
                 np.concatenate([getattr(p, f.name) for p in pieces])

@@ -6,8 +6,8 @@ Counting runs on one of two execution models, selected by
 ``"frontier"`` (default)
     Breadth-batched: every level's partial embeddings are materialized
     as one struct-of-arrays frontier and the level's schedule runs as
-    segmented batch set ops (:mod:`repro.mining.frontier`).  Memory is
-    bounded by the module's spill budget.
+    segmented batch set ops (:mod:`repro.mining.frontier`), depth-first
+    over cache-sized blocks of the frontier.
 ``"recursive"``
     The oracle path, following paper Figure 2 exactly: nested loops over
     candidate sets, with the set-operation schedules materialized

@@ -32,11 +32,20 @@ with vectorized symmetry-breaking lower bounds and injectivity excludes,
 then either count (last level: per-row lengths; penultimate level of a
 chain-shaped schedule: the fused terminal probe, which hoists the
 child-independent ops out of the per-child work) or expand to the
-next level.  Expansion and the fused probe are **memory-bounded**: when
-the materialized result would exceed :data:`FRONTIER_BUDGET_BYTES`,
-the frontier is processed in contiguous row chunks — identical counts
-for every budget, only peak memory changes (docs/KERNELS.md, "Frontier
-engine").
+next level.
+
+Frontier blocks
+---------------
+The engine works in cache-sized **blocks** of
+:data:`FRONTIER_BUDGET_BYTES`, as FINGERS keeps only a small group of
+sibling tasks in flight so its working set stays on chip.  Expansion
+cuts the children into contiguous blocks of child rows and descends
+into one block at a time (depth-first over blocks, breadth-first
+within one).  Each level op gathers its source rows in
+pieces of ``FRONTIER_BUDGET_BYTES // _FLAT_BYTES`` values, and the
+fused probe's element and word paths run over blocks of the same size.
+Counts are identical for every block size; only the working set and the
+speed change (docs/KERNELS.md, "Frontier blocks").
 
 The fused probe has two paths.  The element path checks each child's
 candidates one by one through the segmented membership kernels.  The
@@ -95,13 +104,14 @@ __all__ = [
     "run_level_ops",
 ]
 
-#: Spill budget: when materializing the next level's embedding matrix
-#: (or a fused terminal probe) would exceed this many bytes, the frontier
-#: is processed in contiguous row chunks.  Any budget gives identical
-#: counts; only peak memory changes.
-FRONTIER_BUDGET_BYTES = 128 << 20
-#: Working-set estimate per element of the fused terminal probe's
-#: element path (value, owner, row id, membership keys and mask, slack).
+#: The frontier block: expansions, level-op pieces and fused-probe
+#: chunks each stay near this many bytes of working set.  Calibrated on
+#: the ``count-er`` job list of the end-to-end benchmark (docs/KERNELS.md,
+#: "Frontier blocks"); any size gives identical counts.
+FRONTIER_BUDGET_BYTES = 4 << 20
+#: Working-set estimate per element of a set op or of the fused
+#: terminal probe's element path (value, owner, row id, membership keys
+#: and mask, slack).
 _FLAT_BYTES = 40
 #: Working-set estimate per child and bitset word of the word-parallel
 #: terminal probe (parent bitset, adjacency row, bound mask, result).
@@ -119,6 +129,11 @@ class _State:
 
     seg: sg.SegmentedSet
     sel: np.ndarray | None
+
+
+def _block_values() -> int:
+    """Set-op source values per piece: one block's worth."""
+    return FRONTIER_BUDGET_BYTES // _FLAT_BYTES
 
 
 def _chunk_ranges(weights: np.ndarray, budget: int) -> list[tuple[int, int]]:
@@ -253,11 +268,11 @@ def _set_op(
     src: _State,
     graph: CSRGraph,
     verts: np.ndarray,
-    max_values: int | None = None,
+    max_values: int,
 ) -> sg.SegmentedSet:
     """Per-row ``src[r] ∩ N(verts[r])`` (``−`` for a subtraction), read
     through ``src``'s lazy row map in pieces of about ``max_values``
-    source values (in one piece without it).
+    source values.
 
     Rows :func:`_word_rows` picks skip the element probes: their result
     is ``bits(src[r]) & ±A[verts[r]]`` decoded back to ids.
@@ -265,15 +280,9 @@ def _set_op(
     seg, sel = src.seg, src.sel
     lens = seg.lengths if sel is None else seg.lengths[sel]
     wide = _word_rows(graph, lens, kind, verts)
-    if wide is None and max_values is None and sel is None:
-        return _element_op(kind, seg, graph, verts)
     order = np.arange(lens.size) if wide is None else np.flatnonzero(~wide)
-    ranges = (
-        [(0, order.size)] if max_values is None
-        else _chunk_ranges(lens[order], max_values)
-    )
     parts = []
-    for a, b in ranges:
+    for a, b in _chunk_ranges(lens[order], max_values):
         rows = order[a:b]
         if wide is None and sel is None:
             piece = seg.slice_rows(a, b)
@@ -286,7 +295,7 @@ def _set_op(
     subtract = kind is not OpKind.INTERSECT
     pieces = _word_pieces(
         graph, kind, seg, np.arange(seg.rows) if sel is None else sel, wide,
-        max_values or FRONTIER_BUDGET_BYTES // _WORD_BYTES,
+        max_values,
     )
     for rows, bits in pieces:
         parts.append(sg.bitset_rows(_and_rows(bits, adj, verts[rows], subtract)))
@@ -304,16 +313,16 @@ def run_level_ops(
     states: MutableMapping[int, _State],
     shared: MutableMapping[int, sg.SegmentedSet] | None = None,
     *,
-    max_values: int | None = None,
+    max_values: int,
 ) -> list[tuple[SetOp, _State | None, sg.SegmentedSet]]:
     """Run one level's schedule segmented over every frontier row.
 
     Each op's result lands in ``states``.  ``shared`` is the
     multi-pattern level-0 trunk: ops whose result id is present reuse
     it instead of re-executing, and new results are published into it.
-    With ``max_values``, each op gathers its source rows in pieces of
-    about that many values instead of materializing the whole source
-    state, which bounds the working set on hub-heavy frontiers.
+    Each op gathers its source rows in pieces of about ``max_values``
+    values instead of materializing the whole source state, which
+    bounds the working set on hub-heavy frontiers.
 
     Returns ``(op, source, result)`` for every op actually executed, in
     schedule order; ``source`` is the consumed state (``None`` for
@@ -330,8 +339,6 @@ def run_level_ops(
             seg = sg.gather_neighbors(graph, verts)
         else:
             src = states[op.source_state]
-            if max_values is None:
-                src = _State(materialize(states, op.source_state), None)
             seg = _set_op(op.kind, src, graph, verts, max_values)
         states[op.result_state] = _State(seg, None)
         if shared is not None:
@@ -582,7 +589,10 @@ class FrontierEngine:
         plan = self.plan
         sched = plan.levels[level]
         shared = self._shared if level == 0 else None
-        run_level_ops(self.graph, sched.ops, cols, states, shared)
+        run_level_ops(
+            self.graph, sched.ops, cols, states, shared,
+            max_values=_block_values(),
+        )
         nxt = level + 1
         cand = filter_candidates(
             plan, materialize(states, sched.extend_state), nxt, cols
@@ -606,8 +616,8 @@ class FrontierEngine:
         cand: sg.SegmentedSet,
         level: int,
     ) -> None:
-        """Extend every row by its surviving candidates, chunked to the
-        spill budget, and advance each chunk to the next level."""
+        """Extend every row by its surviving candidates, in blocks of
+        child rows, and advance each block to the next level."""
         lens = cand.lengths
         if cand.total == 0:
             return
@@ -683,7 +693,7 @@ class FrontierEngine:
                     continue
                 local[op.result_state] = _set_op(
                     op.kind, _State(resolve(op.source_state), None), graph,
-                    cols[op.operand_level],
+                    cols[op.operand_level], _block_values(),
                 )
             s_prime = local[ops[-1].result_state]
 

@@ -94,9 +94,9 @@ class KernelPolicy:
     A sweep spec sets its one field in ``[configs.functional]``, like
     any other backend's config fields.
 
-    The frontier engine's spill budget is the module constant
-    :data:`repro.mining.frontier.FRONTIER_BUDGET_BYTES`, and the
-    membership kernel is chosen from the graph alone
+    The frontier engine works in cache-sized blocks of the module
+    constant :data:`repro.mining.frontier.FRONTIER_BUDGET_BYTES`, and
+    the membership kernel is chosen from the graph alone
     (:func:`repro.setops.segmented.pick_segment_kernel`).
 
     Attributes

@@ -7,9 +7,11 @@ no appended row, no run file read twice, and a text byte-identical to
 files is the CI ``paper-golden`` job (``tools/paper_golden.py``).
 
 Every row is keyed on the model code (``repro.cache.model_digest``), so
-an edit to a module the backends import fails the zero-call check here
-until the ``paper-*`` runs are regenerated in the same commit
-(:data:`REGENERATE`).
+an edit to a module the backends import fails here until the
+``paper-*`` runs are regenerated in the same commit (:data:`REGENERATE`).
+Every cell the committed rows resume never reaches the run cache, so the
+first cell that does fails its experiment at once instead of simulating
+it and every cell after it cold.
 """
 
 import shutil
@@ -17,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.bench.runner as runner
 from repro.bench import EXPERIMENTS
 from repro.bench.runner import (
     RunnerStats,
@@ -72,6 +75,14 @@ def test_renders_golden_from_committed_rows(name, committed_store,
         return load(self, run, **kwargs)
 
     monkeypatch.setattr(ResultStore, "load", counted_load)
+
+    def key_miss(key, compute, use_disk):
+        pytest.fail(
+            f"{name}: cell {key[:16]} is not in the committed rows; "
+            + REGENERATE
+        )
+
+    monkeypatch.setattr(runner, "_cached", key_miss)
     before = {p.name: p.read_bytes() for p in committed_store.iterdir()}
     text = EXPERIMENTS[name]().render() + "\n"
     stats = runner_stats()

@@ -171,6 +171,34 @@ class TestModelAndMemory:
         assert sharded.keys[cell] == s_row.cell_key
         assert plain.keys[cell] == p_row.cell_key
 
+    def test_jobs_axis_writes_a_row_per_cell(self, tmp_path):
+        # jobs=2 and jobs=3 share one sharded result key, but they are
+        # two cells of the spec: a fresh store gets a row for each, and
+        # a rerun resumes both.
+        from repro.graph import barabasi_albert
+
+        graphs = {"ba": barabasi_albert(200, 5, seed=1)}
+        spec = load_spec({
+            "sweep": {"name": "jobs-axis", "patterns": ["tc", "4cl"],
+                      "graphs": ["ba"], "backends": ["functional"],
+                      "jobs": [2, 3]},
+        }, available_graphs=["ba"])
+        store = ResultStore(tmp_path / "store")
+        outcome = run_sweep(spec, store=store, graphs=graphs)
+        assert (outcome.executed, outcome.resumed) == (4, 0)
+        rows = store.load("jobs-axis")
+        assert sorted((r.pattern, r.jobs) for r in rows) == [
+            ("4cl", 2), ("4cl", 3), ("tc", 2), ("tc", 3),
+        ]
+        by_pattern = {}
+        for row in rows:
+            by_pattern.setdefault(row.pattern, set()).add(
+                (row.cell_key, row.counts)
+            )
+        assert all(len(keys) == 1 for keys in by_pattern.values())
+        again = run_sweep(spec, store=store, graphs=graphs)
+        assert (again.executed, again.resumed) == (0, 4)
+
     def test_memory_variant_is_its_own_cell(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         spec = load_spec({

@@ -153,7 +153,7 @@ class TestRetryFailed:
         assert second.failed == 1
         assert second.rows[0].error["attempt"] == 2
         assert store.failure_counts("fail-test") == {
-            second.rows[0].cell_key: 2
+            second.rows[0].cell_id: 2
         }
 
     def test_transient_cell_fault_clears_on_retry_failed(self, tmp_path):

@@ -123,7 +123,7 @@ class TestStore:
         assert store.statuses("r1") == {}  # absent run is not an error
         store.append(_row(status="failed"))
         store.append(_row())
-        assert store.statuses("r1") == {"key-1": "ok"}
+        assert store.statuses("r1") == {("key-1", None): "ok"}
 
     def test_run_names_are_validated(self, tmp_path):
         store = ResultStore(tmp_path)

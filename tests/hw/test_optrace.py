@@ -11,10 +11,10 @@ from repro.bench import BENCHMARK_PATTERNS
 from repro.core.workload import resolve_workload
 from repro.graph import builders, erdos_renyi
 from repro.graph import generators as gen
-from repro.hw import optrace
 from repro.hw.api import FingersConfig, MemoryConfig
 from repro.hw.iu import time_task_ops
 from repro.hw.optrace import OpTrace, Rows, iu_task_stats
+from repro.mining import frontier
 from repro.mining.api import plan_for
 from repro.mining.engine import count_embeddings
 from repro.pattern.plan import OpKind
@@ -171,7 +171,7 @@ class TestTraceTables:
         with pieces small enough to split every level."""
         g = _LEAF_GRAPH
         roots = range(g.num_vertices)
-        pieces = (optrace._PIECE_VALUES, 5)
+        pieces = (frontier.FRONTIER_BUDGET_BYTES, 5 * frontier._FLAT_BYTES)
         for pattern in BENCHMARK_PATTERNS:
             _, plans, _ = resolve_workload(pattern)
             want = [
@@ -179,7 +179,7 @@ class TestTraceTables:
                 for r in roots
             ]
             for piece in pieces:
-                monkeypatch.setattr(optrace, "_PIECE_VALUES", piece)
+                monkeypatch.setattr(frontier, "FRONTIER_BUDGET_BYTES", piece)
                 for fingers in (FingersConfig(num_pes=1), None):
                     trace = OpTrace(
                         g, plans, MemoryConfig(),

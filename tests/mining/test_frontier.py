@@ -9,6 +9,7 @@ dispatch, the lazy state carry, the set-op trace's leaf counts, and the
 multi-pattern shared level-0 trunk.
 """
 
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -112,6 +113,50 @@ class TestSpillInvariance:
         with _spill_budget(64):
             count_embeddings(GRAPH, plan, kernels=FRONTIER)
         assert kernel_counters().get("frontier/spill_chunks", 0) > 1
+
+    def test_tiny_budget_splits_the_level_ops(self, monkeypatch):
+        # The engine passes its block to every level op, so one op over
+        # a frontier chunk gathers its source in more than one piece.
+        pieces = []
+        real_op, real_element = frontier._set_op, frontier._element_op
+
+        def set_op(*args):
+            pieces.append(0)
+            return real_op(*args)
+
+        def element_op(*args):
+            pieces[-1] += 1
+            return real_element(*args)
+
+        monkeypatch.setattr(frontier, "_set_op", set_op)
+        monkeypatch.setattr(frontier, "_element_op", element_op)
+        plan = compile_plan(named_pattern("house"))
+        with _spill_budget(4096):
+            got = count_embeddings(GRAPH, plan, kernels=FRONTIER)
+        assert max(pieces) > 1
+        assert got == count_embeddings(GRAPH, plan, kernels=RECURSIVE)
+
+
+class TestWorkingSetBound:
+    """Counting stays within a small multiple of the frontier block:
+    expansions, level ops and the fused probe all run over blocks."""
+
+    @pytest.mark.parametrize("pattern, n, p", [
+        ("house", 400, 0.09), ("5cl", 200, 0.4),
+    ])
+    def test_traced_peak_is_a_few_blocks(self, pattern, n, p):
+        block = frontier.FRONTIER_BUDGET_BYTES
+        assert 1 << 20 <= block <= 16 << 20  # a cache-sized block
+        graph = relabel_by_degree(erdos_renyi(n, p, seed=1))
+        plan = compile_plan(named_pattern(pattern))
+        count_embeddings(graph, plan)  # warms the adjacency bitmap
+        tracemalloc.start()
+        try:
+            count_embeddings(graph, plan)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * block, (pattern, peak / (1 << 20))
 
 
 class TestEdgeCases:
@@ -238,8 +283,9 @@ class TestWordProbe:
         engine = FrontierEngine(graph, plan)
         got = engine.per_root_counts(range(129))
         assert calls
+        words = len(calls)  # one call per frontier block
         elements = _edgekey_counts(engine, range(129))
-        assert len(calls) == 1
+        assert len(calls) == words  # the edge-key run takes no word path
         assert np.array_equal(got, elements)
 
     def test_house_on_er_takes_the_word_path(self, monkeypatch):
@@ -404,7 +450,7 @@ class TestLeafCounts:
             max_values=max_values,
         )
         states = {0: _State(seg, sel)}
-        run_level_ops(graph, [op], cols, states)
+        run_level_ops(graph, [op], cols, states, max_values=1 << 30)
         want = filter_candidates(plan, materialize(states, 1), nxt, cols)
         assert got.tolist() == want.lengths.tolist()
 
@@ -464,7 +510,7 @@ class TestWordRows:
             assert counts() == want
 
     @given(inputs=_WORD_EDGE_INPUTS,
-           max_values=st.one_of(st.none(), st.integers(1, 300)),
+           max_values=st.one_of(st.just(1 << 30), st.integers(1, 300)),
            seed=st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_word_level_ops_equal_element_path(self, inputs, max_values, seed):
