@@ -15,12 +15,13 @@ Run:  python examples/software_vs_hardware.py
 """
 
 from repro import FingersConfig, FlexMinerConfig, simulate
+from repro.core import get_backend
 from repro.graph import load_dataset
 from repro.sw import SoftwareConfig
-from repro.sw.miner import simulate_software
 
 
 def main() -> None:
+    software = get_backend("software")
     graph = load_dataset("Lj")
     roots = list(range(0, graph.num_vertices, 16))
     pattern = "tc"
@@ -39,7 +40,7 @@ def main() -> None:
         row = [f"{cores:3d}  "]
         for granularity in ("tree", "branch"):
             cfg = SoftwareConfig(num_cores=cores, granularity=granularity)
-            res = simulate_software(graph, pattern, cfg, roots=roots)
+            res = software.run(graph, pattern, cfg, roots=roots)
             if base is None:
                 base = res.cycles
             row.append(
@@ -56,7 +57,7 @@ def main() -> None:
     # 2. Best software vs the accelerators, in nanoseconds.
     # ------------------------------------------------------------------
     sw_cfg = SoftwareConfig(num_cores=16, granularity="branch")
-    sw = simulate_software(graph, pattern, sw_cfg, roots=roots)
+    sw = software.run(graph, pattern, sw_cfg, roots=roots)
     flex = simulate(graph, pattern, FlexMinerConfig(num_pes=40), roots=roots)
     fing = simulate(graph, pattern, FingersConfig(num_pes=20), roots=roots)
     assert sw.counts == flex.counts == fing.counts

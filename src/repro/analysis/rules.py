@@ -357,7 +357,7 @@ PAR001 = register(
 #: Raw executor entry points that must only be reached through
 #: ``repro.core.get_backend(...)`` — direct use bypasses the unified
 #: result contract, summary formatting, and cache-key derivation.
-_GUARDED_ENTRY_POINTS = {"run_chip", "simulate_software", "SoftwareMiner"}
+_GUARDED_ENTRY_POINTS = {"run_chip", "SoftwareMiner"}
 
 #: Modules allowed to touch the raw entry points: the backend layer
 #: itself, and the modules that define them.
@@ -662,6 +662,7 @@ STORE001 = register(
 ERR_SWALLOW_PACKAGES = HOT_PATH_PACKAGES + (
     "repro.cache",
     "repro.experiments",
+    "repro.keys",
     "repro.resilience",
 )
 

@@ -8,7 +8,7 @@ processes, so simulation results are memoized twice:
    within one run), and
 2. the **persistent disk cache** (:mod:`repro.cache`): keyed by
    :meth:`repro.core.backend.Backend.cache_key` — backend name and
-   version, full graph contents, workload, explicit configuration
+   model code, full graph contents, workload, explicit configuration
    signature, schedule, root-array hash, and execution model — so a
    warm ``repro bench`` sweep performs zero simulator calls.
 
@@ -116,13 +116,7 @@ def _cached(key: str, compute, use_disk: bool) -> RunResult:
     result = compute()
     _MEMO[key] = result
     if use_disk:
-        stored = result
-        if getattr(result, "retry_stats", None) is not None:
-            # Recovery accounting describes one past execution, not the
-            # result; a cache hit is not a retried run, so never
-            # persist it (docs/RESILIENCE.md).
-            stored = replace(result, retry_stats=None)
-        default_cache().put(key, stored)
+        default_cache().put(key, result)
     return result
 
 
@@ -159,8 +153,7 @@ def run_backend_cached(
     use_disk = _DISK_ENABLED if disk is None else disk
     key = backend.cache_key(
         graph, workload, config,
-        memory=memory, roots=roots_list, schedule=schedule,
-        model="single-chip" if eff_jobs is None else "sharded",
+        memory=memory, roots=roots_list, schedule=schedule, jobs=eff_jobs,
     )
     return _cached(
         key,

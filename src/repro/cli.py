@@ -465,7 +465,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    from repro.cache import default_cache, model_digest
+    from repro.cache import default_cache
+    from repro.keys import model_digest
 
     cache = default_cache()
     if args.action == "path":

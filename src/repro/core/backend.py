@@ -24,7 +24,7 @@ fixed table of the four built-ins (``repro.core.backends.BACKENDS``).
 Cache keys render **every** dataclass field of the configuration
 explicitly (:func:`config_signature`), so a field can never silently
 escape the schema hash, whatever its ``repr`` shows.  They also mix in
-:func:`repro.cache.model_digest`, the hash of every ``repro`` module
+:func:`repro.keys.model_digest`, the hash of every ``repro`` module
 the backends import, so a result is keyed on the code that made it: an
 edit to the model re-keys every cached result and store row (the
 committed ``paper-*`` runs are regenerated in the same commit), while
@@ -37,6 +37,7 @@ import abc
 from dataclasses import fields, is_dataclass
 from typing import Any, Iterable, Sequence
 
+from repro import keys
 from repro.core.result import RunResult, merge_run_results
 
 __all__ = [
@@ -72,7 +73,7 @@ class Backend(abc.ABC):
     """One execution path for mining jobs (see module docstring).
 
     A backend carries no version number: its cache identity follows its
-    code through :func:`repro.cache.model_digest`.
+    code through :func:`repro.keys.model_digest`.
     """
 
     #: Registry key; unique across the built-in backends.
@@ -119,37 +120,33 @@ class Backend(abc.ABC):
         memory=None,
         roots: Iterable[int] | None = None,
         schedule: str = "dynamic",
-        model: str = "single-chip",
+        jobs: int | None = None,
     ) -> str:
-        """Persistent-cache identity of one run.
+        """Persistent-cache identity of one run of :meth:`run` with the
+        same arguments.
 
         Mixes the backend name and the model code
-        (:func:`repro.cache.model_digest`) with the full graph
+        (:func:`repro.keys.model_digest`) with the full graph
         fingerprint, workload, explicit config signature, root-array
         hash, schedule, and execution model — the schema documented in
-        docs/PARALLELISM.md section 3.  An edit to any module the
-        backends import therefore re-keys every result; nothing is
-        bumped by hand.
+        docs/PARALLELISM.md section 3.  The model is ``single-chip``
+        for ``jobs=None`` and ``sharded`` for any worker count, whose
+        results are identical by contract.  An edit to any module the
+        backends import re-keys every result; nothing is bumped by
+        hand.
         """
-        from repro.cache import (
-            graph_fingerprint,
-            make_key,
-            model_digest,
-            roots_fingerprint,
-        )
-
         roots_list = list(roots) if roots is not None else None
-        return make_key(
+        return keys.make_key(
             kind="runresult",
             backend=self.name,
-            code=model_digest(),
-            graph=graph_fingerprint(graph),
+            code=keys.model_digest(),
+            graph=graph.fingerprint(),
             workload=str(workload),
             config=config_signature(config),
             memory=config_signature(memory),
-            roots=roots_fingerprint(roots_list),
+            roots=keys.roots_fingerprint(roots_list),
             schedule=schedule,
-            model=model,
+            model="single-chip" if jobs is None else "sharded",
         )
 
     # -- conveniences shared by every backend ----------------------------
@@ -175,14 +172,13 @@ class Backend(abc.ABC):
         schedule: str = "dynamic",
         tracer=None,
         jobs: int | None = None,
-        shards: int | None = None,
     ) -> RunResult:
         """Front door: resolve the workload, pick the execution model.
 
-        ``jobs``/``shards`` select the sharded (multi-instance) model of
-        docs/PARALLELISM.md; ``jobs=None`` (default) keeps the plain
-        single-instance model.  The returned result carries workload
-        identity (``workload``/``pattern_names``).
+        ``jobs`` selects the sharded (multi-instance) model of
+        docs/PARALLELISM.md on that many worker processes; ``jobs=None``
+        (default) keeps the plain single-instance model.  The returned
+        result carries workload identity (``workload``/``pattern_names``).
         """
         from dataclasses import replace
 
@@ -193,7 +189,7 @@ class Backend(abc.ABC):
             roots = graph.check_roots(roots)
         if config is None:
             config = self.default_config()
-        if jobs is None and shards is None:
+        if jobs is None:
             res = self.simulate(
                 graph, plans, config,
                 roots=roots, memory=memory, schedule=schedule, tracer=tracer,
@@ -202,16 +198,16 @@ class Backend(abc.ABC):
             if tracer is not None:
                 raise ValueError(
                     "tracing is only supported for unsharded runs "
-                    "(jobs/shards unset)"
+                    "(jobs unset)"
                 )
-            if jobs is not None and jobs < 1:
+            if jobs < 1:
                 raise ValueError("jobs must be >= 1")
             from repro.core.sharded import run_sharded
 
             res = run_sharded(
                 self, graph, plans, config,
                 memory=memory, roots=roots, schedule=schedule,
-                jobs=jobs or 1, num_shards=shards,
+                jobs=jobs,
             )
         return replace(res, workload=name, pattern_names=names)
 

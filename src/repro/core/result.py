@@ -58,12 +58,6 @@ class RunResult:
     #: (``jobs=``), ``len(units) == units_per_shard * num_shards`` and
     #: ``cycles`` is the makespan of the slowest shard.
     num_shards: int = 1
-    #: Recovery accounting for the run that produced this result — a
-    #: ``RetryStats.as_dict()`` record, or ``None`` when no recovery
-    #: machinery was engaged (docs/RESILIENCE.md).  Observability only:
-    #: excluded from equality (retries are invisible in results by
-    #: contract) and stripped before disk-cache writes.
-    retry_stats: Any = field(default=None, compare=False)
 
     # -- functional surface ---------------------------------------------
 
@@ -120,11 +114,6 @@ class RunResult:
         return replace(self, workload="", pattern_names=())
 
     def __getattr__(self, name: str):
-        if name == "retry_stats":
-            # Results unpickled from pre-resilience disk-cache entries
-            # predate the field; treat them as fault-free runs instead
-            # of bumping the cache schema version.
-            return None
         if name.startswith("_") or name in ("scalars", "sections"):
             raise AttributeError(name)
         d = object.__getattribute__(self, "__dict__")

@@ -24,7 +24,6 @@ dispatch shares one module.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Iterable, Sequence
 
 from repro.core.backend import Backend, get_backend
@@ -37,7 +36,6 @@ from repro.parallel.chunking import (
 )
 from repro.parallel.pool import run_shards
 from repro.pattern.plan import ExecutionPlan
-from repro.resilience.retry import RetryStats
 
 __all__ = [
     "count_multi_parallel",
@@ -53,10 +51,13 @@ def resolve_shards(
     roots: Iterable[int] | None,
     num_shards: int | None,
 ) -> list[list[int]]:
-    """The shard decomposition the sharded model will use.
+    """The shard decomposition the sharded model will use: a pure
+    function of the graph, the roots and ``num_shards`` (the default
+    policy when ``None``), never of the worker count.
 
-    Exposed so callers (e.g. the result cache) can key on the effective
-    shard count without running anything.
+    Exposed so callers can see the cut without running anything.  The
+    result key does not name it: it says only ``sharded``, since every
+    sharded run takes the default cut.
     """
     root_list = (
         list(range(graph.num_vertices)) if roots is None else list(roots)
@@ -94,8 +95,10 @@ def run_sharded(
 
     A decomposition of a single shard degenerates to the plain
     single-instance model, so tiny root sets behave identically with
-    and without ``jobs``.  Workers receive the backend by registry name
-    (cheap to pickle; resolved against the registry in each process).
+    and without ``jobs``.  ``num_shards`` pins the cut; the front doors
+    (``Backend.run``) always take the default.  Workers receive the
+    backend by registry name (cheap to pickle; resolved against the
+    registry in each process).
     """
     shards = resolve_shards(graph, roots, num_shards)
     if len(shards) <= 1:
@@ -111,14 +114,7 @@ def run_sharded(
         "memory": memory,
         "schedule": schedule,
     }
-    stats = RetryStats()
-    results = run_shards(_backend_worker, payload, shards, jobs, stats=stats)
-    merged = backend.merge(results)
-    if stats.recovered:
-        # Recovery engaged: surface the accounting on the (otherwise
-        # bit-identical) result so sweeps can report what was absorbed.
-        merged = replace(merged, retry_stats=stats.as_dict())
-    return merged
+    return backend.merge(run_shards(_backend_worker, payload, shards, jobs))
 
 
 # ----------------------------------------------------------------------

@@ -251,7 +251,7 @@ def run_sweep(
         cell_key = backend.cache_key(
             graph, cell.pattern, config,
             memory=memory, roots=roots, schedule=cell.schedule,
-            model="single-chip" if cell.jobs is None else "sharded",
+            jobs=cell.jobs,
         )
         keys[spec_cell] = cell_key
         identity = dict(

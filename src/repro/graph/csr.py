@@ -283,7 +283,7 @@ class CSRGraph:
 
     def fingerprint(self) -> str:
         """SHA-256 over ``indptr | indices``: the content hash cache keys
-        name a graph by (:func:`repro.cache.graph_fingerprint`).
+        name a graph by (:meth:`repro.core.backend.Backend.cache_key`).
 
         Memoized per instance, which the read-only arrays make safe.
         """

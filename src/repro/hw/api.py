@@ -36,7 +36,6 @@ def simulate(
     schedule: str = "dynamic",
     tracer=None,
     jobs: int | None = None,
-    shards: int | None = None,
 ) -> RunResult:
     """Simulate one mining job on one chip configuration.
 
@@ -44,14 +43,14 @@ def simulate(
     :func:`repro.hw.chip.run_chip`); the default is the paper's dynamic
     policy.
 
-    ``jobs``/``shards`` select the **sharded (multi-chip) model** (see
-    docs/PARALLELISM.md): the root set is cut into ``shards`` chunks (a
-    pure function of graph and roots; default policy when ``None``),
-    each shard runs on its own cold chip on up to ``jobs`` host worker
-    processes, and results merge exactly — counts and traffic counters
-    sum, ``cycles`` is the slowest shard's makespan.  Any ``jobs`` value
-    produces bit-for-bit identical results; ``jobs=None`` (default)
-    keeps the plain single-chip model.
+    ``jobs`` selects the **sharded (multi-chip) model** (see
+    docs/PARALLELISM.md): the root set is cut into shards (a pure
+    function of graph and roots), each shard runs on its own cold chip
+    on up to ``jobs`` host worker processes, and results merge exactly
+    — counts and traffic counters sum, ``cycles`` is the slowest
+    shard's makespan.  Any ``jobs`` value produces bit-for-bit
+    identical results; ``jobs=None`` (default) keeps the plain
+    single-chip model.
 
     >>> from repro.graph import load_dataset
     >>> r = simulate(load_dataset("As"), "tc", FingersConfig(num_pes=1))
@@ -62,6 +61,6 @@ def simulate(
     return backend.run(
         graph, workload, config,
         memory=memory, roots=roots, schedule=schedule, tracer=tracer,
-        jobs=jobs, shards=shards,
+        jobs=jobs,
     )
 

@@ -57,9 +57,8 @@ Because every worker is a deterministic function of ``(payload,
 shard)``, retries are **invisible in results**: a run that absorbed
 crashes is bit-identical to a fault-free run.  All recovery events are
 accounted in a structured :class:`~repro.resilience.retry.RetryStats`
-(per call via ``stats=``, cumulatively via :func:`retry_stats`) that
-flows into :class:`repro.core.result.RunResult` and the experiment
-store.  A shard that keeps failing retryably past ``max_attempts``
+(per call via ``stats=``, cumulatively via :func:`retry_stats`, whose
+per-cell deltas the experiment store keeps).  A shard that keeps failing retryably past ``max_attempts``
 raises :class:`~repro.errors.RetryExhausted`; non-retryable worker
 exceptions propagate unchanged — they are defect reports, not noise.
 """

@@ -9,10 +9,12 @@ identical runs back off identically; there is no process-global RNG
 anywhere on this path.
 
 :class:`RetryStats` is the structured counter record every recovery
-event lands in.  It flows from :func:`repro.parallel.pool.run_shards`
-into :class:`repro.core.result.RunResult` (``retry_stats``) and from
-there into the experiment store's per-row ``retry`` column, so a sweep
-report can say exactly how much absorbing the run did.  Counters are
+event lands in.  :func:`repro.parallel.pool.run_shards` adds each
+call's record to the pool's process-wide totals
+(:func:`repro.parallel.pool.retry_stats`), and the sweep executor
+writes each cell's delta of those totals into the experiment store's
+per-row ``retry`` column, so a sweep report can say exactly how much
+absorbing the run did.  Counters are
 observability only: they never feed results, cache keys, or the
 sanitizer trace.
 

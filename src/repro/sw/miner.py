@@ -29,7 +29,7 @@ from repro.hw.optrace import OpTrace
 from repro.hw.pe import NO_BOUND, BasePE
 from repro.sw.config import SoftwareConfig
 
-__all__ = ["SoftwareMiner", "simulate_software"]
+__all__ = ["SoftwareMiner"]
 
 #: LLC hit latency in core cycles (deeper hierarchy than the
 #: accelerator's dedicated shared cache).
@@ -226,28 +226,3 @@ class SoftwareMiner:
             core.now = max(core.now, now) + self.config.steal_overhead_cycles
             return True
         return False
-
-
-def simulate_software(
-    graph: CSRGraph,
-    workload,
-    config: SoftwareConfig,
-    *,
-    roots: Iterable[int] | None = None,
-    jobs: int | None = None,
-    shards: int | None = None,
-) -> RunResult:
-    """Run one mining job on the software model.
-
-    Accepts the same workload specs as :func:`repro.hw.api.simulate`.
-    ``jobs``/``shards`` select the sharded model (one cold miner per
-    root shard, exact merges, makespan = max over shards) with the same
-    determinism contract as the chip simulator — see
-    docs/PARALLELISM.md.  Delegates to the registered ``software``
-    backend (:mod:`repro.core.backends`).
-    """
-    from repro.core.backend import get_backend
-
-    return get_backend("software").run(
-        graph, workload, config, roots=roots, jobs=jobs, shards=shards
-    )

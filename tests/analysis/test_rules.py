@@ -214,7 +214,10 @@ def test_arch001_relative_import_fires():
 
 
 def test_arch001_each_guarded_name_fires_once():
-    src = "from repro.sw.miner import SoftwareMiner, simulate_software\n"
+    src = (
+        "from repro.hw.chip import run_chip\n"
+        "from repro.sw.miner import SoftwareMiner\n"
+    )
     assert rules_fired(src, module="repro.mining.snippet") == [
         "ARCH001", "ARCH001",
     ]

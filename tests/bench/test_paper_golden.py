@@ -6,7 +6,7 @@ no appended row, no run file read twice, and a text byte-identical to
 ``benchmarks/results/paper/<name>.txt``.  A cold run against the same
 files is the CI ``paper-golden`` job (``tools/paper_golden.py``).
 
-Every row is keyed on the model code (``repro.cache.model_digest``), so
+Every row is keyed on the model code (``repro.keys.model_digest``), so
 an edit to a module the backends import fails here until the
 ``paper-*`` runs are regenerated in the same commit (:data:`REGENERATE`).
 Every cell the committed rows resume never reaches the run cache, so the
@@ -34,7 +34,7 @@ RESULTS = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
 
 REGENERATE = (
     "if the model code changed since the committed paper-* rows were made, "
-    "their keys (repro.cache.model_digest) no longer match; regenerate "
+    "their keys (repro.keys.model_digest) no longer match; regenerate "
     "them in the same commit: "
     "export PYTHONPATH=src REPRO_CACHE_DIR=$(mktemp -d) "
     "REPRO_RESULTS_DIR=$(mktemp -d); "

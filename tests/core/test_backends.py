@@ -108,10 +108,14 @@ class TestCacheKeys:
         backend = get_backend("fingers")
         base = backend.cache_key(g, "tc", backend.default_config(units=2))
         other_cfg = backend.cache_key(g, "tc", backend.default_config(units=4))
-        other_model = backend.cache_key(
-            g, "tc", backend.default_config(units=2), model="sharded"
-        )
-        assert len({base, other_cfg, other_model}) == 3
+        sharded = [
+            backend.cache_key(g, "tc", backend.default_config(units=2),
+                              jobs=jobs)
+            for jobs in (1, 2, 3)
+        ]
+        # The model is part of the key; the worker count is not.
+        assert len(set(sharded)) == 1
+        assert len({base, other_cfg, sharded[0]}) == 3
 
     def test_key_stable_for_equal_inputs(self):
         g = erdos_renyi(20, 0.3, seed=17)

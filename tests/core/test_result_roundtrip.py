@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import repro.cache as cache_mod
+import repro.keys as keys_mod
 from repro.bench.runner import (
     clear_cache,
     configure,
@@ -84,29 +84,29 @@ class TestVersionInvalidation:
         cfg = backend.default_config(units=2)
         run_backend_cached(backend, g, "g", "tc", cfg)
         clear_cache()
-        monkeypatch.setattr(cache_mod, "model_digest", lambda: "edited")
+        monkeypatch.setattr(keys_mod, "model_digest", lambda: "edited")
         run_backend_cached(backend, g, "g", "tc", cfg)
         stats = runner_stats()
         assert stats.simulate_calls == 2
         assert stats.disk_hits == 0
 
     @pytest.mark.parametrize("module, covered", [
-        ("cache.py", True),  # the entry format
+        ("cache.py", False),  # the entry frame checks itself
         ("core/result.py", True),  # RunResult
         ("experiments/store.py", False),  # rows: STORE_SCHEMA_VERSION
     ], ids=["cache", "result", "store"])
     def test_entry_format_modules_are_in_the_digest(
         self, tmp_path, module, covered
     ):
-        package = Path(cache_mod.__file__).resolve().parent
+        package = Path(keys_mod.__file__).resolve().parent
         copy = tmp_path / "repro"
         shutil.copytree(package, copy,
                         ignore=shutil.ignore_patterns("__pycache__"))
-        before = cache_mod._closure_digest(copy)
-        assert before == cache_mod.model_digest()
+        before = keys_mod._closure_digest(copy)
+        assert before == keys_mod.model_digest()
         with (copy / module).open("a") as handle:
             handle.write("\n_EDITED = True\n")
-        assert (cache_mod._closure_digest(copy) != before) is covered
+        assert (keys_mod._closure_digest(copy) != before) is covered
 
     def test_corrupt_entry_degrades_to_miss(self):
         g = _graph()

@@ -1,10 +1,11 @@
-"""A model-code edit re-keys every result; a comment edit re-keys none.
+"""A model-code edit re-keys every result; a comment edit, or an edit
+to the disk cache, re-keys none.
 
 Each test copies the ``repro`` package into a scratch tree, runs a
 two-cell FINGERS/FlexMiner sweep from the copy in a subprocess, edits
-``hw/chip.py`` in the copy, and reruns the same sweep against the same
+one module in the copy, and reruns the same sweep against the same
 result cache and store.  The subprocess takes the real key path:
-``Backend.cache_key`` -> ``repro.cache.model_digest`` over the copy.
+``Backend.cache_key`` -> ``repro.keys.model_digest`` over the copy.
 """
 
 import os
@@ -64,11 +65,14 @@ class _Tree:
     def rows(self, run: str):
         return ResultStore(self.results / "store").load(run)
 
-    def edit_chip(self, old: str, new: str) -> None:
-        chip = self.src / "repro" / "hw" / "chip.py"
-        text = chip.read_text()
+    def edit(self, module: str, old: str, new: str) -> None:
+        path = self.src / "repro" / module
+        text = path.read_text()
         assert old in text
-        chip.write_text(text.replace(old, new, 1))
+        path.write_text(text.replace(old, new, 1))
+
+    def edit_chip(self, old: str, new: str) -> None:
+        self.edit("hw/chip.py", old, new)
 
 
 @pytest.fixture
@@ -94,6 +98,16 @@ def test_comment_and_docstring_edit_resimulates_nothing(tree):
     tree.edit_chip("\ndef ", "\n# An edited comment.\ndef ")
     assert tree.sweep("r") == "run 'r': 0 executed, 2 resumed from the store"
     # A new run misses the store but hits the result cache.
+    assert tree.sweep("r2") == "run 'r2': 2 executed, 0 resumed from the store"
+    fresh = tree.rows("r2")
+    assert all(row.cache["simulate_calls"] == 0 for row in fresh)
+    assert all(row.cache["disk_hits"] == 1 for row in fresh)
+
+
+def test_disk_cache_edit_resimulates_nothing(tree):
+    # A code edit in DiskCache.doctor: the disk cache is not the model.
+    tree.edit("cache.py", '"checked": 0,', '"checked": 0, "edited": 0,')
+    assert tree.sweep("r") == "run 'r': 0 executed, 2 resumed from the store"
     assert tree.sweep("r2") == "run 'r2': 2 executed, 0 resumed from the store"
     fresh = tree.rows("r2")
     assert all(row.cache["simulate_calls"] == 0 for row in fresh)

@@ -30,16 +30,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.backend import get_backend
+from repro.core.backend import backend_for_config, get_backend
+from repro.core.sharded import run_sharded
 from repro.graph import builders
 from repro.graph import generators as gen
-from repro.hw.api import FingersConfig, FlexMinerConfig, MemoryConfig, simulate
+from repro.hw.api import (
+    FingersConfig,
+    FlexMinerConfig,
+    MemoryConfig,
+    resolve_workload,
+    simulate,
+)
 from repro.hw.area import iso_area_segment_length
 from repro.hw.noc import NoCConfig
 from repro.hw.trace import Tracer
 from repro.setops import segmented
 from repro.sw.config import SoftwareConfig
-from repro.sw.miner import simulate_software
 
 GOLDEN = Path(__file__).with_name("data") / "golden_cycles.json"
 
@@ -187,11 +193,15 @@ def run_case(name: str) -> dict:
     graph = _graph(graph_name)
     opts = dict(opts)
     tracer = Tracer() if opts.pop("trace", False) else None
-    if isinstance(config, SoftwareConfig) and "memory" in opts:
-        # simulate_software has no memory option; its backend does.
-        res = get_backend("software").run(graph, workload, config, **opts)
+    if "shards" in opts:
+        # A pinned cut is an option of the sharded driver only.
+        _, plans, _ = resolve_workload(workload)
+        res = run_sharded(
+            backend_for_config(config), graph, plans, config,
+            num_shards=opts.pop("shards"), **opts,
+        )
     elif isinstance(config, SoftwareConfig):
-        res = simulate_software(graph, workload, config, **opts)
+        res = get_backend("software").run(graph, workload, config, **opts)
     else:
         res = simulate(graph, workload, config, tracer=tracer, **opts)
     out = {

@@ -23,7 +23,6 @@ from repro.mining.api import count, embeddings, motif_census, plan_for
 from repro.mining.engine import count_embeddings, per_root_counts
 from repro.parallel import shard_roots
 from repro.sw import SoftwareConfig
-from repro.sw.miner import simulate_software
 
 JOBS = 4
 
@@ -93,10 +92,14 @@ class TestChipDeterminism:
 
     def test_explicit_shards_param(self, small_random):
         cfg = FingersConfig(num_pes=2)
-        a = simulate(small_random, "tc", cfg, jobs=1, shards=5)
-        b = simulate(small_random, "tc", cfg, jobs=JOBS, shards=5)
-        assert a.chip == b.chip
-        assert a.chip.num_shards == 5
+        _, plans, _ = resolve_workload("tc")
+        fingers = get_backend("fingers")
+        a = run_sharded(fingers, small_random, plans, cfg,
+                        jobs=1, num_shards=5)
+        b = run_sharded(fingers, small_random, plans, cfg,
+                        jobs=JOBS, num_shards=5)
+        assert a == b
+        assert a.num_shards == 5
 
     def test_manual_merge_equals_sharded_run(self, small_random):
         # The sharded model is BY DEFINITION: run each shard on a cold
@@ -110,8 +113,9 @@ class TestChipDeterminism:
                 for shard in shards
             ]
         )
-        via_api = simulate(small_random, "tc", cfg, jobs=1, shards=5)
-        assert via_api.chip == manual
+        driven = run_sharded(get_backend("fingers"), small_random, plans,
+                             cfg, jobs=1, num_shards=5)
+        assert driven == manual
 
     def test_merged_cycles_is_max_over_shards(self, small_random):
         cfg = FingersConfig(num_pes=2)
@@ -151,14 +155,16 @@ class TestChipDeterminism:
 class TestSoftwareDeterminism:
     def test_jobs1_equals_jobs4(self, small_random):
         cfg = SoftwareConfig(num_cores=2)
-        one = simulate_software(small_random, "tc", cfg, jobs=1)
-        four = simulate_software(small_random, "tc", cfg, jobs=JOBS)
+        software = get_backend("software")
+        one = software.run(small_random, "tc", cfg, jobs=1)
+        four = software.run(small_random, "tc", cfg, jobs=JOBS)
         assert one == four
 
     def test_counts_match_unsharded(self, small_random):
         cfg = SoftwareConfig(num_cores=2)
-        unsharded = simulate_software(small_random, "tc", cfg)
-        sharded = simulate_software(small_random, "tc", cfg, jobs=JOBS)
+        software = get_backend("software")
+        unsharded = software.run(small_random, "tc", cfg)
+        sharded = software.run(small_random, "tc", cfg, jobs=JOBS)
         assert sharded.counts == unsharded.counts
         assert sharded.num_shards > 1
         assert unsharded.num_shards == 1

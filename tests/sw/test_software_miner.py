@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.core.backend import get_backend
 from repro.graph import erdos_renyi, load_dataset, star_graph
 from repro.mining import count
 from repro.sw import SoftwareConfig
-from repro.sw.miner import simulate_software
 
+run_software = get_backend("software").run
 SMALL = erdos_renyi(60, 0.25, seed=5)
 
 
@@ -15,17 +16,17 @@ class TestFunctionalEquivalence:
     @pytest.mark.parametrize("granularity", ["tree", "branch"])
     def test_counts_match_engine(self, pattern, granularity):
         cfg = SoftwareConfig(num_cores=4, granularity=granularity)
-        res = simulate_software(SMALL, pattern, cfg)
+        res = run_software(SMALL, pattern, cfg)
         assert res.count == count(SMALL, pattern)
 
     @pytest.mark.parametrize("cores", [1, 3, 9])
     def test_core_count_never_changes_counts(self, cores):
         cfg = SoftwareConfig(num_cores=cores, granularity="branch")
-        assert simulate_software(SMALL, "tc", cfg).count == count(SMALL, "tc")
+        assert run_software(SMALL, "tc", cfg).count == count(SMALL, "tc")
 
     def test_multipattern(self):
         cfg = SoftwareConfig(num_cores=2)
-        res = simulate_software(SMALL, "3mc", cfg)
+        res = run_software(SMALL, "3mc", cfg)
         from repro.mining import motif_census
 
         census = motif_census(SMALL, 3)
@@ -34,34 +35,34 @@ class TestFunctionalEquivalence:
     def test_roots_subset(self):
         roots = list(range(0, 60, 4))
         cfg = SoftwareConfig(num_cores=2)
-        res = simulate_software(SMALL, "tc", cfg, roots=roots)
+        res = run_software(SMALL, "tc", cfg, roots=roots)
         assert res.count == count(SMALL, "tc", roots=roots)
 
 
 class TestScheduling:
     def test_single_core_granularity_equal(self):
-        tree = simulate_software(
+        tree = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=1, granularity="tree")
         )
-        branch = simulate_software(
+        branch = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=1, granularity="branch")
         )
         assert tree.cycles == branch.cycles
 
     def test_more_cores_help(self):
-        one = simulate_software(SMALL, "cyc", SoftwareConfig(num_cores=1))
-        four = simulate_software(SMALL, "cyc", SoftwareConfig(num_cores=4))
+        one = run_software(SMALL, "cyc", SoftwareConfig(num_cores=1))
+        four = run_software(SMALL, "cyc", SoftwareConfig(num_cores=4))
         assert four.cycles < one.cycles
 
     def test_branch_beats_tree_on_skewed_graph(self):
         """The aDFS claim: branch-level tasks fix hub-tree imbalance."""
         g = load_dataset("Lj")
         roots = list(range(0, g.num_vertices, 32))
-        tree = simulate_software(
+        tree = run_software(
             g, "tc", SoftwareConfig(num_cores=8, granularity="tree"),
             roots=roots,
         )
-        branch = simulate_software(
+        branch = run_software(
             g, "tc", SoftwareConfig(num_cores=8, granularity="branch"),
             roots=roots,
         )
@@ -72,7 +73,7 @@ class TestScheduling:
 
     def test_tree_granularity_never_steals(self):
         g = star_graph(50)
-        res = simulate_software(
+        res = run_software(
             g, "wedge", SoftwareConfig(num_cores=4, granularity="tree")
         )
         assert res.total_steals == 0
@@ -81,13 +82,13 @@ class TestScheduling:
         """Higher steal latency must not make branch mode faster."""
         g = load_dataset("Lj")
         roots = list(range(0, g.num_vertices, 64))
-        cheap = simulate_software(
+        cheap = run_software(
             g, "tc",
             SoftwareConfig(num_cores=8, granularity="branch",
                            steal_overhead_cycles=20),
             roots=roots,
         )
-        expensive = simulate_software(
+        expensive = run_software(
             g, "tc",
             SoftwareConfig(num_cores=8, granularity="branch",
                            steal_overhead_cycles=5000),
@@ -99,25 +100,25 @@ class TestScheduling:
 
 class TestCostModel:
     def test_simd_width_speeds_up(self):
-        scalar = simulate_software(
+        scalar = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=1, elements_per_cycle=1.0)
         )
-        simd = simulate_software(
+        simd = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=1, elements_per_cycle=8.0)
         )
         assert simd.cycles < scalar.cycles
 
     def test_task_overhead_counts(self):
-        light = simulate_software(
+        light = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=1, task_overhead_cycles=1)
         )
-        heavy = simulate_software(
+        heavy = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=1, task_overhead_cycles=500)
         )
         assert heavy.cycles > light.cycles
 
     def test_stats_well_formed(self):
-        res = simulate_software(SMALL, "tc", SoftwareConfig(num_cores=3))
+        res = run_software(SMALL, "tc", SoftwareConfig(num_cores=3))
         assert res.combined.tasks > 0
         assert res.llc.accesses > 0
         assert res.cycles > 0

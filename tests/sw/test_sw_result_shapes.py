@@ -2,38 +2,40 @@
 
 import pytest
 
+from repro.core.backend import get_backend
 from repro.graph import erdos_renyi
 from repro.sw import SoftwareConfig
-from repro.sw.miner import SoftwareMiner, simulate_software
+from repro.sw.miner import SoftwareMiner
 from repro.hw.api import resolve_workload
 
+run_software = get_backend("software").run
 SMALL = erdos_renyi(40, 0.3, seed=55)
 
 
 class TestSoftwareResult:
     def test_core_stats_per_core(self):
-        res = simulate_software(SMALL, "tc", SoftwareConfig(num_cores=5))
+        res = run_software(SMALL, "tc", SoftwareConfig(num_cores=5))
         assert len(res.units) == 5
         assert res.combined.tasks == sum(s.tasks for s in res.units)
 
     def test_load_imbalance_one_core(self):
-        res = simulate_software(SMALL, "tc", SoftwareConfig(num_cores=1))
+        res = run_software(SMALL, "tc", SoftwareConfig(num_cores=1))
         assert res.load_imbalance == pytest.approx(1.0, rel=0.01)
 
     def test_design_name_in_result(self):
-        res = simulate_software(
+        res = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=3, granularity="branch")
         )
         assert res.design == "SW-3core-branch"
 
     def test_dram_and_llc_stats(self):
-        res = simulate_software(SMALL, "tc", SoftwareConfig(num_cores=2))
+        res = run_software(SMALL, "tc", SoftwareConfig(num_cores=2))
         assert res.llc.accesses > 0
         # A 40-vertex graph fits the scaled LLC: misses only compulsory.
         assert res.llc.misses <= SMALL.num_vertices
 
     def test_empty_roots(self):
-        res = simulate_software(SMALL, "tc", SoftwareConfig(num_cores=2),
+        res = run_software(SMALL, "tc", SoftwareConfig(num_cores=2),
                                 roots=[])
         assert res.count == 0
         assert res.cycles == 0.0
@@ -55,7 +57,7 @@ class TestMinerClass:
         assert miner.memcfg.shared_cache_bytes == 12345
 
     def test_more_cores_than_roots(self):
-        res = simulate_software(
+        res = run_software(
             SMALL, "tc", SoftwareConfig(num_cores=16), roots=[0, 1, 2]
         )
         from repro.mining import count

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import json
 import pickle
+import shutil
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,15 +14,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.cache as cache_mod
-from repro.cache import (
-    DiskCache,
-    cache_dir,
-    default_cache,
-    graph_fingerprint,
-    make_key,
-    roots_fingerprint,
-)
+import repro.keys as keys_mod
+from repro.cache import DiskCache, cache_dir, default_cache, graph_fingerprint
 from repro.graph import erdos_renyi
+from repro.keys import make_key, roots_fingerprint
 
 
 class TestFingerprints:
@@ -249,7 +245,7 @@ class TestModelDigest:
             ]
 
         before = keys()
-        monkeypatch.setattr(cache_mod, "model_digest", lambda: "edited")
+        monkeypatch.setattr(keys_mod, "model_digest", lambda: "edited")
         assert all(a != b for a, b in zip(before, keys()))
 
     def test_computed_once_per_process(self, monkeypatch):
@@ -261,16 +257,33 @@ class TestModelDigest:
             calls.append(package)
             return "digest"
 
-        monkeypatch.setattr(cache_mod, "_closure_digest", counting)
-        cache_mod.model_digest.cache_clear()
+        monkeypatch.setattr(keys_mod, "_closure_digest", counting)
+        keys_mod.model_digest.cache_clear()
         try:
             graph = erdos_renyi(20, 0.3, seed=4)
             backend = get_backend("fingers")
             for pattern in ("tc", "tt", "cyc"):
                 backend.cache_key(graph, pattern, None)
-            assert calls == [Path(cache_mod.__file__).resolve().parent]
+            assert calls == [Path(keys_mod.__file__).resolve().parent]
         finally:
-            cache_mod.model_digest.cache_clear()
+            keys_mod.model_digest.cache_clear()
+
+    def test_key_recipe_is_in_the_closure_and_the_disk_cache_is_not(
+        self, tmp_path
+    ):
+        package = Path(keys_mod.__file__).resolve().parent
+        leaf = ast.parse((package / "keys.py").read_bytes())
+        assert keys_mod._import_specs(leaf) == []
+        copy = tmp_path / "repro"
+        shutil.copytree(package, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        before = keys_mod._closure_digest(copy)
+        with (copy / "cache.py").open("a") as handle:
+            handle.write("\n_EDITED = True\n")
+        assert keys_mod._closure_digest(copy) == before
+        with (copy / "keys.py").open("a") as handle:
+            handle.write("\n_EDITED = True\n")
+        assert keys_mod._closure_digest(copy) != before
 
 
 _BACKENDS = '''"""Backends."""
@@ -311,10 +324,10 @@ def _package(tmp_path: Path, chip: str = _CHIP) -> Path:
 
 
 class TestNormalization:
-    """What :func:`repro.cache.model_digest` sees of a module's source."""
+    """What :func:`repro.keys.model_digest` sees of a module's source."""
 
     def _digest(self, tmp_path, chip=_CHIP):
-        return cache_mod._closure_digest(_package(tmp_path, chip))
+        return keys_mod._closure_digest(_package(tmp_path, chip))
 
     def test_changed_constant_changes_digest(self, tmp_path):
         edited = _CHIP.replace("CYCLES = 4", "CYCLES = 5")
@@ -348,7 +361,7 @@ class TestNormalization:
             '    for a, b in xs:  # note\n'
             '        yield f"{a[\'k\']!r:>4}", (\n            b)\n'
         )
-        assert cache_mod._normalized(ast.parse(source)) == (
+        assert keys_mod._normalized(ast.parse(source)) == (
             "Module(body=[FunctionDef(name='f', args=arguments(args=["
             "arg(arg='xs')]), body=[For(target=Tuple(elts=[Name(id='a', "
             "ctx=Store()), Name(id='b', ctx=Store())], ctx=Store()), "
@@ -362,15 +375,15 @@ class TestNormalization:
 
     def test_function_level_import_is_followed(self, tmp_path):
         root = _package(tmp_path)
-        before = cache_mod._closure_digest(root)
+        before = keys_mod._closure_digest(root)
         (root / "sw/miner.py").write_text("LATENCY = 3\n")
-        assert cache_mod._closure_digest(root) != before
+        assert keys_mod._closure_digest(root) != before
 
     def test_unimported_module_is_outside(self, tmp_path):
         root = _package(tmp_path)
-        before = cache_mod._closure_digest(root)
+        before = keys_mod._closure_digest(root)
         (root / "experiments/store.py").write_text("SCHEMA = 2\n")
-        assert cache_mod._closure_digest(root) == before
+        assert keys_mod._closure_digest(root) == before
 
 
 @pytest.fixture
@@ -378,14 +391,14 @@ def fresh_digest(tmp_path, monkeypatch):
     """``model_digest`` recomputed in a private cache directory; the
     memo file it reads and writes."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    cache_mod.model_digest.cache_clear()
-    yield tmp_path / "cache" / cache_mod._DIGEST_MEMO
-    cache_mod.model_digest.cache_clear()
+    keys_mod.model_digest.cache_clear()
+    yield tmp_path / "cache" / keys_mod._DIGEST_MEMO
+    keys_mod.model_digest.cache_clear()
 
 
 def _digest_now():
-    cache_mod.model_digest.cache_clear()
-    return cache_mod.model_digest()
+    keys_mod.model_digest.cache_clear()
+    return keys_mod.model_digest()
 
 
 def _with_spec(spec):
@@ -420,14 +433,14 @@ class TestDigestMemo:
     ):
         digest = _digest_now()
         memo = json.loads(fresh_digest.read_text())
-        assert memo["format"] == cache_mod._DIGEST_MEMO_FORMAT
+        assert memo["format"] == keys_mod._DIGEST_MEMO_FORMAT
         assert len(memo["modules"]) >= 30
         written = fresh_digest.stat().st_mtime_ns
 
         def no_parse(data):
             raise AssertionError("a memo hit must not parse")
 
-        monkeypatch.setattr(cache_mod, "_module_facts", no_parse)
+        monkeypatch.setattr(keys_mod, "_module_facts", no_parse)
         assert _digest_now() == digest
         # Nothing changed, so nothing was rewritten.
         assert fresh_digest.stat().st_mtime_ns == written
@@ -435,20 +448,20 @@ class TestDigestMemo:
     def test_memo_does_not_change_the_digest(self, tmp_path):
         root = _package(tmp_path)
         memo = {}
-        cold = cache_mod._closure_digest(root, memo)
-        assert cold == cache_mod._closure_digest(root)
+        cold = keys_mod._closure_digest(root, memo)
+        assert cold == keys_mod._closure_digest(root)
         assert len(memo) == 3  # backends, chip, miner; not the store
-        assert cache_mod._closure_digest(root, dict(memo)) == cold
+        assert keys_mod._closure_digest(root, dict(memo)) == cold
 
     def test_edited_module_misses_and_stale_facts_are_pruned(
         self, tmp_path
     ):
         root = _package(tmp_path)
         memo = {}
-        before = cache_mod._closure_digest(root, memo)
+        before = keys_mod._closure_digest(root, memo)
         old_keys = set(memo)
         (root / "hw/chip.py").write_text(_CHIP.replace("4", "5"))
-        after = cache_mod._closure_digest(root, memo)
+        after = keys_mod._closure_digest(root, memo)
         assert after != before
         assert len(memo) == 3 and len(set(memo) - old_keys) == 1
 
@@ -461,9 +474,9 @@ class TestDigestMemo:
             "from repro.hw import extra\n" + _CHIP
         )
         memo = {}
-        before = cache_mod._closure_digest(root, memo)
+        before = keys_mod._closure_digest(root, memo)
         (root / "hw/extra.py").write_text("X = 1\n")
-        assert cache_mod._closure_digest(root, memo) != before
+        assert keys_mod._closure_digest(root, memo) != before
         assert len(memo) == 4
 
     @pytest.mark.parametrize("case", sorted(_MALFORMED))
@@ -471,7 +484,7 @@ class TestDigestMemo:
         digest = _digest_now()
         good = json.loads(fresh_digest.read_text())
         fresh_digest.write_bytes(_MALFORMED[case](good))
-        assert cache_mod._read_memo(fresh_digest) == {}
+        assert keys_mod._read_memo(fresh_digest) == {}
         assert _digest_now() == digest
         # ...and the rewritten memo is whole again.
         assert json.loads(fresh_digest.read_text()) == good

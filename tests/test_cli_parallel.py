@@ -3,8 +3,9 @@ and the ``cache`` subcommand."""
 
 import pytest
 
-from repro.cache import DiskCache, model_digest
+from repro.cache import DiskCache
 from repro.cli import main
+from repro.keys import model_digest
 
 
 @pytest.fixture(autouse=True)

@@ -12,7 +12,7 @@ Exits 1 when a rendered text differs from
 committed row with the same identity (or either side lacks one).  Every
 comparison is exact: one cycle of drift in any cell fails.  A
 ``cell_key`` mismatch means the committed row was keyed under another
-model digest (``repro.cache.model_digest``), so a warm ``repro bench``
+model digest (``repro.keys.model_digest``), so a warm ``repro bench``
 would re-simulate it: regenerate the runs by copying the cold run's
 ``paper-*.jsonl`` files into ``benchmarks/results/store/``.  A run on
 either side holding two successful rows with one ``cell_key`` is a
